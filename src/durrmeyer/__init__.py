@@ -49,7 +49,6 @@ from .operators import (
     evaluate,
     evaluate_grid,
     generalized_sample,
-    make_evaluator,
     reduce_special_case,
 )
 from .orlicz import (

@@ -150,8 +150,7 @@ def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional,
 def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                               w_list: Sequence[float], window, grid_step: float,
                               tolerance_pad: float = 1e-8,
-                              series_tol: float = 1e-9, quad_tol: float = 1e-10,
-                              workers: int = 1) -> list:
+                              series_tol: float = 1e-9, quad_tol: float = 1e-10) -> list:
     """Check measured sup errors against C * L / w for each scale.
 
     The signal must declare a Lipschitz constant so that L/w certifies the
@@ -164,7 +163,7 @@ def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     checks = []
     for w in w_list:
         spec = OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol)
-        recon = SeriesEvaluator(spec, f).on_grid(grid.points(), workers=workers)
+        recon = SeriesEvaluator(spec, f).on_grid(grid.points())
         err = sup_error(f, recon, grid)
         bound = (constant.value + constant.certified_error) * f.lipschitz_constant / w
         margin = bound + tolerance_pad - err
@@ -176,8 +175,7 @@ def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                       w_list: Sequence[float], window, grid_step: float,
                       eta_list: Sequence[OrliczFunction] = (), lam: float = 1.0,
                       modular_window=None, series_tol: float = 1e-9,
-                      quad_tol: float = 1e-10, modular_tol: float = 1e-6,
-                      workers: int = 1) -> ConvergenceReport:
+                      quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> ConvergenceReport:
     """Error table over an ascending scale list, with dyadic order estimates.
 
     Rows carry the grid sup error (uniformly continuous signals only), one
@@ -199,7 +197,7 @@ def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     for w in ws:
         spec = OperatorSpec(phi, psi, w, series_tol=series_tol, quad_tol=quad_tol)
         evaluator = SeriesEvaluator(spec, f)
-        recon = evaluator.on_grid(grid.points(), workers=workers)
+        recon = evaluator.on_grid(grid.points())
         s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
         modulars = {}
         for eta in eta_list:

@@ -2,7 +2,7 @@
 JSON file, run checks and studies, and emit CSV/JSON artifacts.
 
 Output is locale-independent (dot decimals, newline-terminated rows, 17
-significant digits) and byte-identical across runs and worker counts; the
+significant digits) and byte-identical across runs and thread settings; the
 resolved configuration is echoed into every JSON report for provenance.
 
 Exit codes: 0 ok, 2 configuration error, 3 mathematical precondition
@@ -83,14 +83,24 @@ def _write_json(path: Path, payload):
                     encoding="ascii", newline="\n")
 
 
-def _workers() -> int:
+def _check_threads():
+    """The thread count has no effect, since assembly is single-threaded,
+    but a value that is set must still be an integer."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is None:
-        return max(1, os.cpu_count() or 1)
+        return
     try:
-        return max(1, int(raw))
+        int(raw)
     except ValueError as exc:
         raise ConfigError(f"{_THREADS_ENV} must be an integer: {raw!r}") from exc
+
+
+def _finite(value, context) -> float:
+    """A JSON number that is finite; booleans and strings are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{context} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _need(mapping, key, context):
@@ -105,7 +115,10 @@ def _resolve_kernel(desc, context) -> _k.Kernel:
     family = _need(desc, "family", context)
     try:
         if family == "bspline":
-            return _k.bspline(int(_need(desc, "n", context)))
+            n = _need(desc, "n", context)
+            if isinstance(n, float) and n.is_integer():
+                n = int(n)
+            return _k.bspline(n)
         if family == "fejer":
             return _k.fejer()
         if family == "window":
@@ -161,7 +174,7 @@ def _resolve_orlicz(entries):
             eta = orlicz_function(_need(entry, "variant", f"orlicz[{i}]"), **params)
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"orlicz[{i}]: {exc}") from exc
-        lam = float(entry.get("lambda", 1.0))
+        lam = _finite(entry.get("lambda", 1.0), f"orlicz[{i}].lambda")
         if lam <= 0:
             raise ConfigError(f"orlicz[{i}]: lambda must be positive")
         probes.append((eta, lam))
@@ -179,24 +192,34 @@ class Experiment:
         self.psi = _resolve_functional(_need(raw, "psi", "config"))
         self.signal = _resolve_signal(_need(raw, "signal", "config"))
         w_list = _need(raw, "w_list", "config")
-        if (not isinstance(w_list, list) or not w_list
-                or any(not isinstance(w, (int, float)) or w <= 0 for w in w_list)
-                or any(b <= a for a, b in zip(w_list, w_list[1:]))):
+        if not isinstance(w_list, list) or not w_list:
             raise ConfigError("w_list must be a nonempty ascending list of positive scales")
-        self.w_list = [float(w) for w in w_list]
+        self.w_list = [_finite(w, "each scale in w_list") for w in w_list]
+        if (any(w <= 0 for w in self.w_list)
+                or any(b <= a for a, b in zip(self.w_list, self.w_list[1:]))):
+            raise ConfigError("w_list must be a nonempty ascending list of positive scales")
         window = _need(raw, "window", "config")
-        if not isinstance(window, list) or len(window) != 2 or window[1] <= window[0]:
+        if not isinstance(window, list) or len(window) != 2:
             raise ConfigError("window must be [lo, hi] with lo < hi")
-        self.window = (float(window[0]), float(window[1]))
-        self.grid_step = float(raw.get("grid_step", 0.01))
+        self.window = (_finite(window[0], "window[0]"), _finite(window[1], "window[1]"))
+        if self.window[1] <= self.window[0]:
+            raise ConfigError("window must be [lo, hi] with lo < hi")
+        self.grid_step = _finite(raw.get("grid_step", 0.01), "grid_step")
         if self.grid_step <= 0:
             raise ConfigError("grid_step must be positive")
         self.orlicz = _resolve_orlicz(raw.get("orlicz", []))
+        given = raw.get("tolerances", {})
+        if not isinstance(given, dict):
+            raise ConfigError("tolerances must be an object")
+        unknown = sorted(set(given) - set(_DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerances {unknown}; expected keys from "
+                              f"{sorted(_DEFAULT_TOLERANCES)}")
         tolerances = dict(_DEFAULT_TOLERANCES)
-        tolerances.update(raw.get("tolerances", {}))
-        for key, val in tolerances.items():
-            if not isinstance(val, (int, float)) or val <= 0:
+        for key, val in given.items():
+            if _finite(val, f"tolerances.{key}") <= 0:
                 raise ConfigError(f"tolerances.{key} must be positive")
+            tolerances[key] = val
         self.tolerances = tolerances
         output = raw.get("output", {})
         self.out_dir = Path(output.get("path", "out")) if isinstance(output, dict) else Path("out")
@@ -226,6 +249,7 @@ class Experiment:
 
 
 def _load_experiment(args) -> Experiment:
+    _check_threads()
     try:
         raw = json.loads(Path(args.config).read_text())
     except OSError as exc:
@@ -325,7 +349,6 @@ def cmd_kernel_check(exp: Experiment) -> int:
 
 
 def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
-    workers = _workers()
     if at is not None:
         values = {}
         for w in exp.w_list:
@@ -345,7 +368,7 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
     files = []
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     for w in exp.w_list:
-        recon = _o.evaluate_grid(exp.spec(w), exp.signal, grid, workers=workers)
+        recon = _o.evaluate_grid(exp.spec(w), exp.signal, grid)
         name = f"reconstruct_w{w:g}.csv"
         _write_csv(exp.out_dir / name, ["x", "signal", "reconstruction"],
                    list(zip(points.tolist(), exact.tolist(), recon.tolist())))
@@ -358,7 +381,6 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
 
 
 def cmd_converge(exp: Experiment) -> int:
-    workers = _workers()
     groups = {}
     for eta, lam in exp.orlicz:
         groups.setdefault(lam, []).append(eta)
@@ -373,14 +395,12 @@ def cmd_converge(exp: Experiment) -> int:
                 series_tol=exp.tolerances["series_tol"],
                 quad_tol=exp.tolerances["quad_tol"],
                 modular_tol=exp.tolerances["modular_tol"],
-                workers=workers,
             ))
     else:
         reports.append(convergence_study(
             exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
             series_tol=exp.tolerances["series_tol"],
             quad_tol=exp.tolerances["quad_tol"],
-            workers=workers,
         ))
 
     checks = []
@@ -389,7 +409,6 @@ def cmd_converge(exp: Experiment) -> int:
             exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
             series_tol=exp.tolerances["series_tol"],
             quad_tol=exp.tolerances["quad_tol"],
-            workers=workers,
         )
 
     header = ["w", "sup_error", "eoc_from_previous", "bound", "bound_margin"]

@@ -109,14 +109,17 @@ def sinc(v):
     """
     arr = np.asarray(v, dtype=float)
     nearest = np.round(arr)
-    reduced = arr - nearest
-    sign = np.where(np.mod(nearest, 2.0) == 0.0, 1.0, -1.0)
-    numer = np.sin(np.pi * reduced) * sign
-    x = np.pi * arr
-    small = np.abs(arr) < 1e-6
-    series = 1.0 - x * x / 6.0 + x**4 / 120.0
+    half = nearest / 2.0
+    numer = np.sin(np.pi * (arr - nearest))
+    numer = np.where(np.floor(half) != half, -numer, numer)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(small, series, numer / np.where(small, 1.0, x))
+        out = np.asarray(numer / (np.pi * arr))
+    # The series runs on the small subset only: on large arguments its
+    # powers would overflow.
+    small = np.abs(arr) < 1e-6
+    if small.any():
+        x = np.pi * arr[small]
+        out[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
     return _as_same_shape(out, v)
 
 

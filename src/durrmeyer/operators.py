@@ -5,15 +5,15 @@ The operator at scale w reads a generalized sample for each lattice index k
 (a point value, a windowed mean, or a convolution against a kernel) and
 recombines the samples with shifted copies of the reconstruction kernel.
 Truncation of the lattice sum is certified from the kernel's support
-metadata; sample values are memoized per evaluation context so a grid pass
-computes each sample once.
+metadata. An evaluation context stores each sample once, computed only when a
+requested point's stencil touches it, and sums the series for many points in
+vectorized blocks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -33,7 +33,6 @@ __all__ = [
     "ReductionKind",
     "OperatorSpec",
     "SeriesEvaluator",
-    "make_evaluator",
     "generalized_sample",
     "evaluate",
     "evaluate_grid",
@@ -43,6 +42,9 @@ __all__ = [
 _POU_VALIDATION_PROBES = 128
 _SUP_ESTIMATE_REGION = (-100.0, 100.0)
 _SUP_ESTIMATE_POINTS = 4001
+# Stencil values per assembly block; bounds the (points x stencil)
+# temporaries at about half a megabyte each, whatever the grid size.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,25 +169,31 @@ def _sup_bound(signal, kind: str) -> float:
 
 
 class SeriesEvaluator:
-    """One evaluation context: memoizes each lattice sample exactly once.
+    """One evaluation context: each lattice sample is computed at most once.
 
-    The memo lives on the instance, so repeated module-level ``evaluate``
-    calls stay cache-free while a grid pass or a convergence-study cell
-    shares samples across its own points.
+    Samples live in a dense array indexed by ``k - k0`` beside a mask of the
+    computed ones; a request computes only the indices its points' stencils
+    touch. The store lives on the instance, so repeated module-level
+    ``evaluate`` calls stay cache-free while a grid pass or a
+    convergence-study cell shares samples across its own points.
     """
 
     def __init__(self, spec: OperatorSpec, signal: Signal):
         self.spec = spec
         self.signal = signal
-        self._samples: dict[int, float] = {}
+        self._k0 = 0
+        self._values = np.empty(0)
+        self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
         if isinstance(self._support, _k.DecayingSupport):
             sample_sup = spec.psi.mass * _sup_bound(signal, "series")
             self._radius = _k.decaying_lattice_radius(
                 self._support, spec.series_tol / max(sample_sup, 1e-300)
             )
+            self._width = 2 * self._radius + 1
         else:
             self._radius = None
+            self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
         if isinstance(spec.psi, Convolution):
             kernel = spec.psi.kernel
             if isinstance(kernel.support, _k.CompactSupport):
@@ -230,12 +238,10 @@ class SeriesEvaluator:
         return tuple(sorted(cuts))
 
     def sample(self, k: int) -> float:
-        try:
-            return self._samples[k]
-        except KeyError:
-            value = self._compute_sample(k)
-            self._samples[k] = value
-            return value
+        """The k-th sample, computed on first use."""
+        k = int(k)
+        self._fill(np.array([k]), np.array([k]))
+        return float(self._values[k - self._k0])
 
     def _compute_sample(self, k: int) -> float:
         spec = self.spec
@@ -268,51 +274,90 @@ class SeriesEvaluator:
                              breakpoints=cuts, max_cells=40000)
         return value
 
-    def _index_range(self, x: float) -> np.ndarray:
-        wx = self.spec.w * x
+    def _stencils(self, points: np.ndarray) -> tuple:
+        """First and last lattice index of each point's stencil."""
+        wx = self.spec.w * points
         if self._radius is None:
-            lo = math.ceil(wx - self._support.hi) - 1
-            hi = math.floor(wx - self._support.lo) + 1
+            lo = np.ceil(wx - self._support.hi) - 1
+            hi = np.floor(wx - self._support.lo) + 1
         else:
-            lo = math.ceil(wx - self._radius)
-            hi = math.floor(wx + self._radius)
-        return np.arange(lo, hi + 1)
+            lo = np.ceil(wx - self._radius)
+            hi = np.floor(wx + self._radius)
+        return lo.astype(np.int64), hi.astype(np.int64)
+
+    def _index_range(self, x: float) -> np.ndarray:
+        """The lattice indices of one point's stencil."""
+        lo, hi = self._stencils(np.array([float(x)]))
+        return np.arange(lo[0], hi[0] + 1)
+
+    def _grow(self, first: int, last: int):
+        """Extend the store to cover the indices first..last."""
+        k0, size = self._k0, self._values.size
+        if size:
+            if k0 <= first and last < k0 + size:
+                return
+            # Grow at least geometrically, so a sweep of small requests
+            # copies the store only a logarithmic number of times.
+            first = min(first, k0 - size) if first < k0 else k0
+            last = max(last, k0 + 2 * size - 1) if last >= k0 + size else k0 + size - 1
+        values = np.full(last - first + 1, np.nan)
+        known = np.zeros(last - first + 1, dtype=bool)
+        values[k0 - first:k0 - first + size] = self._values
+        known[k0 - first:k0 - first + size] = self._known
+        self._k0, self._values, self._known = first, values, known
+
+    def _fill(self, lo: np.ndarray, hi: np.ndarray):
+        """Compute, in index order, each sample not yet known in the union
+        of the index intervals [lo, hi]."""
+        first, last = int(lo.min()), int(hi.max())
+        self._grow(first, last)
+        # Difference array: +1 where an interval opens, -1 just past its end.
+        n = last - first + 2
+        depth = np.cumsum(np.bincount(lo - first, minlength=n)
+                          - np.bincount(hi - first + 1, minlength=n))[:-1]
+        start = first - self._k0
+        todo = np.flatnonzero((depth > 0) & ~self._known[start:start + n - 1])
+        for i in todo.tolist():
+            self._values[start + i] = self._compute_sample(first + i)
+            self._known[start + i] = True
+
+    def prefill(self, points: np.ndarray):
+        """Compute every sample the points' stencils touch, and no other."""
+        self._fill(*self._stencils(np.asarray(points, dtype=float).ravel()))
+
+    def _assemble(self, points: np.ndarray) -> np.ndarray:
+        """Series values at a 1-d array of points, one row block at a time."""
+        out = np.empty(points.size)
+        if not points.size:
+            return out
+        lo, hi = self._stencils(points)
+        self._fill(lo, hi)
+        # Every row has the same length, so a point's sum does not depend on
+        # which other points share its block.
+        width = max(self._width, int(np.max(hi - lo)) + 1)
+        offsets = np.arange(width)
+        rows = max(1, _BLOCK_VALUES // width)
+        w = self.spec.w
+        for start in range(0, points.size, rows):
+            block = slice(start, start + rows)
+            ks = lo[block, None] + offsets
+            last = hi[block, None]
+            weights = np.asarray(self.spec.phi.evaluate(w * points[block, None] - ks),
+                                 dtype=float)
+            samples = self._values[np.minimum(ks, last) - self._k0]
+            out[block] = np.where(ks <= last, weights * samples, 0.0).sum(axis=1)
+        return out
 
     def at(self, x: float) -> float:
-        ks = self._index_range(x)
-        weights = np.asarray(self.spec.phi.evaluate(self.spec.w * x - ks), dtype=float)
-        samples = np.array([self.sample(int(k)) for k in ks])
-        return float(np.dot(weights, samples))
+        return float(self._assemble(np.array([float(x)]))[0])
 
     def evaluate(self, x):
         arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return self.at(float(arr))
-        return np.array([self.at(float(v)) for v in arr])
+        values = self._assemble(arr.ravel())
+        return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
-    def prefill(self, points: np.ndarray):
-        """Compute every sample the given points can touch, in index order."""
-        lo = min(int(self._index_range(float(p))[0]) for p in (points.min(), points.max()))
-        hi = max(int(self._index_range(float(p))[-1]) for p in (points.min(), points.max()))
-        for k in range(lo, hi + 1):
-            self.sample(k)
-
-    def on_grid(self, points: np.ndarray, workers: int = 1) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if workers <= 1 or points.size < 64:
-            return np.array([self.at(float(p)) for p in points])
-        # Samples are filled serially first; the threaded pass only reads the
-        # memo, so values are independent of scheduling.
-        self.prefill(points)
-        chunks = np.array_split(points, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: [self.at(float(p)) for p in c], chunks))
-        return np.array([v for part in parts for v in part])
-
-
-def make_evaluator(spec: OperatorSpec, f: Signal) -> SeriesEvaluator:
-    """A memoizing evaluation context for one (operator, signal) pair."""
-    return SeriesEvaluator(spec, f)
+    def on_grid(self, points: np.ndarray) -> np.ndarray:
+        return self._assemble(np.asarray(points, dtype=float).ravel())
 
 
 def generalized_sample(spec: OperatorSpec, f: Signal, k: int) -> float:
@@ -328,5 +373,9 @@ def evaluate(spec: OperatorSpec, f: Signal, x: float) -> float:
 
 def evaluate_grid(spec: OperatorSpec, f: Signal, grid: UniformGrid,
                   workers: int = 1) -> np.ndarray:
-    """Operator values on a uniform grid with samples memoized across it."""
-    return SeriesEvaluator(spec, f).on_grid(grid.points(), workers=workers)
+    """Operator values on a uniform grid, each sample computed once.
+
+    ``workers`` is accepted and ignored: assembly is single-threaded and
+    vectorized.
+    """
+    return SeriesEvaluator(spec, f).on_grid(grid.points())

@@ -48,11 +48,18 @@ class TestConfigHandling:
         {"window": [3, -3]},
         {"grid_step": -0.5},
         {"orlicz": [{"variant": "power", "p": 2, "lambda": 0}]},
+        {"w_list": [math.nan]},
+        {"grid_step": math.nan},
+        {"window": [0, math.inf]},
+        {"tolerances": {"series_tol": True}},
+        {"tolerances": {"series_tolerance": 1e-6}},
+        {"phi": {"family": "bspline", "n": 2.7}},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         assert main(["converge", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_flag_overrides_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ class TestSinc:
     def test_vectorized_matches_scalar(self):
         vs = np.linspace(-3, 3, 101)
         np.testing.assert_array_equal(K.sinc(vs), [K.sinc(float(v)) for v in vs])
+
+    def test_matches_closed_form_bitwise_without_warnings(self):
+        ints = np.arange(-8.0, 9.0)
+        vs = np.concatenate([[0.0, -0.0, 1e-7, -9e-7, 4096.5, -4096.5, 1e300, -1e300],
+                             ints, ints + 0.5])
+        n = np.round(vs)
+        parity = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.sin(np.pi * (vs - n)) * parity / (np.pi * vs)
+        small = np.abs(vs) < 1e-6
+        x = np.pi * vs[small]
+        expected[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vector = K.sinc(vs)
+            scalars = [K.sinc(float(v)) for v in vs]
+        assert vector.tobytes() == expected.tobytes()
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == expected.tobytes()
 
 
 class TestBSpline:

@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from durrmeyer import cli
 from durrmeyer import kernels as K
 from durrmeyer import operators as O
 from durrmeyer import signals as S
@@ -247,6 +249,74 @@ class TestGridEvaluation:
         serial = O.evaluate_grid(spec, f, grid, workers=1)
         threaded = O.evaluate_grid(spec, f, grid, workers=8)
         assert np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_computes_exactly_the_union_of_stencils(self, threads, monkeypatch, tmp_path):
+        computed = []
+        compute = O.SeriesEvaluator._compute_sample
+
+        def counting(evaluator, k):
+            computed.append(k)
+            return compute(evaluator, k)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
+        monkeypatch.setenv("DURRMEYER_THREADS", str(threads))
+        w = 5120.0
+        grid = S.UniformGrid.from_window(-3, 3, 0.01)
+        union = set()
+        for x in grid.points():
+            wx = w * float(x)
+            union.update(range(math.ceil(wx - 1.5) - 1, math.floor(wx + 1.5) + 2))
+        # The stencils are sparse in their index range, so computing the
+        # whole range would be seen.
+        assert len(union) < 0.2 * (max(union) - min(union))
+
+        spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), w)
+        O.evaluate_grid(spec, S.builtin_signal("runge"), grid, workers=threads)
+        assert sorted(computed) == sorted(union)
+
+        computed.clear()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "phi": {"family": "bspline", "n": 3},
+            "psi": {"kind": "window", "lo": 0, "hi": 1}, "signal": "runge",
+            "w_list": [w], "window": [-3, 3], "grid_step": 0.01,
+        }))
+        assert cli.main(["reconstruct", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert sorted(computed) == sorted(union)
+
+    def test_fejer_blocks_match_per_point_exact_sum(self):
+        # The reference sums each point's products exactly; BLAS np.dot was
+        # seen up to 7 ulp away from that sum on this grid.
+        f = S.builtin_signal("runge")
+        w = 5.0
+        phi = K.fejer()
+        spec = O.OperatorSpec(phi, O.PointMass(), w, series_tol=1e-4)
+        points = S.UniformGrid.from_window(-3, 3, 0.01).points()
+        evaluator = O.SeriesEvaluator(spec, f)
+        values = evaluator.on_grid(points)
+        stencils = [evaluator._index_range(float(x)) for x in points]
+        assert sum(ks.size for ks in stencils) > 8 * 2**16
+        eps = np.finfo(float).eps
+        for x, ks, value in zip(points, stencils, values):
+            terms = phi.evaluate(w * float(x) - ks) * f.evaluate(ks / w)
+            reference = math.fsum(terms.tolist())
+            assert abs(value - reference) <= 4 * eps * abs(reference)
+
+    @pytest.mark.parametrize("phi, psi, tol, signal", [
+        (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, "piecewise_rational"),
+        (K.fejer(), O.PointMass(), 1e-4, "runge"),
+    ])
+    def test_evaluate_equals_per_node_at_bitwise(self, phi, psi, tol, signal):
+        f = S.builtin_signal(signal)
+        spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
+        # 0.2 sits on the lattice (w x = 1), where the decaying stencil is
+        # one index longer than elsewhere.
+        nodes = np.array([0.2, *np.linspace(-1.3, 1.3, 14)])
+        values = O.SeriesEvaluator(spec, f).evaluate(nodes)
+        singles = [O.SeriesEvaluator(spec, f).at(float(x)) for x in nodes]
+        assert values.tobytes() == np.array(singles).tobytes()
 
 
 class TestDecayingPaths:
