@@ -122,9 +122,9 @@ def _resolve_kernel(desc, context) -> _k.Kernel:
         if family == "fejer":
             return _k.fejer()
         if family == "window":
-            return _k.window(float(_need(desc, "lo", context)),
-                             float(_need(desc, "hi", context)),
-                             float(desc.get("weight", 1.0)))
+            return _k.window(_finite(_need(desc, "lo", context), "lo"),
+                             _finite(_need(desc, "hi", context), "hi"),
+                             _finite(desc.get("weight", 1.0), "weight"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown kernel family {family!r}")
@@ -138,12 +138,13 @@ def _resolve_functional(desc) -> _o.SampleFunctional:
         if kind == "pointmass":
             return _o.PointMass()
         if kind == "window":
-            return _o.Window(float(_need(desc, "lo", "psi")),
-                             float(_need(desc, "hi", "psi")),
-                             float(desc.get("weight", 1.0)))
+            return _o.Window(_finite(_need(desc, "lo", "psi"), "psi.lo"),
+                             _finite(_need(desc, "hi", "psi"), "psi.hi"),
+                             _finite(desc.get("weight", 1.0), "psi.weight"))
         if kind == "general":
             kernel = _resolve_kernel(_need(desc, "kernel", "psi"), "psi.kernel")
-            return _o.Convolution(kernel, quad_tol=float(desc.get("quad_tol", 1e-9)))
+            return _o.Convolution(kernel, quad_tol=_finite(desc.get("quad_tol", 1e-9),
+                                                           "psi.quad_tol"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -243,36 +243,38 @@ class SeriesEvaluator:
         self._fill(np.array([k]), np.array([k]))
         return float(self._values[k - self._k0])
 
-    def _compute_sample(self, k: int) -> float:
+    def _compute_sample(self, ks: np.ndarray) -> np.ndarray:
+        """The samples at the lattice indices ``ks``. Point and window
+        samples are computed together, each one independent of the others;
+        convolutions run one quadrature per index."""
         spec = self.spec
         w = spec.w
         psi = spec.psi
         f = self.signal
         if isinstance(psi, PointMass):
-            return float(f.evaluate(k / w))
+            return np.asarray(f.evaluate(ks / w), dtype=float)
         if isinstance(psi, Window):
-            a = (k + psi.lo) / w
-            b = (k + psi.hi) / w
             tol = spec.quad_tol / (psi.weight * w)
             value, _ = integrate(
                 lambda u: np.asarray(f.evaluate(u), dtype=float),
-                a, b, tol=tol, breakpoints=f.breakpoints,
+                (ks + psi.lo) / w, (ks + psi.hi) / w, tol=tol, breakpoints=f.breakpoints,
             )
             return psi.weight * w * value
 
         kernel = psi.kernel
         lo, hi = self._conv_cut
+        out = np.empty(ks.size)
+        for i, k in enumerate(ks.tolist()):
+            def integrand(t):
+                return np.asarray(kernel.evaluate(t), dtype=float) * np.asarray(
+                    f.evaluate((t + k) / w), dtype=float
+                )
 
-        def integrand(t):
-            return np.asarray(kernel.evaluate(t), dtype=float) * np.asarray(
-                f.evaluate((t + k) / w), dtype=float
-            )
-
-        cuts = list(kernel.breakpoints)
-        cuts.extend(w * s - k for s in f.breakpoints)
-        value, _ = integrate(integrand, lo, hi, tol=self._conv_tail_tol,
-                             breakpoints=cuts, max_cells=40000)
-        return value
+            cuts = list(kernel.breakpoints)
+            cuts.extend(w * s - k for s in f.breakpoints)
+            out[i], _ = integrate(integrand, lo, hi, tol=self._conv_tail_tol,
+                                  breakpoints=cuts, max_cells=40000)
+        return out
 
     def _stencils(self, points: np.ndarray) -> tuple:
         """First and last lattice index of each point's stencil."""
@@ -307,8 +309,8 @@ class SeriesEvaluator:
         self._k0, self._values, self._known = first, values, known
 
     def _fill(self, lo: np.ndarray, hi: np.ndarray):
-        """Compute, in index order, each sample not yet known in the union
-        of the index intervals [lo, hi]."""
+        """Compute, in one batch, each sample not yet known in the union of
+        the index intervals [lo, hi]."""
         first, last = int(lo.min()), int(hi.max())
         self._grow(first, last)
         # Difference array: +1 where an interval opens, -1 just past its end.
@@ -317,9 +319,9 @@ class SeriesEvaluator:
                           - np.bincount(hi - first + 1, minlength=n))[:-1]
         start = first - self._k0
         todo = np.flatnonzero((depth > 0) & ~self._known[start:start + n - 1])
-        for i in todo.tolist():
-            self._values[start + i] = self._compute_sample(first + i)
-            self._known[start + i] = True
+        if todo.size:
+            self._values[start + todo] = self._compute_sample(first + todo)
+            self._known[start + todo] = True
 
     def prefill(self, points: np.ndarray):
         """Compute every sample the points' stencils touch, and no other."""
@@ -363,7 +365,7 @@ class SeriesEvaluator:
 def generalized_sample(spec: OperatorSpec, f: Signal, k: int) -> float:
     """The k-th generalized sample: w times the integral of the scaled
     sample kernel against the signal (a point value for point masses)."""
-    return SeriesEvaluator(spec, f)._compute_sample(int(k))
+    return float(SeriesEvaluator(spec, f)._compute_sample(np.array([int(k)]))[0])
 
 
 def evaluate(spec: OperatorSpec, f: Signal, x: float) -> float:

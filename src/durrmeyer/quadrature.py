@@ -3,12 +3,12 @@
 Cells are bisected on the embedded-rule error estimate until the summed
 estimate meets an absolute tolerance, so every value returned carries a
 defensible error bound. Interior breakpoints seed the initial subdivision,
-which keeps piecewise integrands smooth on every cell.
+which keeps piecewise integrands smooth on every cell. Many intervals are
+refined together, in rounds that evaluate all their new cells at once, in
+the manner of QUADPACK's QAG (Piessens et al., 1983).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -16,6 +16,10 @@ __all__ = ["QuadratureError", "integrate"]
 
 # Width below which a cell is no longer split; its estimate is then a floor.
 _MIN_REL_WIDTH = 1e-14
+# Cells per integrand call: at most 65,535 nodes, whatever the batch size.
+_CHUNK_CELLS = (1 << 16) // 15
+# Resolution of the integer running sums that pick the cells to bisect.
+_EXCESS_UNIT = 1 << 30
 
 
 class QuadratureError(RuntimeError):
@@ -55,74 +59,148 @@ def _gauss_kronrod_rule():
     weights_g = np.zeros(15)
     # Gauss nodes sit at the odd Kronrod positions: +-x1, +-x3, +-x5, 0.
     weights_g[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([wg[:3], [wg[3]], wg[2::-1]])
-    return nodes, weights_k, weights_g
+    return nodes, np.stack((weights_k, weights_g))
 
 
-_NODES, _WEIGHTS_K, _WEIGHTS_G = _gauss_kronrod_rule()
+# Nodes on [-1, 1]; Kronrod weights in row 0, Gauss weights in row 1.
+_NODES, _WEIGHTS = _gauss_kronrod_rule()
 
 
 def _gk15(f, lo, hi):
+    """Kronrod values and |Kronrod - Gauss| error estimates of the cells
+    [lo, hi], with at most ``_CHUNK_CELLS`` cells per integrand call."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("integrand must map an array of nodes to same-shape values")
-    value = half * float(np.dot(_WEIGHTS_K, y))
-    gauss = half * float(np.dot(_WEIGHTS_G, y))
-    return value, abs(value - gauss)
+    sums = np.empty((lo.size, 2))
+    for start in range(0, lo.size, _CHUNK_CELLS):
+        block = slice(start, start + _CHUNK_CELLS)
+        x = (mid[block, None] + half[block, None] * _NODES).ravel()
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise ValueError("integrand must map an array of nodes to same-shape values")
+        # Row sums, not a matrix product: BLAS would let a cell's last bit
+        # depend on which other cells share its call.
+        sums[block] = (y.reshape(-1, 1, _NODES.size) * _WEIGHTS).sum(axis=2)
+    sums *= half[:, None]
+    value = sums[:, 0]
+    return value, np.abs(value - sums[:, 1])
+
+
+def _initial_cells(a, b, breakpoints):
+    """The intervals with a != b, and each one's first cells: the interval
+    cut at the breakpoints strictly inside it. Returns the intervals'
+    indices and, per cell in order, its interval's position among them and
+    its edges."""
+    ids = np.flatnonzero(a != b)
+    a, b = a[ids], b[ids]
+    cuts = np.unique(np.fromiter(breakpoints, dtype=float))
+    first = cuts.searchsorted(a, side="right")
+    last = cuts.searchsorted(b, side="left")
+    counts = last - first + 1
+    seg = np.repeat(np.arange(ids.size), counts)
+    rank = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Index into ``cuts`` of each cell's right edge; the padding keeps the
+    # out-of-range edges, which the interval ends replace, in bounds.
+    right = first[seg] + rank
+    padded = np.append(cuts, np.nan)
+    lo = np.where(rank == 0, a[seg], padded[right - 1])
+    hi = np.where(right == last[seg], b[seg], padded[right])
+    return ids, seg, lo, hi
+
+
+def _bisection_picks(err, seg, count, excess, max_cells):
+    """Cells to bisect, given the cells' intervals: in each interval, its
+    largest-error cells whose errors together cover the interval's excess,
+    and no more than ``max_cells - count`` of them."""
+    order = np.lexsort((-err, seg))
+    s = seg[order]
+    # Fixed point relative to each interval's excess: the running sums are
+    # exact integers, so a cell's pick depends on its own interval only.
+    share = np.divide(err[order], excess[s], out=np.ones(s.size), where=err[order] < excess[s])
+    units = (share * _EXCESS_UNIT).astype(np.int64)
+    run = np.cumsum(units) - units
+    start = np.searchsorted(s, s)  # first position of each cell's interval
+    rank = np.arange(s.size) - start
+    return order[(run - run[start] < _EXCESS_UNIT) & (rank < max_cells - count[s])]
 
 
 def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
-    ``f`` must accept an ndarray of nodes and return same-shape values.
-    Returns ``(value, error_bound)`` with ``error_bound <= tol``; raises
-    :class:`QuadratureError` when the cell budget runs out first.
+    ``a`` and ``b`` are floats or equal-length arrays of interval ends.
+    Each round runs one GK15 pass over the new cells of every interval still
+    over its tolerance, calling ``f`` on the nodes of many cells at once,
+    then bisects in each such interval the largest-error cells that cover
+    its excess. An interval's result does not depend on the other
+    intervals of its call. ``f`` must accept a 1-d ndarray of nodes and
+    return same-shape values. Returns ``(value, error_bound)`` per
+    interval, floats for float ends, with ``error_bound <= tol``; raises
+    :class:`QuadratureError` when an interval's ``max_cells`` budget runs
+    out, or its cells become too narrow to split, first.
     """
-    if b < a:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scalar = a.ndim == b.ndim == 0
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    if (b < a).any():
         raise ValueError("integration interval is reversed")
-    if b == a:
-        return 0.0, 0.0
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    values = np.zeros(a.size)
+    errors = np.zeros(a.size)
+    min_width = _MIN_REL_WIDTH * (np.abs(a) + np.abs(b) + (b - a))
 
-    cuts = sorted({float(a), float(b)} | {float(p) for p in breakpoints if a < p < b})
-    heap = []
-    seq = 0
-    total_err = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        value, err = _gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, seq, lo, hi, value, err))
-        seq += 1
-        total_err += err
-
-    frozen = []  # cells too narrow to split further
-    frozen_err = 0.0
-    min_width = _MIN_REL_WIDTH * (abs(a) + abs(b) + (b - a))
-    while total_err + frozen_err > tol:
-        if not heap or len(heap) + len(frozen) >= max_cells:
+    # Cells stay sorted by interval and left edge: ``ids`` lists the
+    # intervals still refining and ``seg`` gives each cell's position in it.
+    ids, seg, lo, hi = _initial_cells(a, b, breakpoints)
+    value, err = _gk15(f, lo, hi)
+    frozen = np.zeros(lo.size, dtype=bool)  # cells too narrow to split
+    while ids.size:
+        total = np.bincount(seg, weights=err)
+        # A NaN estimate ends refinement, as an estimate within tolerance does.
+        done = ~(total > tol)
+        if done.any():
+            values[ids[done]] = np.bincount(seg, weights=value)[done]
+            errors[ids[done]] = total[done]
+            if done.all():
+                break
+            keep = ~done[seg]
+            seg = (np.cumsum(~done) - 1)[seg[keep]]
+            ids, total = ids[~done], total[~done]
+            lo, hi, value, err, frozen = lo[keep], hi[keep], value[keep], err[keep], frozen[keep]
+        count = np.bincount(seg)
+        candidates = np.flatnonzero(~frozen)
+        stuck = (count >= max_cells) | (np.bincount(seg[candidates], minlength=ids.size) == 0)
+        if stuck.any():
+            i = int(np.flatnonzero(stuck)[0])
             raise QuadratureError(
-                f"certified tolerance {tol:g} unreachable: "
-                f"estimate {total_err + frozen_err:g} with "
-                f"{len(heap) + len(frozen)} cells"
+                f"certified tolerance {tol:g} unreachable on "
+                f"[{a[ids[i]]:g}, {b[ids[i]]:g}]: estimate {total[i]:g} "
+                f"with {count[i]} cells"
             )
-        neg_err, _, lo, hi, value, err = heapq.heappop(heap)
-        total_err -= err
-        if hi - lo < min_width:
-            frozen.append((lo, value))
-            frozen_err += err
+        picks = candidates[_bisection_picks(err[candidates], seg[candidates], count,
+                                            total - tol, max_cells)]
+        narrow = hi[picks] - lo[picks] < min_width[ids[seg[picks]]]
+        frozen[picks[narrow]] = True
+        split = np.sort(picks[~narrow])
+        if not split.size:
             continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
-        total_err += e1 + e2
+        # Each split shifts the cells after it by one.
+        first = split + np.arange(split.size)
+        mid = 0.5 * (lo[split] + hi[split])
+        reps = np.ones(lo.size, dtype=np.intp)
+        reps[split] = 2
+        seg, lo, hi, value, err, frozen = (
+            seg.repeat(reps), lo.repeat(reps), hi.repeat(reps),
+            value.repeat(reps), err.repeat(reps), frozen.repeat(reps))
+        hi[first] = mid
+        lo[first + 1] = mid
+        kids = (first[:, None] + (0, 1)).ravel()
+        value[kids], err[kids] = _gk15(f, lo[kids], hi[kids])
 
-    cells = [(lo, value) for _, _, lo, _, value, _ in heap]
-    cells.extend(frozen)
-    cells.sort()
-    return float(sum(v for _, v in cells)), total_err + frozen_err
+    if scalar:
+        return float(values[0]), float(errors[0])
+    return values.reshape(shape), errors.reshape(shape)

@@ -54,6 +54,15 @@ class TestConfigHandling:
         {"tolerances": {"series_tol": True}},
         {"tolerances": {"series_tolerance": 1e-6}},
         {"phi": {"family": "bspline", "n": 2.7}},
+        {"psi": {"kind": "window", "lo": 0, "hi": math.inf}},
+        {"psi": {"kind": "window", "lo": -math.inf, "hi": 1}},
+        {"psi": {"kind": "window", "lo": 0, "hi": 1, "weight": math.inf}},
+        {"psi": {"kind": "window", "lo": 0, "hi": 1, "weight": math.nan}},
+        {"phi": {"family": "window", "lo": 0, "hi": math.inf}},
+        {"phi": {"family": "window", "lo": 0, "hi": 1, "weight": math.inf}},
+        {"psi": {"kind": "general", "kernel": {"family": "window", "lo": math.nan, "hi": 1}}},
+        {"psi": {"kind": "general", "kernel": {"family": "bspline", "n": 2},
+                 "quad_tol": math.inf}},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"

@@ -255,9 +255,9 @@ class TestGridEvaluation:
         computed = []
         compute = O.SeriesEvaluator._compute_sample
 
-        def counting(evaluator, k):
-            computed.append(k)
-            return compute(evaluator, k)
+        def counting(evaluator, ks):
+            computed.extend(ks.tolist())
+            return compute(evaluator, ks)
 
         monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
         monkeypatch.setenv("DURRMEYER_THREADS", str(threads))
@@ -316,6 +316,35 @@ class TestGridEvaluation:
         nodes = np.array([0.2, *np.linspace(-1.3, 1.3, 14)])
         values = O.SeriesEvaluator(spec, f).evaluate(nodes)
         singles = [O.SeriesEvaluator(spec, f).at(float(x)) for x in nodes]
+        assert values.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("phi, psi, tol, signal, stride", [
+        (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, "piecewise_rational", 1),
+        (K.bspline(2), O.Window(-0.5, 0.25, 2.0), 1e-9, "box", 1),
+        (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4, "runge", 97),
+    ])
+    def test_grid_pass_samples_equal_single_samples_bitwise(self, phi, psi, tol, signal, stride):
+        # A grid pass computes its window samples in one batched quadrature;
+        # each must not depend on the other samples of its batch.
+        f = S.builtin_signal(signal)
+        spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
+        evaluator = O.SeriesEvaluator(spec, f)
+        evaluator.on_grid(S.UniformGrid.from_window(-3, 3, 0.01).points())
+        known = np.flatnonzero(evaluator._known) + evaluator._k0
+        assert known.size > 30
+        for k in known[::stride].tolist():
+            assert evaluator.sample(k) == O.generalized_sample(spec, f, k)
+
+    def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise(self):
+        # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: each
+        # point's stencil alone is eight times the assembly block.
+        f = S.builtin_signal("piecewise_rational")
+        spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-4)
+        evaluator = O.SeriesEvaluator(spec, f)
+        assert evaluator._radius == 262144
+        nodes = np.linspace(-1.3, 1.3, 15)
+        values = evaluator.evaluate(nodes)
+        singles = [evaluator.at(float(x)) for x in nodes]
         assert values.tobytes() == np.array(singles).tobytes()
 
 

@@ -56,3 +56,50 @@ def test_narrow_feature_found_when_bracketed_by_breakpoints():
     bump = lambda x: np.where((x > 5.0) & (x < 5.02), 1.0, 0.0)
     value, _ = integrate(bump, 0.0, 10.0, tol=1e-9, breakpoints=(5.0, 5.02))
     assert value == pytest.approx(0.02, abs=1e-12)
+
+
+class TestIntervalArrays:
+    # Runge-like integrand with a kink at 0.3: intervals on either side of
+    # it, across it, degenerate, wide and narrow, refine differently.
+    A = np.array([-4.0, -1.0, 0.0, 0.25, 2.0, -0.5, 1.0])
+    B = np.array([4.0, 1.0, 0.5, 0.25, 2.001, 3.0, 7.5])
+
+    @staticmethod
+    def f(x):
+        return 1.0 / (1.0 + 25.0 * x * x) + np.abs(x - 0.3)
+
+    def test_each_interval_equals_its_scalar_call_bitwise(self):
+        values, errors = integrate(self.f, self.A, self.B, tol=1e-12, breakpoints=(0.3,))
+        assert values.shape == errors.shape == self.A.shape
+        assert np.all(errors <= 1e-12)
+        for a, b, value, err in zip(self.A, self.B, values, errors):
+            single = integrate(self.f, float(a), float(b), tol=1e-12, breakpoints=(0.3,))
+            assert isinstance(single[0], float) and isinstance(single[1], float)
+            assert (single[0], single[1]) == (value, err)
+
+    def test_values_match_independent_quadrature(self):
+        values, _ = integrate(self.f, self.A, self.B, tol=1e-12, breakpoints=(0.3,))
+        for a, b, value in zip(self.A, self.B, values):
+            points = [0.3] if a < 0.3 < b else None
+            oracle, oracle_err = scipy_quad(lambda x: float(self.f(x)), a, b,
+                                            points=points, epsabs=1e-13)
+            assert value == pytest.approx(oracle, abs=2e-12 + oracle_err)
+
+    def test_one_unreachable_interval_fails_the_batch(self):
+        singular = lambda x: 1.0 / np.sqrt(np.abs(x))
+        with pytest.raises(QuadratureError):
+            integrate(singular, np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0]),
+                      tol=1e-13, max_cells=64)
+
+    def test_integrand_calls_stay_under_the_node_cap(self):
+        seen = []
+
+        def counting(x):
+            seen.append(x.size)
+            return np.cos(x)
+
+        a = np.arange(20000) / 7.0
+        values, _ = integrate(counting, a, a + 1.0, tol=1e-13)
+        assert max(seen) <= 1 << 16
+        assert sum(seen) >= 15 * a.size
+        assert np.allclose(values, np.sin(a + 1.0) - np.sin(a), rtol=0, atol=1e-13)
