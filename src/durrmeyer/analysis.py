@@ -42,6 +42,7 @@ __all__ = [
     "quantitative_constant",
     "verify_quantitative_bound",
     "convergence_study",
+    "modular_inequality_cells",
     "verify_modular_inequality",
     "empirical_lipschitz_order",
 ]
@@ -119,10 +120,7 @@ def functional_continuous_moments(psi: SampleFunctional, tol: float = 1e-9):
     if isinstance(psi, PointMass):
         return (MomentResult(1.0, 0.0, "closed_form"),
                 MomentResult(0.0, 0.0, "closed_form"))
-    if isinstance(psi, Window):
-        kernel = _k.window(psi.lo, psi.hi, psi.weight)
-    else:
-        kernel = psi.kernel
+    kernel = psi.kernel
     return (continuous_absolute_moment(kernel, 0, tol=tol),
             continuous_absolute_moment(kernel, 1, tol=tol))
 
@@ -249,32 +247,62 @@ def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     return ConvergenceReport(rows, eoc, source, echo)
 
 
-def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
-                              eta: OrliczFunction, lam: float, window, w: float,
-                              probes: int = 1024, moment_tol: float = 1e-6,
-                              modular_tol: float = 1e-9, quad_tol: float = 1e-10,
-                              tolerance_pad: float = 1e-8) -> ModularComparison:
+def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f: Signal,
+                             cells: Sequence, window, w: float,
+                             probes: int = 1024, moment_tol: float = 1e-6,
+                             modular_tol: float = 1e-9, quad_tol: float = 1e-10,
+                             tolerance_pad: float = 1e-8) -> list:
     """Compare the modular of the reconstruction against its theoretical
-    majorant at one scale.
+    majorant at one scale, for each ``(eta, lam)`` pair in ``cells``.
 
     The majorant couples the discrete zeroth moment of the sample kernel
     (half-open windows make it 1 on the unit window) with the L1 norms, and
-    scales the signal's modular by the product of zeroth moments.
+    scales the signal's modular by the product of zeroth moments. The
+    moments are computed once, and one evaluator serves every cell, so each
+    sample of the scale is computed once. The result holds one
+    :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
+    cell whose gauge overflows; the other cells are unaffected.
     """
+    if not isinstance(psi, (Window, Convolution)):
+        raise TypeError("the modular inequality needs a window or convolution functional")
+    psi_kernel = psi.kernel
     m0_psi = discrete_absolute_moment(psi_kernel, 0, probes=probes, tol=moment_tol)
     m0_phi = discrete_absolute_moment(phi, 0, probes=probes, tol=moment_tol)
     t0_psi = continuous_absolute_moment(psi_kernel, 0, tol=1e-9)
     ratio = (m0_psi.value + m0_psi.certified_error) * phi.l1_norm / (
         m0_phi.value * t0_psi.value
     )
-    spec = OperatorSpec(phi, Convolution(psi_kernel, quad_tol=quad_tol), float(w),
-                        quad_tol=quad_tol)
-    evaluator = SeriesEvaluator(spec, f)
-    lhs = modular(eta, evaluator, lam, window, tol=modular_tol)
-    rhs = ratio * modular(eta, f, lam * m0_phi.value * t0_psi.value, window,
-                          tol=modular_tol)
-    margin = rhs + tolerance_pad - lhs
-    return ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0)
+    evaluator = SeriesEvaluator(OperatorSpec(phi, psi, float(w), quad_tol=quad_tol), f)
+    results = []
+    for eta, lam in cells:
+        try:
+            lhs = modular(eta, evaluator, lam, window, tol=modular_tol)
+            rhs = ratio * modular(eta, f, lam * m0_phi.value * t0_psi.value, window,
+                                  tol=modular_tol)
+        except ModularOverflowError:
+            results.append("overflow")
+            continue
+        margin = rhs + tolerance_pad - lhs
+        results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
+    return results
+
+
+def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
+                              eta: OrliczFunction, lam: float, window, w: float,
+                              probes: int = 1024, moment_tol: float = 1e-6,
+                              modular_tol: float = 1e-9, quad_tol: float = 1e-10,
+                              tolerance_pad: float = 1e-8) -> ModularComparison:
+    """One cell of :func:`modular_inequality_cells`, sampling through a
+    convolution with ``psi_kernel``; an overflowing gauge raises
+    :class:`~durrmeyer.orlicz.ModularOverflowError`."""
+    [result] = modular_inequality_cells(
+        phi, Convolution(psi_kernel, quad_tol=quad_tol), f, [(eta, lam)], window, w,
+        probes=probes, moment_tol=moment_tol, modular_tol=modular_tol,
+        quad_tol=quad_tol, tolerance_pad=tolerance_pad,
+    )
+    if result == "overflow":
+        raise ModularOverflowError(f"the modular of {eta.label} at lambda={lam:g} overflows")
+    return result
 
 
 def empirical_lipschitz_order(f: Signal, deltas: Sequence[float], window,

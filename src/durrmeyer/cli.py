@@ -13,6 +13,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -26,7 +28,7 @@ from . import operators as _o
 from . import signals as _s
 from .analysis import (
     convergence_study,
-    verify_modular_inequality,
+    modular_inequality_cells,
     verify_quantitative_bound,
 )
 from .moments import (
@@ -73,9 +75,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    # Minimal quoting: a gauge label such as zygmund(1,1) holds a comma.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    path.write_text(buffer.getvalue(), encoding="ascii", newline="\n")
 
 
 def _write_json(path: Path, payload):
@@ -282,9 +287,7 @@ def _load_experiment(args) -> Experiment:
 
 def _check_kernels(exp: Experiment):
     kernels = [("phi", exp.phi)]
-    if isinstance(exp.psi, _o.Window):
-        kernels.append(("psi", _k.window(exp.psi.lo, exp.psi.hi, exp.psi.weight)))
-    elif isinstance(exp.psi, _o.Convolution):
+    if isinstance(exp.psi, (_o.Window, _o.Convolution)):
         kernels.append(("psi", exp.psi.kernel))
     return kernels
 
@@ -451,34 +454,32 @@ def cmd_converge(exp: Experiment) -> int:
 
 
 def cmd_orlicz(exp: Experiment) -> int:
-    if isinstance(exp.psi, _o.Window):
-        psi_kernel = _k.window(exp.psi.lo, exp.psi.hi, exp.psi.weight)
-    elif isinstance(exp.psi, _o.Convolution):
-        psi_kernel = exp.psi.kernel
-    else:
+    if isinstance(exp.psi, _o.PointMass):
         raise ConfigError("the orlicz command needs a function-type psi "
                           "(window or general), not a point mass")
     if not exp.orlicz:
         raise ConfigError("the orlicz command needs at least one orlicz entry")
+    quad_tol = exp.tolerances["quad_tol"]
+    psi = exp.psi
+    if isinstance(psi, _o.Convolution):
+        psi = _o.Convolution(psi.kernel, quad_tol=quad_tol)
 
     rows = []
     results = []
     for w in exp.w_list:
-        for eta, lam in exp.orlicz:
-            try:
-                cmp = verify_modular_inequality(
-                    exp.phi, psi_kernel, exp.signal, eta, lam, exp.window, w,
-                    quad_tol=exp.tolerances["quad_tol"],
-                )
-                rows.append([w, eta.label, lam, cmp.lhs, cmp.rhs, cmp.ratio, cmp.holds])
-                results.append({"w": w, "gauge": eta.label, "lambda": lam,
-                                "lhs": cmp.lhs, "rhs": cmp.rhs, "ratio": cmp.ratio,
-                                "holds": cmp.holds})
-            except ModularOverflowError:
+        cells = modular_inequality_cells(exp.phi, psi, exp.signal, exp.orlicz,
+                                         exp.window, w, quad_tol=quad_tol)
+        for (eta, lam), cmp in zip(exp.orlicz, cells):
+            if cmp == "overflow":
                 rows.append([w, eta.label, lam, "overflow", "overflow", "", ""])
                 results.append({"w": w, "gauge": eta.label, "lambda": lam,
                                 "lhs": "overflow", "rhs": "overflow",
                                 "ratio": None, "holds": None})
+            else:
+                rows.append([w, eta.label, lam, cmp.lhs, cmp.rhs, cmp.ratio, cmp.holds])
+                results.append({"w": w, "gauge": eta.label, "lambda": lam,
+                                "lhs": cmp.lhs, "rhs": cmp.rhs, "ratio": cmp.ratio,
+                                "holds": cmp.holds})
 
     header = ["w", "gauge", "lambda", "lhs", "rhs", "ratio", "holds"]
     exp.out_dir.mkdir(parents=True, exist_ok=True)

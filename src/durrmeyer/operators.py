@@ -76,6 +76,11 @@ class Window:
     def mass(self) -> float:
         return self.weight * (self.hi - self.lo)
 
+    @property
+    def kernel(self) -> _k.Kernel:
+        """The window as a sample kernel, for moments and kernel checks."""
+        return _k.window(self.lo, self.hi, self.weight)
+
 
 @dataclass(frozen=True)
 class Convolution:

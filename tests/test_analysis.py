@@ -160,6 +160,50 @@ class TestModularInequality:
         assert result.holds
 
 
+class TestModularInequalityCells:
+    CELLS = [(X.PowerFunction(1), 0.25), (X.ZygmundFunction(1, 1), 0.5),
+             (X.PowerFunction(2), 1.0)]
+
+    @pytest.mark.parametrize("psi", [
+        O.Window(0.0, 1.0, 1.0),
+        O.Convolution(K.window(0, 1, 1), quad_tol=1e-10),
+    ], ids=["window", "convolution"])
+    def test_each_cell_equals_its_one_cell_call_bitwise(self, psi):
+        f = S.builtin_signal("box")
+        together = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8), 5.0)
+        assert len(together) == len(self.CELLS)
+        for cell, shared in zip(self.CELLS, together):
+            [alone] = A.modular_inequality_cells(K.bspline(2), psi, f, [cell], (-8, 8), 5.0)
+            assert shared == alone
+
+    def test_one_cell_call_is_verify_modular_inequality(self):
+        f = S.builtin_signal("piecewise_rational")
+        eta, lam = X.ZygmundFunction(1, 1), 0.5
+        [cell] = A.modular_inequality_cells(
+            K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-10), f,
+            [(eta, lam)], (-8, 8), 5.0,
+        )
+        assert cell == A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,
+                                                   eta, lam, (-8, 8), 5.0)
+
+    def test_overflow_is_marked_and_raised_by_the_one_cell_call(self):
+        f = S.builtin_signal("piecewise_rational")
+        cells = A.modular_inequality_cells(
+            K.bspline(2), O.Window(0.0, 1.0, 1.0), f,
+            [(X.ExponentialFunction(1), 20.0), (X.PowerFunction(2), 1.0)], (-8, 8), 5.0,
+        )
+        assert cells[0] == "overflow"
+        assert isinstance(cells[1], A.ModularComparison) and cells[1].holds
+        with pytest.raises(X.ModularOverflowError):
+            A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,
+                                        X.ExponentialFunction(1), 20.0, (-8, 8), 5.0)
+
+    def test_point_mass_is_refused(self):
+        with pytest.raises(TypeError):
+            A.modular_inequality_cells(K.bspline(2), O.PointMass(), S.builtin_signal("box"),
+                                       self.CELLS, (-8, 8), 5.0)
+
+
 class TestEmpiricalOrder:
     def test_identity_has_order_one(self):
         alpha = A.empirical_lipschitz_order(

@@ -1,8 +1,14 @@
+import csv
 import json
 import math
 
 import pytest
 
+from durrmeyer import analysis as A
+from durrmeyer import kernels as K
+from durrmeyer import operators as O
+from durrmeyer import orlicz as X
+from durrmeyer import signals as S
 from durrmeyer.cli import main
 
 
@@ -203,6 +209,78 @@ class TestOrliczCommand:
         assert rows[0]["lhs"] == "overflow"
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert payload["rows"][0]["lhs"] == "overflow"
+
+    def test_each_scale_computes_each_sample_once(self, tmp_path, monkeypatch):
+        computed = {}
+        original = O.SeriesEvaluator._compute_sample
+
+        def counting(self, ks):
+            computed.setdefault(self.spec.w, []).extend(ks.tolist())
+            return original(self, ks)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="box", phi={"family": "bspline", "n": 2},
+                     w_list=[5, 10], window=[-8, 8],
+                     orlicz=[{"variant": "power", "p": 1, "lambda": 0.25},
+                             {"variant": "power", "p": 2, "lambda": 1},
+                             {"variant": "zygmund", "alpha": 1, "beta": 1, "lambda": 0.5}])
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        assert sorted(computed) == [5.0, 10.0]
+        for ks in computed.values():
+            assert ks and len(ks) == len(set(ks))
+
+    def test_window_cells_match_verify_modular_inequality(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="box", phi={"family": "bspline", "n": 2},
+                     psi={"kind": "window", "lo": -0.5, "hi": 0.5, "weight": 1},
+                     w_list=[5, 10], window=[-8, 8],
+                     orlicz=[{"variant": "power", "p": 2, "lambda": 1},
+                             {"variant": "zygmund", "alpha": 1, "beta": 1, "lambda": 0.5}])
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        rows = json.loads((tmp_path / "out" / "orlicz.json").read_text())["rows"]
+        gauges = {"power(2)": X.PowerFunction(2), "zygmund(1,1)": X.ZygmundFunction(1, 1)}
+        assert len(rows) == 4
+        for row in rows:
+            ref = A.verify_modular_inequality(
+                K.bspline(2), O.Window(-0.5, 0.5, 1.0).kernel, S.builtin_signal("box"),
+                gauges[row["gauge"]], row["lambda"], (-8, 8), row["w"],
+            )
+            assert row["lhs"] == pytest.approx(ref.lhs, rel=1e-12)
+            assert row["rhs"] == pytest.approx(ref.rhs, rel=1e-12)
+
+    def test_overflow_leaves_its_neighbour_unchanged(self, tmp_path):
+        power = {"variant": "power", "p": 2, "lambda": 1}
+        overflow = {"variant": "exponential", "alpha": 1, "lambda": 20}
+        lines = {}
+        for name, entries in (("alone", [power]), ("beside", [overflow, power])):
+            cfg = tmp_path / f"{name}.json"
+            write_config(cfg, signal="piecewise_rational",
+                         phi={"family": "bspline", "n": 2}, w_list=[5], orlicz=entries)
+            out = tmp_path / name
+            assert main(["orlicz", "--config", str(cfg), "--out", str(out)]) == 0
+            lines[name] = (out / "orlicz.csv").read_text().splitlines()
+        assert lines["beside"][1].split(",")[3] == "overflow"
+        assert lines["beside"][2] == lines["alone"][1]
+
+
+class TestCsvQuoting:
+    def test_every_row_reads_back_with_the_header_width(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[5, 10],
+                     orlicz=[{"variant": "zygmund", "alpha": 1, "beta": 1, "lambda": 0.5},
+                             {"variant": "power", "p": 2, "lambda": 1}])
+        for command in ("orlicz", "converge"):
+            assert main([command, "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        with open(out / "orlicz.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
+        assert [row[1] for row in rows[:2]] == ["zygmund(1,1)", "power(2)"]
+        with open(out / "converge.csv", newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert "modular[zygmund(1,1)]@lambda=0.5" in header
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
 
 
 class TestFailurePaths:

@@ -66,6 +66,13 @@ class TestFunctionals:
         assert O.Window(-1.0, 1.0, 0.5).mass == 1.0
         assert O.Convolution(K.fejer()).mass == 1.0
 
+    def test_window_kernel_is_the_window_family(self):
+        psi = O.Window(-0.5, 0.25, 2.0)
+        reference = K.window(-0.5, 0.25, 2.0)
+        assert psi.kernel.name == reference.name
+        t = np.linspace(-1.0, 1.0, 81)
+        assert np.array_equal(psi.kernel.evaluate(t), reference.evaluate(t))
+
     def test_convolution_warns_on_non_unit_mass(self):
         with pytest.warns(UserWarning, match="unit mass"):
             O.Convolution(K.window(0, 1, 2))
