@@ -10,7 +10,7 @@ quadrature errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +41,8 @@ __all__ = [
     "ConvergenceReport",
     "quantitative_constant",
     "verify_quantitative_bound",
+    "bound_checks",
+    "convergence_studies",
     "convergence_study",
     "modular_inequality_cells",
     "verify_modular_inequality",
@@ -94,20 +96,7 @@ class ConvergenceReport:
     config_echo: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "w": row.w,
-                    "sup_error": row.sup_error,
-                    "modular_errors": dict(row.modular_errors),
-                    "quantitative_bound": row.quantitative_bound,
-                }
-                for row in self.rows
-            ],
-            "eoc": list(self.eoc),
-            "eoc_source": self.eoc_source,
-            "config_echo": dict(self.config_echo),
-        }
+        return asdict(self)
 
 
 def functional_continuous_moments(psi: SampleFunctional, tol: float = 1e-9):
@@ -145,41 +134,19 @@ def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional,
     return BoundConstant(value, error)
 
 
-def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
-                              w_list: Sequence[float], window, grid_step: float,
-                              tolerance_pad: float = 1e-8,
-                              series_tol: float = 1e-9, quad_tol: float = 1e-10) -> list:
-    """Check measured sup errors against C * L / w for each scale.
+def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
+                        w_list: Sequence[float], window, grid_step: float,
+                        groups: Sequence, modular_window=None, series_tol: float = 1e-9,
+                        quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> list:
+    """Error tables over an ascending scale list, one
+    :class:`ConvergenceReport` per ``(lam, eta_list)`` pair in ``groups``.
 
-    The signal must declare a Lipschitz constant so that L/w certifies the
-    modulus of continuity from above.
-    """
-    if f.lipschitz_constant is None:
-        raise ValueError("quantitative bound needs a declared Lipschitz constant")
-    constant = quantitative_constant(phi, psi)
-    grid = UniformGrid.from_window(window[0], window[1], grid_step)
-    checks = []
-    for w in w_list:
-        spec = OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol)
-        recon = SeriesEvaluator(spec, f).on_grid(grid.points())
-        err = sup_error(f, recon, grid)
-        bound = (constant.value + constant.certified_error) * f.lipschitz_constant / w
-        margin = bound + tolerance_pad - err
-        checks.append(BoundCheck(float(w), err, bound, margin, margin >= 0.0))
-    return checks
-
-
-def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
-                      w_list: Sequence[float], window, grid_step: float,
-                      eta_list: Sequence[OrliczFunction] = (), lam: float = 1.0,
-                      modular_window=None, series_tol: float = 1e-9,
-                      quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> ConvergenceReport:
-    """Error table over an ascending scale list, with dyadic order estimates.
-
-    Rows carry the grid sup error (uniformly continuous signals only), one
-    modular error per requested gauge at the given lambda, and the
-    quantitative bound when the signal declares a Lipschitz constant.
-    Overflowing modular cells are recorded as the string ``"overflow"``.
+    Each scale is reconstructed once: one evaluator and one grid pass give
+    the grid sup error (uniformly continuous signals only), the modular
+    error of every gauge of every group, and the quantitative bound
+    ``C * L / w`` when the signal declares a Lipschitz constant, with ``C``
+    computed once. Overflowing modular cells are recorded as the string
+    ``"overflow"``. Order estimates are taken between dyadic neighbours.
     """
     ws = [float(w) for w in w_list]
     if not ws or any(b <= a for a, b in zip(ws[:-1], ws[1:])):
@@ -187,79 +154,122 @@ def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     grid = UniformGrid.from_window(window[0], window[1], grid_step)
     mod_window = tuple(modular_window) if modular_window is not None else tuple(window)
 
-    constant = None
+    bound_factor = None
     if f.lipschitz_constant is not None:
         constant = quantitative_constant(phi, psi)
+        bound_factor = (constant.value + constant.certified_error) * f.lipschitz_constant
 
-    rows = []
+    tables = [[] for _ in groups]
     for w in ws:
         spec = OperatorSpec(phi, psi, w, series_tol=series_tol, quad_tol=quad_tol)
         evaluator = SeriesEvaluator(spec, f)
         recon = evaluator.on_grid(grid.points())
         s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
-        modulars = {}
-        for eta in eta_list:
-            try:
-                modulars[eta.label] = modular_distance(
-                    eta, evaluator, f, lam, mod_window, tol=modular_tol
-                )
-            except ModularOverflowError:
-                modulars[eta.label] = "overflow"
-        bound = None
-        if constant is not None:
-            bound = (constant.value + constant.certified_error) * f.lipschitz_constant / w
-        rows.append(ConvergenceRow(w, s_err, modulars, bound))
-
-    if rows[0].sup_error is not None:
-        source = "sup_error"
-        series = [row.sup_error for row in rows]
-    elif eta_list:
-        source = f"modular[{eta_list[0].label}]"
-        series = [row.modular_errors[eta_list[0].label] for row in rows]
-    else:
-        source = "none"
-        series = [None] * len(rows)
+        bound = None if bound_factor is None else bound_factor / w
+        for (lam, eta_list), rows in zip(groups, tables):
+            modulars = {}
+            for eta in eta_list:
+                try:
+                    modulars[eta.label] = modular_distance(
+                        eta, evaluator, f, lam, mod_window, tol=modular_tol
+                    )
+                except ModularOverflowError:
+                    modulars[eta.label] = "overflow"
+            rows.append(ConvergenceRow(w, s_err, modulars, bound))
 
     floor = series_tol + quad_tol
-    eoc = []
-    for (w1, e1), (w2, e2) in zip(zip(ws[:-1], series[:-1]), zip(ws[1:], series[1:])):
-        dyadic = abs(w2 - 2.0 * w1) <= 1e-9 * w2
-        numeric = isinstance(e1, float) and isinstance(e2, float)
-        if dyadic and numeric and e1 > floor and e2 > floor:
-            eoc.append(math.log2(e1 / e2))
+    reports = []
+    for (lam, eta_list), rows in zip(groups, tables):
+        if f.continuity == UNIFORM:
+            source, series = "sup_error", [row.sup_error for row in rows]
+        elif eta_list:
+            source = f"modular[{eta_list[0].label}]"
+            series = [row.modular_errors[eta_list[0].label] for row in rows]
         else:
-            eoc.append(None)
+            source, series = "none", [None] * len(rows)
+        eoc = []
+        for w1, w2, e1, e2 in zip(ws, ws[1:], series, series[1:]):
+            dyadic = abs(w2 - 2.0 * w1) <= 1e-9 * w2
+            numeric = isinstance(e1, float) and isinstance(e2, float)
+            eoc.append(math.log2(e1 / e2)
+                       if dyadic and numeric and e1 > floor and e2 > floor else None)
+        echo = {
+            "phi": phi.name,
+            "psi": repr(psi),
+            "signal": f.name,
+            "w_list": ws,
+            "window": [float(window[0]), float(window[1])],
+            "grid_step": float(grid_step),
+            "orlicz": [eta.label for eta in eta_list],
+            "lambda": float(lam),
+            "modular_window": list(mod_window),
+            "series_tol": series_tol,
+            "quad_tol": quad_tol,
+            "modular_tol": modular_tol,
+        }
+        reports.append(ConvergenceReport(rows, eoc, source, echo))
+    return reports
 
-    echo = {
-        "phi": phi.name,
-        "psi": repr(psi),
-        "signal": f.name,
-        "w_list": ws,
-        "window": [float(window[0]), float(window[1])],
-        "grid_step": float(grid_step),
-        "orlicz": [eta.label for eta in eta_list],
-        "lambda": float(lam),
-        "modular_window": list(mod_window),
-        "series_tol": series_tol,
-        "quad_tol": quad_tol,
-        "modular_tol": modular_tol,
-    }
-    return ConvergenceReport(rows, eoc, source, echo)
+
+def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
+                      w_list: Sequence[float], window, grid_step: float,
+                      eta_list: Sequence[OrliczFunction] = (), lam: float = 1.0,
+                      modular_window=None, series_tol: float = 1e-9,
+                      quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> ConvergenceReport:
+    """The one-group call of :func:`convergence_studies`: the error table
+    with one modular column per gauge of ``eta_list`` at ``lam``."""
+    [report] = convergence_studies(
+        phi, psi, f, w_list, window, grid_step, [(lam, eta_list)],
+        modular_window=modular_window, series_tol=series_tol, quad_tol=quad_tol,
+        modular_tol=modular_tol,
+    )
+    return report
+
+
+def bound_checks(report: ConvergenceReport, tolerance_pad: float = 1e-8) -> list:
+    """The sup error of each row against its quantitative bound; rows
+    without a bound (no Lipschitz constant) give no check."""
+    checks = []
+    for row in report.rows:
+        if row.quantitative_bound is not None:
+            margin = row.quantitative_bound + tolerance_pad - row.sup_error
+            checks.append(BoundCheck(row.w, row.sup_error, row.quantitative_bound,
+                                     margin, margin >= 0.0))
+    return checks
+
+
+def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
+                              w_list: Sequence[float], window, grid_step: float,
+                              tolerance_pad: float = 1e-8,
+                              series_tol: float = 1e-9, quad_tol: float = 1e-10) -> list:
+    """Check measured sup errors against C * L / w for each scale of an
+    ascending list, from the rows of :func:`convergence_study`.
+
+    The signal must declare a Lipschitz constant so that L/w certifies the
+    modulus of continuity from above.
+    """
+    if f.lipschitz_constant is None:
+        raise ValueError("quantitative bound needs a declared Lipschitz constant")
+    report = convergence_study(phi, psi, f, w_list, window, grid_step,
+                               series_tol=series_tol, quad_tol=quad_tol)
+    return bound_checks(report, tolerance_pad)
 
 
 def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f: Signal,
-                             cells: Sequence, window, w: float,
+                             cells: Sequence, window, w_list: Sequence[float],
                              probes: int = 1024, moment_tol: float = 1e-6,
                              modular_tol: float = 1e-9, quad_tol: float = 1e-10,
                              tolerance_pad: float = 1e-8) -> list:
     """Compare the modular of the reconstruction against its theoretical
-    majorant at one scale, for each ``(eta, lam)`` pair in ``cells``.
+    majorant at each scale of ``w_list``, for each ``(eta, lam)`` pair in
+    ``cells``.
 
     The majorant couples the discrete zeroth moment of the sample kernel
     (half-open windows make it 1 on the unit window) with the L1 norms, and
     scales the signal's modular by the product of zeroth moments. The
-    moments are computed once, and one evaluator serves every cell, so each
-    sample of the scale is computed once. The result holds one
+    moments and the majorants do not depend on the scale and are computed
+    once; one evaluator per scale serves every cell, so each sample is
+    computed once. The result holds, per scale, one
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
     cell whose gauge overflows; the other cells are unaffected.
     """
@@ -272,19 +282,31 @@ def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f:
     ratio = (m0_psi.value + m0_psi.certified_error) * phi.l1_norm / (
         m0_phi.value * t0_psi.value
     )
-    evaluator = SeriesEvaluator(OperatorSpec(phi, psi, float(w), quad_tol=quad_tol), f)
-    results = []
+    majorants = []
     for eta, lam in cells:
         try:
-            lhs = modular(eta, evaluator, lam, window, tol=modular_tol)
-            rhs = ratio * modular(eta, f, lam * m0_phi.value * t0_psi.value, window,
-                                  tol=modular_tol)
+            majorants.append(ratio * modular(eta, f, lam * m0_phi.value * t0_psi.value,
+                                             window, tol=modular_tol))
         except ModularOverflowError:
-            results.append("overflow")
-            continue
-        margin = rhs + tolerance_pad - lhs
-        results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
-    return results
+            majorants.append(None)
+
+    tables = []
+    for w in w_list:
+        evaluator = SeriesEvaluator(OperatorSpec(phi, psi, float(w), quad_tol=quad_tol), f)
+        results = []
+        for (eta, lam), rhs in zip(cells, majorants):
+            if rhs is not None:
+                try:
+                    lhs = modular(eta, evaluator, lam, window, tol=modular_tol)
+                except ModularOverflowError:
+                    rhs = None
+            if rhs is None:
+                results.append("overflow")
+            else:
+                margin = rhs + tolerance_pad - lhs
+                results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
+        tables.append(results)
+    return tables
 
 
 def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
@@ -292,11 +314,11 @@ def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
                               probes: int = 1024, moment_tol: float = 1e-6,
                               modular_tol: float = 1e-9, quad_tol: float = 1e-10,
                               tolerance_pad: float = 1e-8) -> ModularComparison:
-    """One cell of :func:`modular_inequality_cells`, sampling through a
-    convolution with ``psi_kernel``; an overflowing gauge raises
+    """One cell at one scale of :func:`modular_inequality_cells`, sampling
+    through a convolution with ``psi_kernel``; an overflowing gauge raises
     :class:`~durrmeyer.orlicz.ModularOverflowError`."""
-    [result] = modular_inequality_cells(
-        phi, Convolution(psi_kernel, quad_tol=quad_tol), f, [(eta, lam)], window, w,
+    [[result]] = modular_inequality_cells(
+        phi, Convolution(psi_kernel, quad_tol=quad_tol), f, [(eta, lam)], window, [w],
         probes=probes, moment_tol=moment_tol, modular_tol=modular_tol,
         quad_tol=quad_tol, tolerance_pad=tolerance_pad,
     )

@@ -26,11 +26,7 @@ import numpy as np
 from . import kernels as _k
 from . import operators as _o
 from . import signals as _s
-from .analysis import (
-    convergence_study,
-    modular_inequality_cells,
-    verify_quantitative_bound,
-)
+from .analysis import bound_checks, convergence_studies, modular_inequality_cells
 from .moments import (
     DivergentMomentError,
     continuous_absolute_moment,
@@ -388,32 +384,14 @@ def cmd_converge(exp: Experiment) -> int:
     groups = {}
     for eta, lam in exp.orlicz:
         groups.setdefault(lam, []).append(eta)
-
-    reports = []
-    if groups:
-        for lam in sorted(groups):
-            reports.append(convergence_study(
-                exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
-                eta_list=groups[lam], lam=lam,
-                modular_window=exp.window,
-                series_tol=exp.tolerances["series_tol"],
-                quad_tol=exp.tolerances["quad_tol"],
-                modular_tol=exp.tolerances["modular_tol"],
-            ))
-    else:
-        reports.append(convergence_study(
-            exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
-            series_tol=exp.tolerances["series_tol"],
-            quad_tol=exp.tolerances["quad_tol"],
-        ))
-
-    checks = []
-    if exp.signal.lipschitz_constant is not None:
-        checks = verify_quantitative_bound(
-            exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
-            series_tol=exp.tolerances["series_tol"],
-            quad_tol=exp.tolerances["quad_tol"],
-        )
+    reports = convergence_studies(
+        exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
+        sorted(groups.items()) or [(1.0, [])],
+        series_tol=exp.tolerances["series_tol"],
+        quad_tol=exp.tolerances["quad_tol"],
+        modular_tol=exp.tolerances["modular_tol"],
+    )
+    checks = bound_checks(reports[0])
 
     header = ["w", "sup_error", "eoc_from_previous", "bound", "bound_margin"]
     modular_cols = []
@@ -425,19 +403,11 @@ def cmd_converge(exp: Experiment) -> int:
 
     rows = []
     base = reports[0]
-    for i, w in enumerate(exp.w_list):
+    for i, (w, eoc) in enumerate(zip(exp.w_list, [None] + base.eoc)):
         sup = base.rows[i].sup_error
-        eoc = base.eoc[i - 1] if i > 0 else None
-        row = [
-            w,
-            "" if sup is None else sup,
-            "" if eoc is None else eoc,
-            checks[i].bound if checks else "",
-            checks[i].margin if checks else "",
-        ]
-        for _, report, label in modular_cols:
-            row.append(report.rows[i].modular_errors[label])
-        rows.append(row)
+        bound = [checks[i].bound, checks[i].margin] if checks else ["", ""]
+        modulars = [report.rows[i].modular_errors[label] for _, report, label in modular_cols]
+        rows.append([w, "" if sup is None else sup, "" if eoc is None else eoc, *bound, *modulars])
 
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(exp.out_dir / "converge.csv", header, rows)
@@ -464,24 +434,19 @@ def cmd_orlicz(exp: Experiment) -> int:
     if isinstance(psi, _o.Convolution):
         psi = _o.Convolution(psi.kernel, quad_tol=quad_tol)
 
-    rows = []
+    tables = modular_inequality_cells(exp.phi, psi, exp.signal, exp.orlicz,
+                                      exp.window, exp.w_list, quad_tol=quad_tol)
     results = []
-    for w in exp.w_list:
-        cells = modular_inequality_cells(exp.phi, psi, exp.signal, exp.orlicz,
-                                         exp.window, w, quad_tol=quad_tol)
+    for w, cells in zip(exp.w_list, tables):
         for (eta, lam), cmp in zip(exp.orlicz, cells):
-            if cmp == "overflow":
-                rows.append([w, eta.label, lam, "overflow", "overflow", "", ""])
-                results.append({"w": w, "gauge": eta.label, "lambda": lam,
-                                "lhs": "overflow", "rhs": "overflow",
-                                "ratio": None, "holds": None})
-            else:
-                rows.append([w, eta.label, lam, cmp.lhs, cmp.rhs, cmp.ratio, cmp.holds])
-                results.append({"w": w, "gauge": eta.label, "lambda": lam,
-                                "lhs": cmp.lhs, "rhs": cmp.rhs, "ratio": cmp.ratio,
-                                "holds": cmp.holds})
+            cell = {"w": w, "gauge": eta.label, "lambda": lam, "lhs": "overflow",
+                    "rhs": "overflow", "ratio": None, "holds": None}
+            if cmp != "overflow":
+                cell.update(lhs=cmp.lhs, rhs=cmp.rhs, ratio=cmp.ratio, holds=cmp.holds)
+            results.append(cell)
 
     header = ["w", "gauge", "lambda", "lhs", "rhs", "ratio", "holds"]
+    rows = [["" if cell[key] is None else cell[key] for key in header] for cell in results]
     exp.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(exp.out_dir / "orlicz.csv", header, rows)
     _write_json(exp.out_dir / "orlicz.json", {

@@ -26,6 +26,7 @@ __all__ = [
     "fejer",
     "window",
     "partition_of_unity_residual",
+    "lattice_sum",
     "fourier_hat",
     "lattice_tail_bound",
     "integral_tail_bound",
@@ -339,14 +340,27 @@ def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius:
             raise ValueError("non-integrable decay: exponent must exceed 1")
         tail = lattice_tail_bound(kernel.support, radius, 0.0)
 
+    sums = lattice_sum(kernel, u, 0, radius, signed_power=True)
+    return float(np.max(np.abs(sums - 1.0))) + tail
+
+
+def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
+    """Sum over shifts |j| <= radius of |k(u-j)| |u-j|**nu (or, with
+    ``signed_power``, of k(u-j) (j-u)**nu) for a vector of probe points,
+    in chunks of at most 4e6 kernel values."""
     shifts = np.arange(-radius, radius + 1, dtype=float)
-    worst = 0.0
+    out = np.zeros(u.size)
     block = max(1, int(4_000_000 // shifts.size))
     for start in range(0, u.size, block):
         chunk = u[start:start + block]
-        sums = np.asarray(kernel.evaluate(chunk[:, None] - shifts[None, :])).sum(axis=1)
-        worst = max(worst, float(np.max(np.abs(sums - 1.0))))
-    return worst + tail
+        diffs = chunk[:, None] - shifts[None, :]
+        vals = np.asarray(kernel.evaluate(diffs))
+        if signed_power:
+            terms = vals * (-diffs) ** nu if nu else vals
+        else:
+            terms = np.abs(vals) * np.abs(diffs) ** nu if nu else np.abs(vals)
+        out[start:start + block] = terms.sum(axis=1)
+    return out
 
 
 def fourier_hat(kernel: Kernel, v: float) -> float:

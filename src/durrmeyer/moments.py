@@ -79,24 +79,6 @@ def _lattice_radius(kernel, nu, tol):
     return radius, _k.lattice_tail_bound(support, radius, nu)
 
 
-def _lattice_sum(kernel, u, nu, radius, signed_power=False):
-    """Sum over shifts |j| <= radius of |k(u-j)| |u-j|**nu (or the signed
-    algebraic variant) for a vector of probe points."""
-    shifts = np.arange(-radius, radius + 1, dtype=float)
-    out = np.zeros(u.size)
-    block = max(1, int(4_000_000 // shifts.size))
-    for start in range(0, u.size, block):
-        chunk = u[start:start + block]
-        diffs = chunk[:, None] - shifts[None, :]
-        vals = np.asarray(kernel.evaluate(diffs))
-        if signed_power:
-            terms = vals * (-diffs) ** nu if nu else vals
-        else:
-            terms = np.abs(vals) * np.abs(diffs) ** nu if nu else np.abs(vals)
-        out[start:start + block] = terms.sum(axis=1)
-    return out
-
-
 def discrete_absolute_moment(kernel, nu, probes=2048, tol=1e-9, method="auto"):
     """sup over u of sum_j |k(u - j)| |u - j|**nu, as a :class:`MomentResult`.
 
@@ -118,10 +100,10 @@ def discrete_absolute_moment(kernel, nu, probes=2048, tol=1e-9, method="auto"):
 
     radius, tail = _lattice_radius(kernel, nu, tol)
     count = int(probes)
-    sup = float(np.max(_lattice_sum(kernel, np.arange(count) / count, nu, radius)))
+    sup = float(np.max(_k.lattice_sum(kernel, np.arange(count) / count, nu, radius)))
     while count < _MAX_PROBES:
         count *= 2
-        refined = float(np.max(_lattice_sum(kernel, np.arange(count) / count, nu, radius)))
+        refined = float(np.max(_k.lattice_sum(kernel, np.arange(count) / count, nu, radius)))
         stable = abs(refined - sup) < tol
         sup = max(sup, refined)
         if stable:
@@ -139,7 +121,7 @@ def discrete_algebraic_moment(kernel, nu, u, tol=1e-12):
     radius, _ = _lattice_radius(kernel, nu, tol)
     point = np.asarray([float(u) - math.floor(float(u))])
     # Shift u into [0, 1): the sum is invariant under integer translation.
-    return float(_lattice_sum(kernel, point, nu, radius, signed_power=True)[0])
+    return float(_k.lattice_sum(kernel, point, nu, radius, signed_power=True)[0])
 
 
 def _moment_integrand(kernel, nu, signed):

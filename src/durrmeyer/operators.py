@@ -104,6 +104,11 @@ class Convolution:
     def mass(self) -> float:
         return self.kernel.l1_norm
 
+    def __repr__(self) -> str:
+        # The kernel by name: its repr holds function addresses, which
+        # differ between processes and would leak into report echoes.
+        return f"Convolution(kernel={self.kernel.name}, quad_tol={self.quad_tol!r})"
+
 
 SampleFunctional = Union[PointMass, Window, Convolution]
 
@@ -378,11 +383,6 @@ def evaluate(spec: OperatorSpec, f: Signal, x: float) -> float:
     return SeriesEvaluator(spec, f).at(float(x))
 
 
-def evaluate_grid(spec: OperatorSpec, f: Signal, grid: UniformGrid,
-                  workers: int = 1) -> np.ndarray:
-    """Operator values on a uniform grid, each sample computed once.
-
-    ``workers`` is accepted and ignored: assembly is single-threaded and
-    vectorized.
-    """
+def evaluate_grid(spec: OperatorSpec, f: Signal, grid: UniformGrid) -> np.ndarray:
+    """Operator values on a uniform grid, each sample computed once."""
     return SeriesEvaluator(spec, f).on_grid(grid.points())

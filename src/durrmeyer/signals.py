@@ -60,6 +60,8 @@ class Signal:
             raise ValueError("sup norm must be nonnegative")
         if self.lipschitz_constant is not None and self.lipschitz_constant < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
+        if self.lipschitz_constant is not None and self.continuity != UNIFORM:
+            raise ValueError("a Lipschitz constant needs a uniformly continuous signal")
 
     def __call__(self, x):
         return self.evaluate(x)

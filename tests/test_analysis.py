@@ -135,6 +135,31 @@ class TestConvergenceStudy:
         assert "power(1)" in payload["rows"][0]["modular_errors"]
 
 
+class TestConvergenceStudies:
+    def test_thin_callers_equal_convergence_studies_bitwise(self):
+        phi, psi, f = K.bspline(3), O.Window(0.0, 1.0, 1.0), S.builtin_signal("runge")
+        ws, window = [5.0, 10.0, 20.0], (-3, 3)
+        groups = [(0.5, [X.ZygmundFunction(1, 1)]),
+                  (1.0, [X.PowerFunction(2), X.PowerFunction(1)])]
+        reports = A.convergence_studies(phi, psi, f, ws, window, 0.02, groups)
+        assert len(reports) == 2
+        for (lam, eta_list), report in zip(groups, reports):
+            assert report == A.convergence_study(phi, psi, f, ws, window, 0.02,
+                                                 eta_list=eta_list, lam=lam)
+        checks = A.verify_quantitative_bound(phi, psi, f, ws, window, 0.02)
+        assert checks == A.bound_checks(reports[0]) == A.bound_checks(reports[1])
+        for check, row in zip(checks, reports[0].rows):
+            assert (check.w, check.sup_error, check.bound) == (
+                row.w, row.sup_error, row.quantitative_bound)
+
+    def test_no_bound_checks_without_a_lipschitz_constant(self):
+        report = A.convergence_study(
+            K.bspline(2), O.PointMass(), S.builtin_signal("box"), [5.0], (-2, 2), 0.1,
+        )
+        assert report.rows[0].quantitative_bound is None
+        assert A.bound_checks(report) == []
+
+
 class TestModularInequality:
     def test_zero_signal_degenerates_to_equality(self):
         result = A.verify_modular_inequality(
@@ -170,27 +195,27 @@ class TestModularInequalityCells:
     ], ids=["window", "convolution"])
     def test_each_cell_equals_its_one_cell_call_bitwise(self, psi):
         f = S.builtin_signal("box")
-        together = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8), 5.0)
+        [together] = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8), [5.0])
         assert len(together) == len(self.CELLS)
         for cell, shared in zip(self.CELLS, together):
-            [alone] = A.modular_inequality_cells(K.bspline(2), psi, f, [cell], (-8, 8), 5.0)
+            [[alone]] = A.modular_inequality_cells(K.bspline(2), psi, f, [cell], (-8, 8), [5.0])
             assert shared == alone
 
     def test_one_cell_call_is_verify_modular_inequality(self):
         f = S.builtin_signal("piecewise_rational")
         eta, lam = X.ZygmundFunction(1, 1), 0.5
-        [cell] = A.modular_inequality_cells(
+        [[cell]] = A.modular_inequality_cells(
             K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-10), f,
-            [(eta, lam)], (-8, 8), 5.0,
+            [(eta, lam)], (-8, 8), [5.0],
         )
         assert cell == A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,
                                                    eta, lam, (-8, 8), 5.0)
 
     def test_overflow_is_marked_and_raised_by_the_one_cell_call(self):
         f = S.builtin_signal("piecewise_rational")
-        cells = A.modular_inequality_cells(
+        [cells] = A.modular_inequality_cells(
             K.bspline(2), O.Window(0.0, 1.0, 1.0), f,
-            [(X.ExponentialFunction(1), 20.0), (X.PowerFunction(2), 1.0)], (-8, 8), 5.0,
+            [(X.ExponentialFunction(1), 20.0), (X.PowerFunction(2), 1.0)], (-8, 8), [5.0],
         )
         assert cells[0] == "overflow"
         assert isinstance(cells[1], A.ModularComparison) and cells[1].holds
@@ -198,10 +223,20 @@ class TestModularInequalityCells:
             A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,
                                         X.ExponentialFunction(1), 20.0, (-8, 8), 5.0)
 
+    def test_each_scale_equals_its_one_scale_call_bitwise(self):
+        f = S.builtin_signal("piecewise_rational")
+        psi = O.Window(0.0, 1.0, 1.0)
+        tables = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8),
+                                            [5.0, 10.0])
+        assert len(tables) == 2
+        for w, table in zip([5.0, 10.0], tables):
+            assert table == A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS,
+                                                       (-8, 8), [w])[0]
+
     def test_point_mass_is_refused(self):
         with pytest.raises(TypeError):
             A.modular_inequality_cells(K.bspline(2), O.PointMass(), S.builtin_signal("box"),
-                                       self.CELLS, (-8, 8), 5.0)
+                                       self.CELLS, (-8, 8), [5.0])
 
 
 class TestEmpiricalOrder:

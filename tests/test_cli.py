@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import durrmeyer
 from durrmeyer import analysis as A
 from durrmeyer import kernels as K
 from durrmeyer import operators as O
@@ -29,10 +34,9 @@ def write_config(path, **overrides):
 
 
 def read_csv(path):
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return header, rows
+    with open(path, newline="") as f:
+        header, *lines = list(csv.reader(f))
+    return header, [dict(zip(header, line)) for line in lines]
 
 
 class TestConfigHandling:
@@ -183,6 +187,46 @@ class TestConverge:
         text = (tmp_path / "out" / "converge.csv").read_text()
         assert "nan" not in text.lower()
 
+    def test_one_grid_pass_per_scale_and_one_constant(self, tmp_path, monkeypatch):
+        passes = []
+        constants = []
+        on_grid = O.SeriesEvaluator.on_grid
+        constant = A.quantitative_constant
+
+        def counting_on_grid(evaluator, points):
+            passes.append(evaluator.spec.w)
+            return on_grid(evaluator, points)
+
+        def counting_constant(*args):
+            constants.append(args)
+            return constant(*args)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "on_grid", counting_on_grid)
+        monkeypatch.setattr(A, "quantitative_constant", counting_constant)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[5, 10],
+                     orlicz=[{"variant": "power", "p": 2, "lambda": 1},
+                             {"variant": "zygmund", "alpha": 1, "beta": 1, "lambda": 0.5}])
+        assert S.builtin_signal("runge").lipschitz_constant is not None
+        assert main(["converge", "--config", str(cfg)]) == 0
+        assert passes == [5.0, 10.0]
+        assert len(constants) == 1
+        _, rows = read_csv(tmp_path / "out" / "converge.csv")
+        payload = json.loads((tmp_path / "out" / "converge.json").read_text())
+        zygmund = [row["modular_errors"]["zygmund(1,1)"]
+                   for row in payload["reports"][0]["rows"]]
+        assert [float(row["modular[zygmund(1,1)]@lambda=0.5"]) for row in rows] == zygmund
+        assert [float(row["bound"]) for row in rows] == [
+            check["bound"] for check in payload["quantitative_bound"]]
+
+    def test_report_echoes_the_configured_modular_tol_without_gauges(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[5], orlicz=[], tolerances={"modular_tol": 1e-5})
+        assert main(["converge", "--config", str(cfg)]) == 0
+        payload = json.loads((tmp_path / "out" / "converge.json").read_text())
+        assert payload["config_echo"]["tolerances"]["modular_tol"] == 1e-5
+        assert payload["reports"][0]["config_echo"]["modular_tol"] == 1e-5
+
 
 class TestOrliczCommand:
     def test_inequality_table(self, tmp_path):
@@ -301,6 +345,20 @@ class TestFailurePaths:
 
 
 class TestDeterminism:
+    def test_general_psi_reports_are_byte_identical_across_processes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[5],
+                     psi={"kind": "general", "kernel": {"family": "bspline", "n": 2}})
+        env = dict(os.environ, PYTHONPATH=str(Path(durrmeyer.__file__).parents[1]))
+        outputs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "durrmeyer.cli", "kernel-check",
+                            "--config", str(cfg), "--out", str(out)], env=env, check=True)
+            outputs.append((out / "kernel_check.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"0x" not in outputs[0]
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, w_list=[5])

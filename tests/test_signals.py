@@ -93,6 +93,11 @@ class TestCatalog:
         with pytest.raises(ValueError):
             S.Signal("bad", lambda x: x, sup_norm=-1.0)
 
+    def test_lipschitz_signal_must_be_uniformly_continuous(self):
+        with pytest.raises(ValueError, match="uniformly continuous"):
+            S.Signal("bad", lambda x: x, lipschitz_constant=1.0, continuity=S.BOUNDED_ONLY)
+        assert S.Signal("ok", lambda x: x, lipschitz_constant=1.0).continuity == S.UNIFORM
+
 
 class TestIndicatorsAndGrids:
     def test_indicator_half_open(self):
