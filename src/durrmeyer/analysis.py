@@ -137,7 +137,8 @@ def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional,
 def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                         w_list: Sequence[float], window, grid_step: float,
                         groups: Sequence, modular_window=None, series_tol: float = 1e-9,
-                        quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> list:
+                        quad_tol: float = 1e-10, modular_tol: float = 1e-6,
+                        pou_threshold: float = 1e-3) -> list:
     """Error tables over an ascending scale list, one
     :class:`ConvergenceReport` per ``(lam, eta_list)`` pair in ``groups``.
 
@@ -161,7 +162,8 @@ def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
 
     tables = [[] for _ in groups]
     for w in ws:
-        spec = OperatorSpec(phi, psi, w, series_tol=series_tol, quad_tol=quad_tol)
+        spec = OperatorSpec(phi, psi, w, series_tol=series_tol, quad_tol=quad_tol,
+                            pou_threshold=pou_threshold)
         evaluator = SeriesEvaluator(spec, f)
         recon = evaluator.on_grid(grid.points())
         s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
@@ -259,7 +261,8 @@ def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f:
                              cells: Sequence, window, w_list: Sequence[float],
                              probes: int = 1024, moment_tol: float = 1e-6,
                              modular_tol: float = 1e-9, quad_tol: float = 1e-10,
-                             tolerance_pad: float = 1e-8) -> list:
+                             tolerance_pad: float = 1e-8, series_tol: float = 1e-9,
+                             pou_threshold: float = 1e-3) -> list:
     """Compare the modular of the reconstruction against its theoretical
     majorant at each scale of ``w_list``, for each ``(eta, lam)`` pair in
     ``cells``.
@@ -292,7 +295,9 @@ def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f:
 
     tables = []
     for w in w_list:
-        evaluator = SeriesEvaluator(OperatorSpec(phi, psi, float(w), quad_tol=quad_tol), f)
+        spec = OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol,
+                            pou_threshold=pou_threshold)
+        evaluator = SeriesEvaluator(spec, f)
         results = []
         for (eta, lam), rhs in zip(cells, majorants):
             if rhs is not None:

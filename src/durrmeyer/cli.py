@@ -390,6 +390,7 @@ def cmd_converge(exp: Experiment) -> int:
         series_tol=exp.tolerances["series_tol"],
         quad_tol=exp.tolerances["quad_tol"],
         modular_tol=exp.tolerances["modular_tol"],
+        pou_threshold=exp.tolerances["pou_threshold"],
     )
     checks = bound_checks(reports[0])
 
@@ -435,7 +436,9 @@ def cmd_orlicz(exp: Experiment) -> int:
         psi = _o.Convolution(psi.kernel, quad_tol=quad_tol)
 
     tables = modular_inequality_cells(exp.phi, psi, exp.signal, exp.orlicz,
-                                      exp.window, exp.w_list, quad_tol=quad_tol)
+                                      exp.window, exp.w_list, quad_tol=quad_tol,
+                                      series_tol=exp.tolerances["series_tol"],
+                                      pou_threshold=exp.tolerances["pou_threshold"])
     results = []
     for w, cells in zip(exp.w_list, tables):
         for (eta, lam), cmp in zip(exp.orlicz, cells):

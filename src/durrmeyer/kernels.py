@@ -2,8 +2,8 @@
 
 A kernel couples a pointwise evaluator with the metadata the rest of the
 library needs to certify truncations: support (compact interval or a
-power-law decay envelope), the L1 mass, sign/symmetry flags, and closed
-forms (Fourier transform, exact tail mass) where they exist.
+power-law decay envelope), the L1 mass, sign/symmetry flags, and a closed
+form of the Fourier transform where one exists.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import sici
 
 __all__ = [
     "CompactSupport",
@@ -74,8 +73,7 @@ class Kernel:
 
     ``evaluate`` accepts a float or an ndarray and returns the same shape.
     ``partition_of_unity`` records the closed-form fact that integer shifts
-    of the kernel sum to one everywhere; ``absolute_tail`` gives the exact
-    mass ``integral of |k| over |t| > T`` when a closed form is known.
+    of the kernel sum to one everywhere.
     """
 
     name: str
@@ -87,7 +85,6 @@ class Kernel:
     partition_of_unity: bool = False
     breakpoints: tuple = ()
     fourier: Optional[Callable] = None
-    absolute_tail: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.l1_norm > 0:
@@ -212,17 +209,6 @@ def fejer() -> Kernel:
             return 0.0
         return 1.0 - av / math.pi
 
-    def absolute_tail(T):
-        # Exact mass beyond [-T, T]:
-        #   F(t) = (1 - cos(pi t)) / (pi t)^2, and integration by parts gives
-        #   int_T^inf = [1/T - cos(pi T)/T + pi (pi/2 - Si(pi T))] / pi^2.
-        if T <= 0:
-            raise ValueError("tail cutoff must be positive")
-        si, _ = sici(math.pi * T)
-        one_side = (1.0 / T - math.cos(math.pi * T) / T
-                    + math.pi * (math.pi / 2.0 - si)) / math.pi**2
-        return max(0.0, 2.0 * one_side)
-
     return Kernel(
         name="fejer",
         evaluate=evaluate,
@@ -232,7 +218,6 @@ def fejer() -> Kernel:
         symmetric=True,
         partition_of_unity=True,
         fourier=fourier,
-        absolute_tail=absolute_tail,
     )
 
 

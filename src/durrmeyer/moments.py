@@ -136,6 +136,10 @@ def _moment_integrand(kernel, nu, signed):
 
 def _continuous_moment(kernel, nu, tol, signed, max_cells):
     _require_convergent(kernel, nu, "continuous")
+    if nu == 0 and kernel.nonnegative:
+        # A nonnegative kernel's signed and absolute masses are both its
+        # declared L1 norm.
+        return MomentResult(kernel.l1_norm, 0.0, "closed_form")
     integrand = _moment_integrand(kernel, nu, signed)
     cuts = tuple(kernel.breakpoints) + ((0.0,) if nu > 0 else ())
     support = kernel.support
@@ -144,15 +148,6 @@ def _continuous_moment(kernel, nu, tol, signed, max_cells):
         value, err = integrate(integrand, support.lo, support.hi, tol=tol,
                                breakpoints=cuts, max_cells=max_cells)
         return MomentResult(value, err, "quadrature")
-
-    exact_tail = (nu == 0 and kernel.absolute_tail is not None
-                  and (not signed or kernel.nonnegative))
-    if exact_tail:
-        cutoff = max(support.radius, 64.0)
-        value, err = integrate(integrand, -cutoff, cutoff, tol=tol,
-                               breakpoints=cuts, max_cells=max_cells)
-        tail = kernel.absolute_tail(cutoff)
-        return MomentResult(value + tail, err + 4e-15 * (1.0 + tail), "quadrature")
 
     cutoff = max(support.radius, 1.0)
     while _k.integral_tail_bound(support, cutoff, nu) > 0.5 * tol:

@@ -233,18 +233,10 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
 
 
 def indicator(lo: float, hi: float, value: float = 1.0) -> Signal:
-    """Scaled indicator of the half-open interval [lo, hi)."""
-    if hi <= lo:
-        raise ValueError("indicator needs lo < hi")
+    """Scaled indicator of the half-open interval [lo, hi): a one-cell
+    :func:`piecewise_constant` signal."""
     lo, hi, value = float(lo), float(hi), float(value)
-    return Signal(
-        name=f"indicator[{lo:g}..{hi:g})*{value:g}",
-        evaluate=_piecewise([(lambda t: (t >= lo) & (t < hi),
-                              lambda t: np.full_like(t, value))]),
-        breakpoints=(lo, hi),
-        sup_norm=abs(value),
-        continuity=BOUNDED_ONLY,
-    )
+    return piecewise_constant([(lo, hi, value)], name=f"indicator[{lo:g}..{hi:g})*{value:g}")
 
 
 def piecewise_constant(pieces, name: str = "piecewise-constant") -> Signal:

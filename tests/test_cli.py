@@ -254,6 +254,17 @@ class TestOrliczCommand:
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert payload["rows"][0]["lhs"] == "overflow"
 
+    def test_fejer_general_psi_writes_its_report(self, tmp_path):
+        # A numpy scalar in the ratio would make "holds" a numpy bool, which
+        # the JSON writer cannot encode.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"}},
+                     w_list=[5], window=[-2, 2], tolerances={"quad_tol": 1e-6})
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
+        assert [row["ratio"] for row in payload["rows"]] == [1.0]
+        assert payload["rows"][0]["holds"] in (True, False)
+
     def test_each_scale_computes_each_sample_once(self, tmp_path, monkeypatch):
         computed = {}
         original = O.SeriesEvaluator._compute_sample
@@ -306,6 +317,37 @@ class TestOrliczCommand:
             lines[name] = (out / "orlicz.csv").read_text().splitlines()
         assert lines["beside"][1].split(",")[3] == "overflow"
         assert lines["beside"][2] == lines["alone"][1]
+
+
+class TestConfiguredTolerances:
+    @pytest.mark.parametrize("command,phi", [("orlicz", {"family": "fejer"}),
+                                             ("converge", {"family": "bspline", "n": 3})])
+    def test_every_spec_carries_them(self, tmp_path, monkeypatch, command, phi):
+        specs = []
+        validate = O.OperatorSpec.__post_init__
+
+        def record(spec):
+            specs.append(spec)
+            validate(spec)
+
+        monkeypatch.setattr(O.OperatorSpec, "__post_init__", record)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi=phi, w_list=[5], window=[-2, 2],
+                     orlicz=[{"variant": "power", "p": 1, "lambda": 1}],
+                     tolerances={"series_tol": 1e-4, "pou_threshold": 2e-3})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert specs
+        assert {(spec.series_tol, spec.pou_threshold) for spec in specs} == {(1e-4, 2e-3)}
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(durrmeyer.__file__).parents[1]))
+        code = ("import sys, durrmeyer.cli; "
+                "print([name for name in sys.modules if name.startswith('scipy')])")
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestCsvQuoting:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -15,6 +17,31 @@ def brute_discrete_absolute(kernel, nu, radius=8, samples=20000):
     if nu:
         vals = vals * np.abs(u[:, None] - shifts[None, :]) ** nu
     return float(vals.sum(axis=1).max())
+
+
+def scipy_l1_norm(kernel):
+    """Integral of |k| over the line by scipy's QUADPACK, with its error
+    estimate. Compact kernels integrate over their support between their
+    breakpoints. The Fejer kernel integrates over [-8, 8]; beyond,
+    F(t) = (1 - cos(pi t)) / (pi t)^2, whose cosine part is a Fourier
+    integral (QAWF)."""
+    if isinstance(kernel.support, K.CompactSupport):
+        return scipy_quad(lambda t: abs(float(kernel.evaluate(t))), kernel.support.lo,
+                          kernel.support.hi, points=kernel.breakpoints, limit=200)
+    assert kernel.name == "fejer"
+    cutoff = 8.0
+    central, central_err = scipy_quad(lambda t: float(kernel.evaluate(t)), 0.0, cutoff,
+                                      limit=500, epsabs=1e-14)
+    wave, wave_err = scipy_quad(lambda t: 1.0 / (math.pi * t) ** 2, cutoff, np.inf,
+                                weight="cos", wvar=math.pi, epsabs=1e-14, limlst=200)
+    tail = 1.0 / (math.pi**2 * cutoff) - wave
+    return 2.0 * (central + tail), 2.0 * (central_err + wave_err)
+
+
+def signed_bump(t):
+    """1 - 2 t^2 on (-1, 1): a compact kernel that changes sign at +-1/sqrt(2)."""
+    t = np.asarray(t, dtype=float)
+    return np.where(np.abs(t) < 1.0, 1.0 - 2.0 * t * t, 0.0)
 
 
 def brute_discrete_algebraic(kernel, nu, u, radius=8):
@@ -139,8 +166,8 @@ class TestContinuousAbsolute:
                                         K.window(0, 1, 1), K.window(-1, 1, 0.5),
                                         K.fejer()])
     def test_zeroth_moment_matches_declared_l1_norm(self, kernel):
-        result = M.continuous_absolute_moment(kernel, 0, tol=1e-10)
-        assert abs(result.value - kernel.l1_norm) <= 1e-10 + result.certified_error
+        oracle, oracle_err = scipy_l1_norm(kernel)
+        assert abs(oracle - kernel.l1_norm) <= 1e-10 + oracle_err
 
     def test_fractional_moment_of_spline_matches_oracle(self):
         k = K.bspline(3)
@@ -178,6 +205,30 @@ class TestContinuousAlgebraic:
     def test_validation(self):
         with pytest.raises(ValueError):
             M.continuous_algebraic_moment(K.bspline(2), 0.5)
+
+
+class TestZerothMoment:
+    @pytest.mark.parametrize("kernel", [K.bspline(1), K.bspline(2), K.bspline(3),
+                                        K.bspline(5), K.fejer(), K.window(0, 1, 1),
+                                        K.window(-0.5, 0.25, 2.0)],
+                             ids=lambda kernel: kernel.name)
+    def test_builtin_kernels_are_closed_form(self, kernel):
+        expected = M.MomentResult(kernel.l1_norm, 0.0, "closed_form")
+        assert M.continuous_absolute_moment(kernel, 0) == expected
+        assert M.continuous_algebraic_moment(kernel, 0) == expected
+
+    def test_signed_compact_kernel_integrates(self):
+        root = 1.0 / math.sqrt(2.0)
+        kernel = K.Kernel("signed-bump", signed_bump, K.CompactSupport(-1.0, 1.0),
+                          l1_norm=(8.0 * root - 2.0) / 3.0, symmetric=True,
+                          breakpoints=(-1.0, 1.0))
+        for moment, magnitude in ((M.continuous_algebraic_moment, float),
+                                  (M.continuous_absolute_moment, abs)):
+            result = moment(kernel, 0, tol=1e-10)
+            oracle, oracle_err = scipy_quad(lambda t: magnitude(float(signed_bump(t))),
+                                            -1.0, 1.0, points=(-root, root))
+            assert result.method == "quadrature"
+            assert abs(result.value - oracle) <= 1e-10 + oracle_err
 
 
 class TestMomentRelations:
