@@ -289,17 +289,22 @@ def compact_lattice_radius(support: CompactSupport, extra: int = 2) -> int:
     return int(math.ceil(max(abs(support.lo), abs(support.hi)))) + extra
 
 
+def radius_ladder(support: DecayingSupport, cap: int = 1 << 26) -> list:
+    """The truncation radii tried in turn: doublings of
+    max(ceil(support.radius), 1, 4), the first always and the rest up to cap."""
+    ladder = [max(int(math.ceil(support.radius)), 1, 4)]
+    while 2 * ladder[-1] <= cap:
+        ladder.append(2 * ladder[-1])
+    return ladder
+
+
 def decaying_lattice_radius(support: DecayingSupport, tol: float,
                             weight_power: float = 0.0, cap: int = 1 << 26) -> int:
-    """Smallest power-of-two style radius whose lattice tail bound meets tol."""
-    radius = max(int(math.ceil(support.radius)), 1, 4)
-    while lattice_tail_bound(support, radius, weight_power) > tol:
-        radius *= 2
-        if radius > cap:
-            raise ValueError(
-                f"lattice tail tolerance {tol:g} needs truncation radius beyond {cap}"
-            )
-    return radius
+    """First radius of the ladder whose lattice tail bound meets tol."""
+    for radius in radius_ladder(support, cap):
+        if lattice_tail_bound(support, radius, weight_power) <= tol:
+            return radius
+    raise ValueError(f"lattice tail tolerance {tol:g} needs truncation radius beyond {cap}")
 
 
 def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius: int) -> float:

@@ -5,9 +5,20 @@ The operator at scale w reads a generalized sample for each lattice index k
 (a point value, a windowed mean, or a convolution against a kernel) and
 recombines the samples with shifted copies of the reconstruction kernel.
 Truncation of the lattice sum is certified from the kernel's support
-metadata. An evaluation context stores each sample once, computed only when a
+metadata. For a decaying kernel each point x gets its own radius: the first
+rung r of the doubling ladder at which
+
+    psi.mass * lattice_tail_bound(r) / 2 * (E(x + (r+lo)/w) + E((r-hi)/w - x))
+
+meets ``series_tol``, with lo/hi the window's ends (0 for a point mass), E
+evaluated at max(0, .) and capped at the sup norm. Each term is a one-sided
+lattice tail times the envelope at the nearest omitted sample on that side,
+so the bound is certified. E is the signal's declared decay envelope; with
+none, or for a convolution functional, it is the constant sup norm, and
+every point gets the sup-norm radius ``_radius``, which no per-point radius
+exceeds. An evaluation context stores each sample once, computed only when a
 requested point's stencil touches it, and sums the series for many points in
-vectorized blocks.
+vectorized blocks, one row width per radius.
 """
 
 from __future__ import annotations
@@ -196,23 +207,47 @@ class SeriesEvaluator:
         self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
         if isinstance(self._support, _k.DecayingSupport):
-            sample_sup = spec.psi.mass * _sup_bound(signal, "series")
-            self._radius = _k.decaying_lattice_radius(
-                self._support, spec.series_tol / max(sample_sup, 1e-300)
-            )
-            self._width = 2 * self._radius + 1
+            psi = spec.psi
+            sup = _sup_bound(signal, "series")
+            # Every functional keeps |sample| <= mass * sup: with no usable
+            # envelope the bound below takes the constant envelope sup, and
+            # every point gets the sup-norm radius.
+            constant = signal.envelope is None or isinstance(psi, Convolution)
+            if constant:
+                self._envelope = lambda r: np.full(np.shape(r), sup)
+            else:
+                self._envelope = lambda r: np.minimum(
+                    np.asarray(signal.envelope(r), dtype=float), sup)
+            self._psi_ends = (psi.lo, psi.hi) if isinstance(psi, Window) else (0.0, 0.0)
+            self._rungs = [(r, _k.lattice_tail_bound(self._support, r))
+                           for r in _k.radius_ladder(self._support)]
+            try:
+                self._radius = _k.decaying_lattice_radius(
+                    self._support, spec.series_tol / max(psi.mass * sup, 1e-300)
+                )
+            except ValueError:
+                # With an envelope only a point that needs a radius beyond
+                # the cap raises, in ``_radii``.
+                if constant:
+                    raise
+                self._radius = None
         else:
-            self._radius = None
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
         if isinstance(spec.psi, Convolution):
             kernel = spec.psi.kernel
+            self._conv_cuts = []
             if isinstance(kernel.support, _k.CompactSupport):
                 self._conv_cut = (kernel.support.lo, kernel.support.hi)
                 self._conv_tail_tol = spec.psi.quad_tol
             else:
                 f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
                 cutoff = max(kernel.support.radius, 1.0)
+                # Cuts at 0 and at each rung below the cutoff keep the
+                # kernel's peak inside cells: on a single [-cutoff, cutoff]
+                # GK15 can miss it.
+                self._conv_cuts = [0.0]
                 while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > 0.5 * spec.psi.quad_tol:
+                    self._conv_cuts += [-cutoff, cutoff]
                     cutoff *= 2.0
                     if cutoff > 1e7:
                         raise ValueError(
@@ -230,10 +265,10 @@ class SeriesEvaluator:
         base = tuple(self.signal.breakpoints)
         if not base:
             return ()
-        if self._radius is None:
+        if isinstance(self._support, _k.CompactSupport):
             phi_extent = max(abs(self._support.lo), abs(self._support.hi))
         else:
-            phi_extent = float(self._radius)
+            phi_extent = float(self._radius or self._rungs[-1][0])
         psi = self.spec.psi
         if isinstance(psi, Window):
             psi_extent = max(abs(psi.lo), abs(psi.hi))
@@ -280,26 +315,56 @@ class SeriesEvaluator:
                     f.evaluate((t + k) / w), dtype=float
                 )
 
-            cuts = list(kernel.breakpoints)
+            cuts = list(kernel.breakpoints) + self._conv_cuts
             cuts.extend(w * s - k for s in f.breakpoints)
             out[i], _ = integrate(integrand, lo, hi, tol=self._conv_tail_tol,
                                   breakpoints=cuts, max_cells=40000)
         return out
 
+    def _radii(self, points: np.ndarray) -> np.ndarray:
+        """Each point's truncation radius for a decaying kernel: the first
+        rung of the ladder at which the bound in the module docstring meets
+        ``series_tol``."""
+        w, tol = self.spec.w, self.spec.series_tol
+        half_mass = 0.5 * self.spec.psi.mass
+        lo, hi = self._psi_ends
+        radii = np.empty(points.size, dtype=np.int64)
+        todo = np.arange(points.size)
+        for r, tail in self._rungs:
+            x = points[todo]
+            near = (self._envelope(np.maximum(0.0, x + (r + lo) / w))
+                    + self._envelope(np.maximum(0.0, (r - hi) / w - x)))
+            # Divided as in decaying_lattice_radius, so a constant envelope
+            # gives exactly the sup-norm radius.
+            met = tail <= tol / np.maximum(half_mass * near, 1e-300)
+            radii[todo[met]] = r
+            todo = todo[~met]
+            if not todo.size:
+                return radii
+        raise ValueError(
+            f"series tolerance {tol:g} at x = {points[todo[0]]:g} needs "
+            f"truncation radius beyond {self._rungs[-1][0]}"
+        )
+
     def _stencils(self, points: np.ndarray) -> tuple:
-        """First and last lattice index of each point's stencil."""
+        """First and last lattice index of each point's stencil, and the
+        points grouped by the length of their rows in ``_assemble``: a list
+        of (width, index) pairs."""
         wx = self.spec.w * points
-        if self._radius is None:
+        if isinstance(self._support, _k.CompactSupport):
             lo = np.ceil(wx - self._support.hi) - 1
             hi = np.floor(wx - self._support.lo) + 1
+            groups = [(self._width, slice(None))]
         else:
-            lo = np.ceil(wx - self._radius)
-            hi = np.floor(wx + self._radius)
-        return lo.astype(np.int64), hi.astype(np.int64)
+            radii = self._radii(points)
+            lo = np.ceil(wx - radii)
+            hi = np.floor(wx + radii)
+            groups = [(2 * r + 1, radii == r) for r in np.unique(radii).tolist()]
+        return lo.astype(np.int64), hi.astype(np.int64), groups
 
     def _index_range(self, x: float) -> np.ndarray:
         """The lattice indices of one point's stencil."""
-        lo, hi = self._stencils(np.array([float(x)]))
+        lo, hi, _ = self._stencils(np.array([float(x)]))
         return np.arange(lo[0], hi[0] + 1)
 
     def _grow(self, first: int, last: int):
@@ -335,29 +400,32 @@ class SeriesEvaluator:
 
     def prefill(self, points: np.ndarray):
         """Compute every sample the points' stencils touch, and no other."""
-        self._fill(*self._stencils(np.asarray(points, dtype=float).ravel()))
+        self._fill(*self._stencils(np.asarray(points, dtype=float).ravel())[:2])
 
     def _assemble(self, points: np.ndarray) -> np.ndarray:
         """Series values at a 1-d array of points, one row block at a time."""
         out = np.empty(points.size)
         if not points.size:
             return out
-        lo, hi = self._stencils(points)
+        lo, hi, groups = self._stencils(points)
         self._fill(lo, hi)
-        # Every row has the same length, so a point's sum does not depend on
-        # which other points share its block.
-        width = max(self._width, int(np.max(hi - lo)) + 1)
-        offsets = np.arange(width)
-        rows = max(1, _BLOCK_VALUES // width)
+        # A row's length is a function of its point alone, so a point's sum
+        # does not depend on which other points share its block.
         w = self.spec.w
-        for start in range(0, points.size, rows):
-            block = slice(start, start + rows)
-            ks = lo[block, None] + offsets
-            last = hi[block, None]
-            weights = np.asarray(self.spec.phi.evaluate(w * points[block, None] - ks),
-                                 dtype=float)
-            samples = self._values[np.minimum(ks, last) - self._k0]
-            out[block] = np.where(ks <= last, weights * samples, 0.0).sum(axis=1)
+        for width, group in groups:
+            x, first, end = points[group], lo[group], hi[group]
+            sums = np.empty(x.size)
+            offsets = np.arange(width)
+            rows = max(1, _BLOCK_VALUES // width)
+            for start in range(0, x.size, rows):
+                block = slice(start, start + rows)
+                ks = first[block, None] + offsets
+                last = end[block, None]
+                weights = np.asarray(self.spec.phi.evaluate(w * x[block, None] - ks),
+                                     dtype=float)
+                samples = self._values[np.minimum(ks, last) - self._k0]
+                sums[block] = np.where(ks <= last, weights * samples, 0.0).sum(axis=1)
+            out[group] = sums
         return out
 
     def at(self, x: float) -> float:

@@ -2,7 +2,10 @@
 
 Signals carry the regularity metadata the convergence theory consumes: a
 sup-norm bound, a Lipschitz constant when one is known, breakpoints where
-the function jumps or kinks, and a continuity class. The modulus of
+the function jumps or kinks, a continuity class, and a decay envelope E
+with |f(x)| <= E(|x|) when one is known. The envelope lets a series with a
+decaying kernel truncate each point's lattice sum where the skipped
+samples are small, not where the sup norm alone would allow. The modulus of
 continuity is estimated from below on a pair grid and, when a Lipschitz
 constant is declared, bounded from above in closed form, so callers can
 pick whichever side of the estimate their argument needs.
@@ -42,8 +45,9 @@ class Signal:
     """A real signal with evaluation and regularity metadata.
 
     ``evaluate`` accepts a float or ndarray and returns the same shape.
-    Declared metadata is a promise the test suite spot-checks, not a value
-    derived from the samples.
+    ``envelope``, when declared, is a vectorized E, nonincreasing on
+    r >= 0, with |f(x)| <= E(|x|). Declared metadata is a promise the test
+    suite spot-checks, not a value derived from the samples.
     """
 
     name: str
@@ -52,6 +56,7 @@ class Signal:
     sup_norm: Optional[float] = None
     lipschitz_constant: Optional[float] = None
     continuity: str = UNIFORM
+    envelope: Optional[Callable] = None
 
     def __post_init__(self):
         if tuple(sorted(self.breakpoints)) != tuple(self.breakpoints):
@@ -68,6 +73,7 @@ class Signal:
 
     def scaled(self, c: float) -> "Signal":
         base = self.evaluate
+        base_envelope = self.envelope
         factor = float(c)
         return replace(
             self,
@@ -76,6 +82,8 @@ class Signal:
             sup_norm=None if self.sup_norm is None else abs(factor) * self.sup_norm,
             lipschitz_constant=None if self.lipschitz_constant is None
             else abs(factor) * self.lipschitz_constant,
+            envelope=None if base_envelope is None
+            else lambda r: abs(factor) * base_envelope(r),
         )
 
 
@@ -153,6 +161,13 @@ def _piecewise(conditions_values):
     return evaluate
 
 
+def _rational_envelope(r):
+    """50 on [0, 1], then max(9/r^2, 50/r^4): the two rational tails of
+    ``piecewise_rational``, which equal 50 at r = 1."""
+    r = np.maximum(np.asarray(r, dtype=float), 1.0)
+    return np.maximum(9.0 / r**2, 50.0 / r**4)
+
+
 def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
     """Catalog of reference signals used across the test harness.
 
@@ -174,6 +189,7 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
             sup_norm=1.0,
             lipschitz_constant=3.0 * math.sqrt(3.0) / 8.0,
             continuity=UNIFORM,
+            envelope=lambda r: 1.0 / (np.asarray(r, dtype=float) ** 2 + 1.0),
         )
 
     if which == "box":
@@ -183,6 +199,7 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
             breakpoints=(-1.0, 1.0),
             sup_norm=1.0,
             continuity=BOUNDED_ONLY,
+            envelope=lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0),
         )
 
     if which == "piecewise_rational":
@@ -197,6 +214,7 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
             breakpoints=(-1.0, 0.0, 1.0),
             sup_norm=50.0,
             continuity=BOUNDED_ONLY,
+            envelope=_rational_envelope,
         )
 
     if which == "constant":
@@ -257,12 +275,15 @@ def piecewise_constant(pieces, name: str = "piecewise-constant") -> Signal:
             out[(flat >= lo) & (flat < hi)] = v
         return float(out[0]) if arr.ndim == 0 else out
 
+    peak = max(abs(v) for _, _, v in rows)
+    reach = max(abs(edge) for edge in edges)
     return Signal(
         name=name,
         evaluate=evaluate,
         breakpoints=edges,
-        sup_norm=max(abs(v) for _, _, v in rows),
+        sup_norm=peak,
         continuity=BOUNDED_ONLY,
+        envelope=lambda r: np.where(np.asarray(r) <= reach, peak, 0.0),
     )
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import durrmeyer
@@ -162,6 +163,25 @@ class TestReconstruct:
         write_config(cfg, signal={"piecewise": [[-1, 0, 2.0], [0, 1, 1.0]]},
                      w_list=[5])
         assert main(["reconstruct", "--config", str(cfg)]) == 0
+
+
+    def test_fejer_at_default_tolerances_matches_an_independent_lattice_sum(self, tmp_path):
+        # Without the runge envelope the sup-norm radius for series_tol 1e-9
+        # passes 2^26 and the command exits 4.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "fejer"}, window=[-1, 1], grid_step=0.25)
+        assert main(["reconstruct", "--config", str(cfg)]) == 0
+        radius = 1 << 15
+        for w in (5.0, 10.0):
+            _, rows = read_csv(tmp_path / "out" / f"reconstruct_w{w:g}.csv")
+            assert len(rows) == 9
+            for row in rows:
+                wx = w * float(row["x"])
+                ks = np.arange(math.ceil(wx - radius), math.floor(wx + radius) + 1, dtype=float)
+                # Unit-window runge means: w (atan((k+1)/w) - atan(k/w)).
+                means = w * np.arctan((1.0 / w) / (1.0 + ks * (ks + 1.0) / (w * w)))
+                reference = math.fsum((0.5 * np.sinc(0.5 * (wx - ks)) ** 2 * means).tolist())
+                assert abs(float(row["reconstruction"]) - reference) <= 1e-9 + 1e-10
 
 
 class TestConverge:

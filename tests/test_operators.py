@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -291,9 +292,18 @@ class TestGridEvaluation:
         assert sorted(computed) == sorted(union)
 
     def test_fejer_blocks_match_per_point_exact_sum(self):
+        # Without its envelope runge takes the full radius: more than eight
+        # blocks of stencil values.
+        self.check_fejer_blocks(dataclasses.replace(S.builtin_signal("runge"), envelope=None), 8)
+
+    def test_fejer_blocks_match_per_point_exact_sum_with_envelope(self):
+        # With it, stencils of 129 values: more than one block in all.
+        self.check_fejer_blocks(S.builtin_signal("runge"), 1)
+
+    @staticmethod
+    def check_fejer_blocks(f, blocks):
         # The reference sums each point's products exactly; BLAS np.dot was
         # seen up to 7 ulp away from that sum on this grid.
-        f = S.builtin_signal("runge")
         w = 5.0
         phi = K.fejer()
         spec = O.OperatorSpec(phi, O.PointMass(), w, series_tol=1e-4)
@@ -301,7 +311,7 @@ class TestGridEvaluation:
         evaluator = O.SeriesEvaluator(spec, f)
         values = evaluator.on_grid(points)
         stencils = [evaluator._index_range(float(x)) for x in points]
-        assert sum(ks.size for ks in stencils) > 8 * 2**16
+        assert sum(ks.size for ks in stencils) > blocks * 2**16
         eps = np.finfo(float).eps
         for x, ks, value in zip(points, stencils, values):
             terms = phi.evaluate(w * float(x) - ks) * f.evaluate(ks / w)
@@ -340,9 +350,20 @@ class TestGridEvaluation:
             assert evaluator.sample(k) == O.generalized_sample(spec, f, k)
 
     def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise(self):
-        # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: each
-        # point's stencil alone is eight times the assembly block.
-        f = S.builtin_signal("piecewise_rational")
+        # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: without
+        # its envelope each point's stencil alone is eight times the
+        # assembly block.
+        f = dataclasses.replace(S.builtin_signal("piecewise_rational"), envelope=None)
+        self.check_long_fejer_stencil(f)
+
+    def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise_with_envelope(self):
+        # The envelope shortens the same points' stencils to a few blocks'
+        # worth in all.
+        radii = self.check_long_fejer_stencil(S.builtin_signal("piecewise_rational"))
+        assert radii.max() < 2**15
+
+    @staticmethod
+    def check_long_fejer_stencil(f):
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-4)
         evaluator = O.SeriesEvaluator(spec, f)
         assert evaluator._radius == 262144
@@ -350,6 +371,146 @@ class TestGridEvaluation:
         values = evaluator.evaluate(nodes)
         singles = [evaluator.at(float(x)) for x in nodes]
         assert values.tobytes() == np.array(singles).tobytes()
+        return evaluator._radii(nodes)
+
+
+def unit_window_means(name, ks, w):
+    """w times the integral of a built-in signal over [k/w, (k+1)/w), in
+    closed form."""
+    a, b = ks / w, (ks + 1.0) / w
+    if name == "runge":
+        # atan(b) - atan(a) = atan((b - a) / (1 + a b)), with no cancellation.
+        return w * np.arctan((1.0 / w) / (1.0 + a * b))
+    if name == "box":
+        return w * (np.clip(b, -1.0, 1.0) - np.clip(a, -1.0, 1.0))
+
+    def primitive(t):
+        # The antiderivative of piecewise_rational that vanishes at 0.
+        safe = np.where(t == 0.0, 1.0, t)
+        return np.select([t < -1.0, t < 0.0, t < 1.0],
+                         [-11.0 - 9.0 / safe, 2.0 * t, t],
+                         1.0 + 50.0 / (3.0 * safe * safe * safe) - 50.0 / 3.0)
+    return w * (primitive(b) - primitive(a))
+
+
+def fejer_lattice_sum(name, psi, w, x, radius):
+    """Independent sum over |k - w x| <= radius of F(w x - k) times the
+    sample of a built-in signal: its point value or its unit-window mean."""
+    wx = w * x
+    ks = np.arange(math.ceil(wx - radius), math.floor(wx + radius) + 1, dtype=float)
+    if isinstance(psi, O.PointMass):
+        samples = np.asarray(S.builtin_signal(name).evaluate(ks / w))
+    else:
+        samples = unit_window_means(name, ks, w)
+    return float(np.sum(0.5 * np.sinc(0.5 * (wx - ks)) ** 2 * samples))
+
+
+def envelope_radius(f, psi, w, x, tol):
+    """The certified per-point radius, restated: the first doubling of 4 at
+    which the Fejer one-sided lattice tails times the capped envelope at the
+    nearest omitted sample on each side meet tol."""
+    lo, hi = (0.0, 0.0) if isinstance(psi, O.PointMass) else (psi.lo, psi.hi)
+    def cap(r):
+        return min(float(f.envelope(max(0.0, r))), f.sup_norm)
+
+    r = 4
+    while True:
+        one_side = 2.0 / math.pi**2 * (r**-2.0 + r**-1.0)
+        if psi.mass * one_side * (cap(x + (r + lo) / w) + cap((r - hi) / w - x)) <= tol:
+            return r
+        r *= 2
+
+
+class TestCertifiedTruncation:
+    @pytest.mark.parametrize("name", ["runge", "box", "piecewise_rational"])
+    @pytest.mark.parametrize("psi", [O.PointMass(), O.Window(0.0, 1.0, 1.0)],
+                             ids=["point", "window"])
+    @pytest.mark.parametrize("w", [5.0, 10.0])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_enveloped_value_within_series_tol_of_envelope_free(self, name, psi, w, tol):
+        # The envelope-free value is summed independently over the sup-norm
+        # radius, capped at 2^16: beyond it these signals' terms add less
+        # than 1e-12.
+        f = S.builtin_signal(name)
+        spec = O.OperatorSpec(K.fejer(), psi, w, series_tol=tol)
+        full = O.SeriesEvaluator(spec, dataclasses.replace(f, envelope=None))._radius
+        evaluator = O.SeriesEvaluator(spec, f)
+        nodes = np.array([-50.0, *np.linspace(-3.0, 3.0, 13), 50.0])
+        radii = evaluator._radii(nodes)
+        assert radii.max() <= evaluator._radius == full
+        assert radii[1:-1].max() < full
+        values = evaluator.evaluate(nodes)
+        for x, value in zip(nodes.tolist(), values.tolist()):
+            reference = fejer_lattice_sum(name, psi, w, x, min(full, 1 << 16))
+            assert abs(value - reference) <= tol + spec.quad_tol + 1e-12
+
+    def test_radii_follow_the_envelope_bound(self):
+        f = S.builtin_signal("runge")
+        psi = O.Window(0.0, 1.0, 1.0)
+        nodes = np.linspace(-3.0, 3.0, 601)
+        for w, expected in ((5.0, 64), (10.0, 128)):
+            spec = O.OperatorSpec(K.fejer(), psi, w, series_tol=1e-4)
+            radii = O.SeriesEvaluator(spec, f)._radii(nodes)
+            assert radii.tolist() == [envelope_radius(f, psi, w, x, 1e-4) for x in nodes]
+            assert set(radii.tolist()) == {expected}
+
+    @pytest.mark.parametrize("name, psi", [("box", O.PointMass()),
+                                           ("runge", O.Window(0.0, 1.0, 1.0))])
+    def test_mixed_radii_evaluate_equals_per_node_at_bitwise(self, name, psi):
+        f = S.builtin_signal(name)
+        spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4)
+        # 0.2 sits on the lattice, where a stencil is one index longer.
+        nodes = np.array([0.2, *np.linspace(-60.0, 60.0, 41)])
+        evaluator = O.SeriesEvaluator(spec, f)
+        assert len(set(evaluator._radii(nodes).tolist())) > 2
+        values = evaluator.evaluate(nodes)
+        singles = [O.SeriesEvaluator(spec, f).at(float(x)) for x in nodes]
+        assert values.tobytes() == np.array(singles).tobytes()
+
+    def test_computes_exactly_the_union_of_shortened_stencils(self, monkeypatch):
+        computed = []
+        compute = O.SeriesEvaluator._compute_sample
+
+        def counting(evaluator, ks):
+            computed.extend(ks.tolist())
+            return compute(evaluator, ks)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
+        f = S.builtin_signal("runge")
+        psi = O.Window(0.0, 1.0, 1.0)
+        w = 5.0
+        points = S.UniformGrid.from_window(-3, 3, 0.01).points()
+        union = set()
+        for x in points.tolist():
+            r = envelope_radius(f, psi, w, x, 1e-4)
+            union.update(range(math.ceil(w * x - r), math.floor(w * x + r) + 1))
+        spec = O.OperatorSpec(K.fejer(), psi, w, series_tol=1e-4)
+        O.evaluate_grid(spec, f, S.UniformGrid.from_window(-3, 3, 0.01))
+        assert sorted(computed) == sorted(union)
+        assert len(union) < 200
+
+    def test_a_point_beyond_the_cap_raises_the_radius_error(self):
+        f = S.builtin_signal("box")
+        spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-9)
+        with pytest.raises(ValueError, match="beyond 67108864"):
+            O.SeriesEvaluator(spec, dataclasses.replace(f, envelope=None))
+        evaluator = O.SeriesEvaluator(spec, f)
+        assert evaluator._radius is None
+        assert evaluator.at(0.3) == pytest.approx(direct_point_sampling_sum(K.fejer(), f, 5.0, 0.3, 8),
+                                                  abs=1e-9)
+        with pytest.raises(ValueError, match="beyond 67108864"):
+            evaluator.at(1e8)
+
+    @pytest.mark.parametrize("f, psi", [
+        (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass()),
+        (S.builtin_signal("runge"), O.Convolution(K.bspline(2))),
+    ], ids=["no-envelope", "convolution"])
+    def test_without_a_usable_envelope_every_point_takes_the_sup_norm_radius(self, f, psi):
+        spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4)
+        evaluator = O.SeriesEvaluator(spec, f)
+        radii = evaluator._radii(np.array([-50.0, -0.3, 0.0, 0.2, 3.0, 50.0]))
+        assert evaluator._radius == 4096
+        assert radii.tolist() == [evaluator._radius] * 6
 
 
 class TestDecayingPaths:
@@ -364,6 +525,29 @@ class TestDecayingPaths:
             K.bspline(2), O.Convolution(K.fejer(), quad_tol=1e-3), 5.0
         )
         assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=5e-3)
+
+    def test_decaying_convolution_samples_keep_the_kernel_peak(self):
+        # Integrated over [-2^20, 2^20] in one piece, GK15 read these
+        # samples as 1.7e-11.
+        quad = pytest.importorskip("scipy.integrate").quad
+        f = S.builtin_signal("runge")
+        w, tol = 5.0, 1e-6
+        spec = O.OperatorSpec(K.bspline(3), O.Convolution(K.fejer(), quad_tol=tol), w)
+
+        def integrand(t, k):
+            half = 0.5 * math.pi * t
+            peak = 1.0 if half == 0.0 else math.sin(half) / half
+            return 0.5 * peak * peak / (1.0 + ((t + k) / w) ** 2)
+
+        samples = {}
+        for k in (-1, 0, 1, 5):
+            # Unit cells over [-1024, 1024]; beyond, the integrand adds less
+            # than 1e-8.
+            samples[k] = math.fsum(quad(integrand, a, a + 1.0, args=(k,), epsabs=1e-14)[0]
+                                   for a in range(-1024, 1024))
+            assert O.generalized_sample(spec, f, k) == pytest.approx(samples[k], abs=tol)
+        series = 0.125 * samples[-1] + 0.75 * samples[0] + 0.125 * samples[1]
+        assert O.evaluate(spec, f, 0.0) == pytest.approx(series, abs=tol)
 
     def test_missing_sup_norm_warns_with_decaying_kernel(self):
         f = S.builtin_signal("identity")

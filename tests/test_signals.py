@@ -99,6 +99,48 @@ class TestCatalog:
         assert S.Signal("ok", lambda x: x, lipschitz_constant=1.0).continuity == S.UNIFORM
 
 
+ENVELOPED = {
+    "runge": S.builtin_signal("runge"),
+    "box": S.builtin_signal("box"),
+    "piecewise_rational": S.builtin_signal("piecewise_rational"),
+    "indicator": S.indicator(-0.5, 2.0, -3.0),
+    "piecewise": S.piecewise_constant([(-4.0, -1.0, 2.0), (0.5, 3.0, -7.0)]),
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("name", sorted(ENVELOPED))
+    def test_envelope_bounds_the_signal_and_does_not_increase(self, name):
+        f = ENVELOPED[name]
+        near = [np.nextafter(b, s) for b in f.breakpoints for s in (-np.inf, np.inf)]
+        xs = np.concatenate([np.linspace(-60.0, 60.0, 240_001), f.breakpoints, near])
+        values = np.abs(np.asarray(f.evaluate(xs), dtype=float))
+        assert np.all(values <= np.asarray(f.envelope(np.abs(xs))))
+        rs = np.sort(np.abs(xs))
+        assert np.all(np.diff(np.asarray(f.envelope(rs))) <= 0.0)
+        assert float(f.envelope(0.0)) <= f.sup_norm
+
+    @pytest.mark.parametrize("name", sorted(ENVELOPED))
+    def test_scaled_scales_the_envelope(self, name):
+        f = ENVELOPED[name]
+        rs = np.linspace(0.0, 60.0, 6001)
+        np.testing.assert_array_equal(f.scaled(-3.0).envelope(rs), 3.0 * f.envelope(rs))
+
+    def test_declared_values(self):
+        rs = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(ENVELOPED["runge"].envelope(rs), 1.0 / (1.0 + rs**2))
+        np.testing.assert_array_equal(ENVELOPED["box"].envelope(rs), [1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(ENVELOPED["piecewise_rational"].envelope(rs),
+                                      [50, 50, 50, 50 / 16, 9 / 16])
+        np.testing.assert_array_equal(ENVELOPED["piecewise"].envelope(rs), [7, 7, 7, 7, 7])
+        assert ENVELOPED["piecewise"].envelope(4.0 + 1e-9) == 0.0
+
+    def test_unbounded_and_constant_signals_declare_none(self):
+        assert S.builtin_signal("identity").envelope is None
+        assert S.builtin_signal("constant", 2.0).envelope is None
+        assert S.builtin_signal("identity").scaled(2.0).envelope is None
+
+
 class TestIndicatorsAndGrids:
     def test_indicator_half_open(self):
         f = S.indicator(0, 2, 3.0)
