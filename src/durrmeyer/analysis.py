@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,13 +134,25 @@ def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional,
     return BoundConstant(value, error)
 
 
-def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
-                        w_list: Sequence[float], window, grid_step: float,
-                        groups: Sequence, modular_window=None, series_tol: float = 1e-9,
-                        quad_tol: float = 1e-10, modular_tol: float = 1e-6,
-                        pou_threshold: float = 1e-3) -> list:
-    """Error tables over an ascending scale list, one
-    :class:`ConvergenceReport` per ``(lam, eta_list)`` pair in ``groups``.
+def _shared_spec(specs: Sequence[OperatorSpec]) -> OperatorSpec:
+    """The first of ``specs``, which must be nonempty and differ in nothing
+    but the scale ``w``."""
+    if not specs:
+        raise ValueError("need at least one operator spec")
+    first = specs[0]
+    settings = (first.phi, first.psi, first.series_tol, first.quad_tol, first.pou_threshold)
+    for spec in specs[1:]:
+        if (spec.phi, spec.psi, spec.series_tol, spec.quad_tol, spec.pou_threshold) != settings:
+            raise ValueError("operator specs must differ only in the scale w")
+    return first
+
+
+def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_step: float,
+                        groups: Sequence, modular_window=None,
+                        modular_tol: float = 1e-6) -> list:
+    """Error tables over ``specs``, one operator per scale in ascending
+    order, as one :class:`ConvergenceReport` per ``(lam, eta_list)`` pair in
+    ``groups``. The specs must differ only in ``w``.
 
     Each scale is reconstructed once: one evaluator and one grid pass give
     the grid sup error (uniformly continuous signals only), the modular
@@ -149,9 +161,11 @@ def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     computed once. Overflowing modular cells are recorded as the string
     ``"overflow"``. Order estimates are taken between dyadic neighbours.
     """
-    ws = [float(w) for w in w_list]
-    if not ws or any(b <= a for a, b in zip(ws[:-1], ws[1:])):
-        raise ValueError("w_list must be nonempty and strictly ascending")
+    first = _shared_spec(specs)
+    phi, psi = first.phi, first.psi
+    ws = [float(spec.w) for spec in specs]
+    if any(b <= a for a, b in zip(ws[:-1], ws[1:])):
+        raise ValueError("the scales must be strictly ascending")
     grid = UniformGrid.from_window(window[0], window[1], grid_step)
     mod_window = tuple(modular_window) if modular_window is not None else tuple(window)
 
@@ -161,9 +175,7 @@ def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
         bound_factor = (constant.value + constant.certified_error) * f.lipschitz_constant
 
     tables = [[] for _ in groups]
-    for w in ws:
-        spec = OperatorSpec(phi, psi, w, series_tol=series_tol, quad_tol=quad_tol,
-                            pou_threshold=pou_threshold)
+    for spec, w in zip(specs, ws):
         evaluator = SeriesEvaluator(spec, f)
         recon = evaluator.on_grid(grid.points())
         s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
@@ -179,7 +191,7 @@ def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                     modulars[eta.label] = "overflow"
             rows.append(ConvergenceRow(w, s_err, modulars, bound))
 
-    floor = series_tol + quad_tol
+    floor = first.series_tol + first.quad_tol
     reports = []
     for (lam, eta_list), rows in zip(groups, tables):
         if f.continuity == UNIFORM:
@@ -205,8 +217,8 @@ def convergence_studies(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
             "orlicz": [eta.label for eta in eta_list],
             "lambda": float(lam),
             "modular_window": list(mod_window),
-            "series_tol": series_tol,
-            "quad_tol": quad_tol,
+            "series_tol": first.series_tol,
+            "quad_tol": first.quad_tol,
             "modular_tol": modular_tol,
         }
         reports.append(ConvergenceReport(rows, eoc, source, echo))
@@ -220,11 +232,10 @@ def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                       quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> ConvergenceReport:
     """The one-group call of :func:`convergence_studies`: the error table
     with one modular column per gauge of ``eta_list`` at ``lam``."""
-    [report] = convergence_studies(
-        phi, psi, f, w_list, window, grid_step, [(lam, eta_list)],
-        modular_window=modular_window, series_tol=series_tol, quad_tol=quad_tol,
-        modular_tol=modular_tol,
-    )
+    specs = [OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol)
+             for w in w_list]
+    [report] = convergence_studies(specs, f, window, grid_step, [(lam, eta_list)],
+                                   modular_window=modular_window, modular_tol=modular_tol)
     return report
 
 
@@ -257,15 +268,12 @@ def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     return bound_checks(report, tolerance_pad)
 
 
-def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f: Signal,
-                             cells: Sequence, window, w_list: Sequence[float],
-                             probes: int = 1024, moment_tol: float = 1e-6,
-                             modular_tol: float = 1e-9, quad_tol: float = 1e-10,
-                             tolerance_pad: float = 1e-8, series_tol: float = 1e-9,
-                             pou_threshold: float = 1e-3) -> list:
+def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Sequence,
+                             window, probes: int = 1024, moment_tol: float = 1e-6,
+                             modular_tol: float = 1e-9, tolerance_pad: float = 1e-8) -> list:
     """Compare the modular of the reconstruction against its theoretical
-    majorant at each scale of ``w_list``, for each ``(eta, lam)`` pair in
-    ``cells``.
+    majorant at the scale of each of ``specs``, for each ``(eta, lam)`` pair
+    in ``cells``. The specs must differ only in ``w``.
 
     The majorant couples the discrete zeroth moment of the sample kernel
     (half-open windows make it 1 on the unit window) with the L1 norms, and
@@ -276,6 +284,8 @@ def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f:
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
     cell whose gauge overflows; the other cells are unaffected.
     """
+    first = _shared_spec(specs)
+    phi, psi = first.phi, first.psi
     if not isinstance(psi, (Window, Convolution)):
         raise TypeError("the modular inequality needs a window or convolution functional")
     psi_kernel = psi.kernel
@@ -294,9 +304,7 @@ def modular_inequality_cells(phi: _k.Kernel, psi: Union[Window, Convolution], f:
             majorants.append(None)
 
     tables = []
-    for w in w_list:
-        spec = OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol,
-                            pou_threshold=pou_threshold)
+    for spec in specs:
         evaluator = SeriesEvaluator(spec, f)
         results = []
         for (eta, lam), rhs in zip(cells, majorants):
@@ -322,10 +330,11 @@ def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
     """One cell at one scale of :func:`modular_inequality_cells`, sampling
     through a convolution with ``psi_kernel``; an overflowing gauge raises
     :class:`~durrmeyer.orlicz.ModularOverflowError`."""
+    spec = OperatorSpec(phi, Convolution(psi_kernel, quad_tol=quad_tol), float(w),
+                        quad_tol=quad_tol)
     [[result]] = modular_inequality_cells(
-        phi, Convolution(psi_kernel, quad_tol=quad_tol), f, [(eta, lam)], window, [w],
-        probes=probes, moment_tol=moment_tol, modular_tol=modular_tol,
-        quad_tol=quad_tol, tolerance_pad=tolerance_pad,
+        [spec], f, [(eta, lam)], window, probes=probes, moment_tol=moment_tol,
+        modular_tol=modular_tol, tolerance_pad=tolerance_pad,
     )
     if result == "overflow":
         raise ModularOverflowError(f"the modular of {eta.label} at lambda={lam:g} overflows")

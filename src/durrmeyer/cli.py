@@ -2,8 +2,8 @@
 JSON file, run checks and studies, and emit CSV/JSON artifacts.
 
 Output is locale-independent (dot decimals, newline-terminated rows, 17
-significant digits) and byte-identical across runs and thread settings; the
-resolved configuration is echoed into every JSON report for provenance.
+significant digits) and byte-identical across runs; the resolved
+configuration is echoed into every JSON report for provenance.
 
 Exit codes: 0 ok, 2 configuration error, 3 mathematical precondition
 failure (divergent moment, non-bracketable norm), 4 runtime evaluation
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -37,8 +36,6 @@ from .orlicz import ModularOverflowError, NormBracketError, orlicz_function
 from .quadrature import QuadratureError
 
 __all__ = ["ConfigError", "main"]
-
-_THREADS_ENV = "DURRMEYER_THREADS"
 
 _DEFAULT_TOLERANCES = {
     "series_tol": 1e-9,
@@ -82,18 +79,6 @@ def _write_csv(path: Path, header, rows):
 def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="ascii", newline="\n")
-
-
-def _check_threads():
-    """The thread count has no effect, since assembly is single-threaded,
-    but a value that is set must still be an integer."""
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return
-    try:
-        int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{_THREADS_ENV} must be an integer: {raw!r}") from exc
 
 
 def _finite(value, context) -> float:
@@ -224,7 +209,10 @@ class Experiment:
             tolerances[key] = val
         self.tolerances = tolerances
         output = raw.get("output", {})
-        self.out_dir = Path(output.get("path", "out")) if isinstance(output, dict) else Path("out")
+        path = output.get("path", "out") if isinstance(output, dict) else "out"
+        if not isinstance(path, str):
+            raise ConfigError(f"output.path must be a string, got {path!r}")
+        self.out_dir = Path(path)
 
     def spec(self, w: float) -> _o.OperatorSpec:
         return _o.OperatorSpec(
@@ -251,7 +239,6 @@ class Experiment:
 
 
 def _load_experiment(args) -> Experiment:
-    _check_threads()
     try:
         raw = json.loads(Path(args.config).read_text())
     except OSError as exc:
@@ -385,12 +372,9 @@ def cmd_converge(exp: Experiment) -> int:
     for eta, lam in exp.orlicz:
         groups.setdefault(lam, []).append(eta)
     reports = convergence_studies(
-        exp.phi, exp.psi, exp.signal, exp.w_list, exp.window, exp.grid_step,
+        [exp.spec(w) for w in exp.w_list], exp.signal, exp.window, exp.grid_step,
         sorted(groups.items()) or [(1.0, [])],
-        series_tol=exp.tolerances["series_tol"],
-        quad_tol=exp.tolerances["quad_tol"],
         modular_tol=exp.tolerances["modular_tol"],
-        pou_threshold=exp.tolerances["pou_threshold"],
     )
     checks = bound_checks(reports[0])
 
@@ -430,15 +414,8 @@ def cmd_orlicz(exp: Experiment) -> int:
                           "(window or general), not a point mass")
     if not exp.orlicz:
         raise ConfigError("the orlicz command needs at least one orlicz entry")
-    quad_tol = exp.tolerances["quad_tol"]
-    psi = exp.psi
-    if isinstance(psi, _o.Convolution):
-        psi = _o.Convolution(psi.kernel, quad_tol=quad_tol)
-
-    tables = modular_inequality_cells(exp.phi, psi, exp.signal, exp.orlicz,
-                                      exp.window, exp.w_list, quad_tol=quad_tol,
-                                      series_tol=exp.tolerances["series_tol"],
-                                      pou_threshold=exp.tolerances["pou_threshold"])
+    tables = modular_inequality_cells([exp.spec(w) for w in exp.w_list], exp.signal,
+                                      exp.orlicz, exp.window)
     results = []
     for w, cells in zip(exp.w_list, tables):
         for (eta, lam), cmp in zip(exp.orlicz, cells):
@@ -495,7 +472,8 @@ def main(argv=None) -> int:
         if args.command == "kernel-check":
             return cmd_kernel_check(exp)
         if args.command == "reconstruct":
-            return cmd_reconstruct(exp, getattr(args, "at", None))
+            at = None if args.at is None else _finite(args.at, "--at")
+            return cmd_reconstruct(exp, at)
         if args.command == "converge":
             return cmd_converge(exp)
         if args.command == "orlicz":

@@ -54,8 +54,8 @@ class PowerFunction:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("power gauge needs p >= 1 for convexity")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError("power gauge needs a finite p >= 1 for convexity")
 
     delta2 = True
 
@@ -77,10 +77,10 @@ class ZygmundFunction:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("logarithm-weighted gauge needs alpha >= 1")
-        if self.beta <= 0:
-            raise ValueError("logarithm-weighted gauge needs beta > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise ValueError("logarithm-weighted gauge needs a finite alpha >= 1")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("logarithm-weighted gauge needs a finite beta > 0")
 
     delta2 = True
 
@@ -101,8 +101,8 @@ class ExponentialFunction:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("exponential gauge needs alpha > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("exponential gauge needs a finite alpha > 0")
 
     delta2 = False
 

@@ -221,6 +221,8 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
         if value is None:
             raise ValueError("constant signal needs a value")
         c = float(value)
+        if not math.isfinite(c):
+            raise ValueError(f"constant signal needs a finite value, got {c!r}")
 
         def evaluate(x):
             arr = np.asarray(x, dtype=float)
@@ -262,9 +264,11 @@ def piecewise_constant(pieces, name: str = "piecewise-constant") -> Signal:
     rows = [(float(lo), float(hi), float(v)) for lo, hi, v in pieces]
     if not rows:
         raise ValueError("at least one piece is required")
-    for lo, hi, _ in rows:
-        if hi <= lo:
+    for lo, hi, v in rows:
+        if not lo < hi:
             raise ValueError("each piece needs lo < hi")
+        if not math.isfinite(v):
+            raise ValueError(f"each piece needs a finite value, got {v!r}")
     edges = tuple(sorted({edge for lo, hi, _ in rows for edge in (lo, hi)}))
 
     def evaluate(x):

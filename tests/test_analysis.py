@@ -19,6 +19,10 @@ def brute_first_absolute_moment(kernel, samples=20000, radius=8):
     return float(vals.sum(axis=1).max())
 
 
+def specs(phi, psi, ws, **tolerances):
+    return [O.OperatorSpec(phi, psi, w, **tolerances) for w in ws]
+
+
 class TestQuantitativeConstant:
     def test_order3_with_unit_window(self):
         # M0=1, Mt0=1, Mt1=1/2, and the brute-force first moment is 1/2.
@@ -141,7 +145,7 @@ class TestConvergenceStudies:
         ws, window = [5.0, 10.0, 20.0], (-3, 3)
         groups = [(0.5, [X.ZygmundFunction(1, 1)]),
                   (1.0, [X.PowerFunction(2), X.PowerFunction(1)])]
-        reports = A.convergence_studies(phi, psi, f, ws, window, 0.02, groups)
+        reports = A.convergence_studies(specs(phi, psi, ws), f, window, 0.02, groups)
         assert len(reports) == 2
         for (lam, eta_list), report in zip(groups, reports):
             assert report == A.convergence_study(phi, psi, f, ws, window, 0.02,
@@ -158,6 +162,29 @@ class TestConvergenceStudies:
         )
         assert report.rows[0].quantitative_bound is None
         assert A.bound_checks(report) == []
+
+
+class TestSpecLists:
+    def test_specs_that_differ_beyond_the_scale_are_refused(self):
+        phi, f = K.bspline(2), S.builtin_signal("runge")
+        window = O.Window(0.0, 1.0, 1.0)
+        mixed = [
+            [O.OperatorSpec(phi, window, 5.0), O.OperatorSpec(phi, O.PointMass(), 10.0)],
+            [O.OperatorSpec(phi, window, 5.0, series_tol=1e-9),
+             O.OperatorSpec(phi, window, 10.0, series_tol=1e-6)],
+        ]
+        for spec_list in mixed:
+            with pytest.raises(ValueError, match="differ only in the scale"):
+                A.convergence_studies(spec_list, f, (-2, 2), 0.1, [(1.0, [])])
+            with pytest.raises(ValueError, match="differ only in the scale"):
+                A.modular_inequality_cells(spec_list, f, [(X.PowerFunction(1), 1.0)], (-2, 2))
+
+    def test_an_empty_spec_list_is_refused(self):
+        f = S.builtin_signal("runge")
+        with pytest.raises(ValueError):
+            A.convergence_studies([], f, (-2, 2), 0.1, [(1.0, [])])
+        with pytest.raises(ValueError):
+            A.modular_inequality_cells([], f, [(X.PowerFunction(1), 1.0)], (-2, 2))
 
 
 class TestModularInequality:
@@ -195,18 +222,19 @@ class TestModularInequalityCells:
     ], ids=["window", "convolution"])
     def test_each_cell_equals_its_one_cell_call_bitwise(self, psi):
         f = S.builtin_signal("box")
-        [together] = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8), [5.0])
+        scale = specs(K.bspline(2), psi, [5.0])
+        [together] = A.modular_inequality_cells(scale, f, self.CELLS, (-8, 8))
         assert len(together) == len(self.CELLS)
         for cell, shared in zip(self.CELLS, together):
-            [[alone]] = A.modular_inequality_cells(K.bspline(2), psi, f, [cell], (-8, 8), [5.0])
+            [[alone]] = A.modular_inequality_cells(scale, f, [cell], (-8, 8))
             assert shared == alone
 
     def test_one_cell_call_is_verify_modular_inequality(self):
         f = S.builtin_signal("piecewise_rational")
         eta, lam = X.ZygmundFunction(1, 1), 0.5
         [[cell]] = A.modular_inequality_cells(
-            K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-10), f,
-            [(eta, lam)], (-8, 8), [5.0],
+            specs(K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-10), [5.0]), f,
+            [(eta, lam)], (-8, 8),
         )
         assert cell == A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,
                                                    eta, lam, (-8, 8), 5.0)
@@ -214,8 +242,8 @@ class TestModularInequalityCells:
     def test_overflow_is_marked_and_raised_by_the_one_cell_call(self):
         f = S.builtin_signal("piecewise_rational")
         [cells] = A.modular_inequality_cells(
-            K.bspline(2), O.Window(0.0, 1.0, 1.0), f,
-            [(X.ExponentialFunction(1), 20.0), (X.PowerFunction(2), 1.0)], (-8, 8), [5.0],
+            specs(K.bspline(2), O.Window(0.0, 1.0, 1.0), [5.0]), f,
+            [(X.ExponentialFunction(1), 20.0), (X.PowerFunction(2), 1.0)], (-8, 8),
         )
         assert cells[0] == "overflow"
         assert isinstance(cells[1], A.ModularComparison) and cells[1].holds
@@ -225,18 +253,18 @@ class TestModularInequalityCells:
 
     def test_each_scale_equals_its_one_scale_call_bitwise(self):
         f = S.builtin_signal("piecewise_rational")
-        psi = O.Window(0.0, 1.0, 1.0)
-        tables = A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS, (-8, 8),
-                                            [5.0, 10.0])
+        phi, psi = K.bspline(2), O.Window(0.0, 1.0, 1.0)
+        tables = A.modular_inequality_cells(specs(phi, psi, [5.0, 10.0]), f, self.CELLS,
+                                            (-8, 8))
         assert len(tables) == 2
         for w, table in zip([5.0, 10.0], tables):
-            assert table == A.modular_inequality_cells(K.bspline(2), psi, f, self.CELLS,
-                                                       (-8, 8), [w])[0]
+            assert table == A.modular_inequality_cells(specs(phi, psi, [w]), f, self.CELLS,
+                                                       (-8, 8))[0]
 
     def test_point_mass_is_refused(self):
         with pytest.raises(TypeError):
-            A.modular_inequality_cells(K.bspline(2), O.PointMass(), S.builtin_signal("box"),
-                                       self.CELLS, (-8, 8), [5.0])
+            A.modular_inequality_cells(specs(K.bspline(2), O.PointMass(), [5.0]),
+                                       S.builtin_signal("box"), self.CELLS, (-8, 8))
 
 
 class TestEmpiricalOrder:

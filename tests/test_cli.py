@@ -74,6 +74,10 @@ class TestConfigHandling:
         {"psi": {"kind": "general", "kernel": {"family": "window", "lo": math.nan, "hi": 1}}},
         {"psi": {"kind": "general", "kernel": {"family": "bspline", "n": 2},
                  "quad_tol": math.inf}},
+        {"signal": {"name": "constant", "value": math.nan}},
+        {"signal": {"piecewise": [[0, 1, math.nan]]}},
+        {"orlicz": [{"variant": "power", "p": math.nan, "lambda": 1}]},
+        {"output": {"path": 5}},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"
@@ -157,6 +161,13 @@ class TestReconstruct:
         assert payload["x"] == 0.5
         assert payload["signal"] == pytest.approx(0.8)
         assert set(payload["reconstruction"]) == {"w=5", "w=10"}
+
+    def test_single_point_must_be_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["reconstruct", "--config", str(cfg), "--at", "nan"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_piecewise_literal_signal(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -278,8 +289,9 @@ class TestOrliczCommand:
         # A numpy scalar in the ratio would make "holds" a numpy bool, which
         # the JSON writer cannot encode.
         cfg = tmp_path / "cfg.json"
-        write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"}},
-                     w_list=[5], window=[-2, 2], tolerances={"quad_tol": 1e-6})
+        write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"},
+                               "quad_tol": 1e-6},
+                     w_list=[5], window=[-2, 2])
         assert main(["orlicz", "--config", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert [row["ratio"] for row in payload["rows"]] == [1.0]
@@ -339,10 +351,17 @@ class TestOrliczCommand:
         assert lines["beside"][2] == lines["alone"][1]
 
 
+GENERAL_PSI = {"kind": "general", "kernel": {"family": "bspline", "n": 2}, "quad_tol": 1e-7}
+
+
 class TestConfiguredTolerances:
-    @pytest.mark.parametrize("command,phi", [("orlicz", {"family": "fejer"}),
-                                             ("converge", {"family": "bspline", "n": 3})])
-    def test_every_spec_carries_them(self, tmp_path, monkeypatch, command, phi):
+    @pytest.mark.parametrize("command,phi,psi", [
+        ("orlicz", {"family": "fejer"}, None),
+        ("converge", {"family": "bspline", "n": 3}, None),
+        ("orlicz", {"family": "bspline", "n": 2}, GENERAL_PSI),
+        ("converge", {"family": "bspline", "n": 2}, GENERAL_PSI),
+    ])
+    def test_every_spec_carries_them(self, tmp_path, monkeypatch, command, phi, psi):
         specs = []
         validate = O.OperatorSpec.__post_init__
 
@@ -352,12 +371,18 @@ class TestConfiguredTolerances:
 
         monkeypatch.setattr(O.OperatorSpec, "__post_init__", record)
         cfg = tmp_path / "cfg.json"
+        overrides = {} if psi is None else {"psi": psi}
         write_config(cfg, phi=phi, w_list=[5], window=[-2, 2],
                      orlicz=[{"variant": "power", "p": 1, "lambda": 1}],
-                     tolerances={"series_tol": 1e-4, "pou_threshold": 2e-3})
+                     tolerances={"series_tol": 1e-4, "pou_threshold": 2e-3,
+                                 "quad_tol": 1e-10},
+                     **overrides)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert specs
         assert {(spec.series_tol, spec.pou_threshold) for spec in specs} == {(1e-4, 2e-3)}
+        # A general psi samples at its own quad_tol in every command.
+        if psi is not None:
+            assert {(spec.quad_tol, spec.psi.quad_tol) for spec in specs} == {(1e-10, 1e-7)}
 
 
 class TestImports:
@@ -398,12 +423,6 @@ class TestFailurePaths:
                      w_list=[5])
         assert main(["reconstruct", "--config", str(cfg)]) == 4
         assert "evaluation failed" in capsys.readouterr().err
-
-    def test_invalid_thread_env_exits_2(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        write_config(cfg, w_list=[5])
-        monkeypatch.setenv("DURRMEYER_THREADS", "many")
-        assert main(["reconstruct", "--config", str(cfg)]) == 2
 
 
 class TestDeterminism:
