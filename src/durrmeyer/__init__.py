@@ -60,6 +60,7 @@ from .orlicz import (
     luxemburg_norm,
     modular,
     modular_distance,
+    modulars,
     orlicz_function,
     phi_eval,
 )

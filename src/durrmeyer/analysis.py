@@ -29,7 +29,7 @@ from .operators import (
     SeriesEvaluator,
     Window,
 )
-from .orlicz import ModularOverflowError, OrliczFunction, modular, modular_distance
+from .orlicz import Difference, ModularOverflowError, OrliczFunction, modulars
 from .signals import UNIFORM, Signal, UniformGrid, modulus_of_continuity, sup_error
 
 __all__ = [
@@ -156,7 +156,8 @@ def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_s
 
     Each scale is reconstructed once: one evaluator and one grid pass give
     the grid sup error (uniformly continuous signals only), the modular
-    error of every gauge of every group, and the quantitative bound
+    error of every gauge of every group (one batched quadrature of the
+    pointwise difference), and the quantitative bound
     ``C * L / w`` when the signal declares a Lipschitz constant, with ``C``
     computed once. Overflowing modular cells are recorded as the string
     ``"overflow"``. Order estimates are taken between dyadic neighbours.
@@ -174,22 +175,20 @@ def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_s
         constant = quantitative_constant(phi, psi)
         bound_factor = (constant.value + constant.certified_error) * f.lipschitz_constant
 
+    cells = [(eta, lam) for lam, eta_list in groups for eta in eta_list]
     tables = [[] for _ in groups]
     for spec, w in zip(specs, ws):
         evaluator = SeriesEvaluator(spec, f)
         recon = evaluator.on_grid(grid.points())
         s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
         bound = None if bound_factor is None else bound_factor / w
+        values = iter(modulars(cells, Difference(evaluator, f), mod_window, tol=modular_tol))
         for (lam, eta_list), rows in zip(groups, tables):
-            modulars = {}
+            errors = {}
             for eta in eta_list:
-                try:
-                    modulars[eta.label] = modular_distance(
-                        eta, evaluator, f, lam, mod_window, tol=modular_tol
-                    )
-                except ModularOverflowError:
-                    modulars[eta.label] = "overflow"
-            rows.append(ConvergenceRow(w, s_err, modulars, bound))
+                value = next(values)
+                errors[eta.label] = "overflow" if value is None else value
+            rows.append(ConvergenceRow(w, s_err, errors, bound))
 
     floor = first.series_tol + first.quad_tol
     reports = []
@@ -279,8 +278,9 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     (half-open windows make it 1 on the unit window) with the L1 norms, and
     scales the signal's modular by the product of zeroth moments. The
     moments and the majorants do not depend on the scale and are computed
-    once; one evaluator per scale serves every cell, so each sample is
-    computed once. The result holds, per scale, one
+    once, in one batched quadrature; one evaluator and one batched
+    quadrature per scale serve every cell, so each sample is computed once
+    and each node evaluated once per round. The result holds, per scale, one
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
     cell whose gauge overflows; the other cells are unaffected.
     """
@@ -295,25 +295,18 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     ratio = (m0_psi.value + m0_psi.certified_error) * phi.l1_norm / (
         m0_phi.value * t0_psi.value
     )
-    majorants = []
-    for eta, lam in cells:
-        try:
-            majorants.append(ratio * modular(eta, f, lam * m0_phi.value * t0_psi.value,
-                                             window, tol=modular_tol))
-        except ModularOverflowError:
-            majorants.append(None)
+    scaled = [(eta, lam * m0_phi.value * t0_psi.value) for eta, lam in cells]
+    majorants = [None if value is None else ratio * value
+                 for value in modulars(scaled, f, window, tol=modular_tol)]
+    live = [cell for cell, rhs in zip(cells, majorants) if rhs is not None]
 
     tables = []
     for spec in specs:
-        evaluator = SeriesEvaluator(spec, f)
+        lhs_values = iter(modulars(live, SeriesEvaluator(spec, f), window, tol=modular_tol))
         results = []
-        for (eta, lam), rhs in zip(cells, majorants):
-            if rhs is not None:
-                try:
-                    lhs = modular(eta, evaluator, lam, window, tol=modular_tol)
-                except ModularOverflowError:
-                    rhs = None
-            if rhs is None:
+        for rhs in majorants:
+            lhs = None if rhs is None else next(lhs_values)
+            if lhs is None:
                 results.append("overflow")
             else:
                 margin = rhs + tolerance_pad - lhs

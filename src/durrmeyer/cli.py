@@ -209,7 +209,9 @@ class Experiment:
             tolerances[key] = val
         self.tolerances = tolerances
         output = raw.get("output", {})
-        path = output.get("path", "out") if isinstance(output, dict) else "out"
+        if not isinstance(output, dict):
+            raise ConfigError(f"output must be an object, got {output!r}")
+        path = output.get("path", "out")
         if not isinstance(path, str):
             raise ConfigError(f"output.path must be a string, got {path!r}")
         self.out_dir = Path(path)
@@ -245,6 +247,8 @@ def _load_experiment(args) -> Experiment:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration root must be a JSON object")
     if args.w is not None:
         try:
             raw["w_list"] = [float(w) for w in args.w.split(",") if w]
@@ -260,12 +264,10 @@ def _load_experiment(args) -> Experiment:
             raw["window"] = [float(parts[0]), float(parts[1])]
         except ValueError as exc:
             raise ConfigError(f"--window must be numeric: {args.window!r}") from exc
+    exp = Experiment(raw)
     if args.out is not None:
-        raw.setdefault("output", {})
-        if not isinstance(raw["output"], dict):
-            raw["output"] = {}
-        raw["output"]["path"] = args.out
-    return Experiment(raw)
+        exp.out_dir = Path(args.out)
+    return exp
 
 
 def _check_kernels(exp: Experiment):

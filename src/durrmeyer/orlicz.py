@@ -5,6 +5,11 @@ and turns |f| into the modular integral of eta(lambda |f|) over a window.
 The power and logarithm-weighted families double under scaling (so modular
 and norm convergence agree); the exponential family does not, which is why
 modular statements there hold only for small enough lambda.
+
+The modulars that one computation needs of one function, whatever their
+gauges and scalings, are one batched adaptive quadrature
+(:func:`modulars`), which evaluates the function once per distinct node
+in each round.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ __all__ = [
     "OrliczFunction",
     "orlicz_function",
     "phi_eval",
+    "Difference",
+    "modulars",
     "modular",
     "luxemburg_norm",
     "modular_distance",
@@ -35,6 +42,9 @@ __all__ = [
 _EXP_ARG_CAP = 700.0
 _NORM_SCALE_CAP = 1e9
 _NORM_SCALE_FLOOR = 1e-12
+# Each step of the Luxemburg search cuts its bracket into this many equal
+# sections and takes the modulars at their interior ends in one quadrature.
+_NORM_SECTIONS = 9
 
 
 class ModularOverflowError(OverflowError):
@@ -144,8 +154,8 @@ def phi_eval(eta: OrliczFunction, u):
     return eta(u)
 
 
-class _Difference:
-    """Pointwise difference of two evaluables, with merged breakpoints."""
+class Difference:
+    """Pointwise difference ``f - g`` of two evaluables, with merged breakpoints."""
 
     def __init__(self, f, g):
         self._f = f
@@ -160,6 +170,38 @@ class _Difference:
         )
 
 
+def _evaluate_rows(f, x, interval):
+    """``f.evaluate`` on the node rows ``x`` of quadrature cells, once per
+    distinct row: rows of different intervals that are equal bit for bit
+    (the same cell) share one evaluation."""
+
+    def evaluate(rows):
+        return np.asarray(f.evaluate(rows.ravel()), dtype=float).reshape(rows.shape)
+
+    if interval[0] == interval[-1]:
+        return evaluate(x)
+    # Equal rows have equal first nodes, and within an interval the first
+    # nodes ascend, so a stable sort of them merges one run per interval
+    # and puts equal rows next to each other.
+    order = np.argsort(x[:, 0], kind="stable")
+    key = x[order, 0]
+    repeat = np.flatnonzero(key[1:] == key[:-1]) + 1
+    same = (x[order[repeat]].view(np.int64) == x[order[repeat - 1]].view(np.int64)).all(axis=1)
+    repeat = repeat[same]
+    if not repeat.size:
+        return evaluate(x)
+    fresh = np.ones(order.size, dtype=bool)
+    fresh[repeat] = False
+    # Sorted position of the first row of each run of equal rows.
+    root = np.maximum.accumulate(np.where(fresh, np.arange(order.size), 0))
+    keep = np.ones(order.size, dtype=bool)
+    keep[order[repeat]] = False
+    out = np.empty_like(x)
+    out[keep] = evaluate(x[keep])
+    out[order[repeat]] = out[order[root[repeat]]]
+    return out
+
+
 def _grid_modular(eta, f: GridFunction, lam, lo, hi):
     # Piecewise-constant cells integrate exactly: width times gauge value.
     step = f.grid.step
@@ -171,37 +213,79 @@ def _grid_modular(eta, f: GridFunction, lam, lo, hi):
     return float(np.dot(widths, gauged))
 
 
-def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8,
-            max_cells: int = 20000) -> float:
-    """Integral over the window of eta(lam |f|).
+def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> list:
+    """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
+    integral over the window of eta(lam |f|), or ``None`` for a cell whose
+    gauge overflows (the integral is infinite at working precision).
 
-    The line integral is truncated to the caller's window by design; mass
-    outside the window is the caller's responsibility. ``f`` may be a
-    signal-like object (``evaluate`` plus ``breakpoints``) or a
-    :class:`GridFunction`, which integrates exactly cell by cell.
+    One adaptive quadrature integrates every cell over its own copy of the
+    window, each to ``tol`` with its own ``max_cells`` budget, so each value
+    equals the one-cell call bit for bit. In each round ``f`` is evaluated
+    once per distinct quadrature cell (the copies start from the same
+    cells, and equal cells share one evaluation), and each gauge sees only
+    its own copy's nodes; an overflowing cell ends there and leaves the
+    others unaffected. The line integral is truncated to the window by
+    design; mass outside it is the caller's responsibility. ``f`` may be a signal-like object (``evaluate`` plus
+    ``breakpoints``) or a :class:`GridFunction`, which integrates exactly
+    cell by cell.
     """
-    if lam <= 0:
+    cells = list(cells)
+    if any(lam <= 0 for _, lam in cells):
         raise ValueError("modular scaling lambda must be positive")
     lo, hi = float(window[0]), float(window[1])
     if hi <= lo:
         raise ValueError("window is empty")
 
     if isinstance(f, GridFunction):
-        return _grid_modular(eta, f, lam, lo, hi)
+        values = []
+        for eta, lam in cells:
+            try:
+                values.append(_grid_modular(eta, f, lam, lo, hi))
+            except ModularOverflowError:
+                values.append(None)
+        return values
 
-    def integrand(x):
-        return np.asarray(eta(lam * np.abs(np.asarray(f.evaluate(x), dtype=float))))
+    overflowed = np.zeros(len(cells), dtype=bool)
 
-    cuts = tuple(getattr(f, "breakpoints", ()))
-    value, _ = integrate(integrand, lo, hi, tol=tol, breakpoints=cuts,
-                         max_cells=max_cells)
-    return max(0.0, value)
+    def integrand(x, interval):
+        size = np.abs(_evaluate_rows(f, x, interval))
+        out = np.empty_like(x)
+        cuts = ((interval[1:] != interval[:-1]).nonzero()[0] + 1).tolist()
+        for start, stop in zip([0] + cuts, cuts + [interval.size]):
+            j = interval[start]
+            eta, lam = cells[j]
+            try:
+                out[start:stop] = eta(lam * size[start:stop])
+            except ModularOverflowError:
+                overflowed[j] = True
+                out[start:stop] = np.nan  # ends this cell's quadrature only
+        return out
+
+    n = len(cells)
+    values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
+                          breakpoints=tuple(getattr(f, "breakpoints", ())),
+                          max_cells=max_cells, per_interval=True)
+    return [None if over else max(0.0, float(value))
+            for value, over in zip(values, overflowed)]
+
+
+def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8,
+            max_cells: int = 20000) -> float:
+    """Integral over the window of eta(lam |f|): the one-cell call of
+    :func:`modulars`, raising :class:`ModularOverflowError` where the gauge
+    overflows."""
+    [value] = modulars([(eta, lam)], f, window, tol=tol, max_cells=max_cells)
+    if value is None:
+        raise ModularOverflowError(
+            f"the modular of {eta.label} at lambda={lam:g} is infinite at working precision"
+        )
+    return value
 
 
 def modular_distance(eta: OrliczFunction, f, g, lam: float, window,
                      tol: float = 1e-8, max_cells: int = 20000) -> float:
     """Modular of the pointwise difference f - g."""
-    return modular(eta, _Difference(f, g), lam, window, tol=tol, max_cells=max_cells)
+    return modular(eta, Difference(f, g), lam, window, tol=tol, max_cells=max_cells)
 
 
 def _is_identically_zero(f, lo, hi):
@@ -214,9 +298,11 @@ def _is_identically_zero(f, lo, hi):
 def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
     """inf of scalings s > 0 with modular of f/s at most one.
 
-    Bisection on s after a geometric bracket search; the modular is
-    nonincreasing in s, so the bracket is well defined whenever the
-    modular drops below one before the scale cap.
+    A geometric search brackets s; then each k-section step takes the
+    modulars at the interior ends of equal sections of the bracket in one
+    batched quadrature and keeps the section where the modular crosses
+    one. The modular is nonincreasing in s, so the bracket is well defined
+    whenever the modular drops below one before the scale cap.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -228,32 +314,39 @@ def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
 
     quad_tol = max(min(tol * 1e-2, 1e-8), 1e-13)
 
-    def modular_at(scale):
-        try:
-            return modular(eta, f, 1.0 / scale, (lo, hi), tol=quad_tol)
-        except ModularOverflowError:
-            return math.inf
+    def above_one(scales):
+        # An overflowing modular is infinite, so above one.
+        values = modulars([(eta, 1.0 / s) for s in scales], f, (lo, hi), tol=quad_tol)
+        return [value is None or value > 1.0 for value in values]
 
     scale = 1.0
-    if modular_at(scale) > 1.0:
-        while modular_at(scale) > 1.0:
+    if above_one([scale])[0]:
+        while True:
             scale *= 2.0
             if scale > _NORM_SCALE_CAP:
                 raise NormBracketError(
                     f"modular stays above one for scalings up to {_NORM_SCALE_CAP:g}"
                 )
+            if not above_one([scale])[0]:
+                break
         bracket_lo, bracket_hi = scale / 2.0, scale
     else:
-        while modular_at(scale) <= 1.0:
+        while True:
             scale /= 2.0
             if scale < _NORM_SCALE_FLOOR:
                 return scale
+            if above_one([scale])[0]:
+                break
         bracket_lo, bracket_hi = scale, scale * 2.0
 
+    fractions = np.arange(1, _NORM_SECTIONS) / _NORM_SECTIONS
     while bracket_hi - bracket_lo > tol * bracket_hi:
-        mid = 0.5 * (bracket_lo + bracket_hi)
-        if modular_at(mid) <= 1.0:
-            bracket_hi = mid
-        else:
-            bracket_lo = mid
+        scales = (bracket_lo + (bracket_hi - bracket_lo) * fractions).tolist()
+        above = above_one(scales)
+        crossing = above.index(False) if False in above else len(scales)
+        bracket = (scales[crossing - 1] if crossing > 0 else bracket_lo,
+                   scales[crossing] if crossing < len(scales) else bracket_hi)
+        if bracket == (bracket_lo, bracket_hi):
+            break  # no float lies between the ends: tol is below resolution
+        bracket_lo, bracket_hi = bracket
     return 0.5 * (bracket_lo + bracket_hi)

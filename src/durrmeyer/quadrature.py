@@ -5,7 +5,10 @@ estimate meets an absolute tolerance, so every value returned carries a
 defensible error bound. Interior breakpoints seed the initial subdivision,
 which keeps piecewise integrands smooth on every cell. Many intervals are
 refined together, in rounds that evaluate all their new cells at once, in
-the manner of QUADPACK's QAG (Piessens et al., 1983).
+the manner of QUADPACK's QAG (Piessens et al., 1983). Each interval of such
+a batch may integrate its own function: with ``per_interval=True`` the
+integrand receives its nodes one row per cell, beside each row's interval,
+so one call can serve many integrands that share nodes.
 """
 
 from __future__ import annotations
@@ -66,16 +69,20 @@ def _gauss_kronrod_rule():
 _NODES, _WEIGHTS = _gauss_kronrod_rule()
 
 
-def _gk15(f, lo, hi):
+def _gk15(f, lo, hi, interval=None):
     """Kronrod values and |Kronrod - Gauss| error estimates of the cells
-    [lo, hi], with at most ``_CHUNK_CELLS`` cells per integrand call."""
+    [lo, hi], with at most ``_CHUNK_CELLS`` cells per integrand call. With
+    ``interval``, the cells' interval indices, ``f`` takes the nodes as one
+    row per cell and the rows' intervals."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     sums = np.empty((lo.size, 2))
     for start in range(0, lo.size, _CHUNK_CELLS):
         block = slice(start, start + _CHUNK_CELLS)
-        x = (mid[block, None] + half[block, None] * _NODES).ravel()
-        y = np.asarray(f(x), dtype=float)
+        x = mid[block, None] + half[block, None] * _NODES
+        if interval is None:
+            x = x.ravel()
+        y = np.asarray(f(x) if interval is None else f(x, interval[block]), dtype=float)
         if y.shape != x.shape:
             raise ValueError("integrand must map an array of nodes to same-shape values")
         # Row sums, not a matrix product: BLAS would let a cell's last bit
@@ -108,23 +115,39 @@ def _initial_cells(a, b, breakpoints):
     return ids, seg, lo, hi
 
 
+def _by_interval_and_error(err, seg):
+    """The order of ``np.lexsort((-err, seg))``: by interval, then by
+    decreasing error, equal errors keeping their positions, so that a batch
+    picks what solo calls pick. It comes from unstable sorts of unique
+    integer keys, which cost less than the stable sorts of ``lexsort`` on
+    large batches."""
+    n = err.size
+    by_err = np.argsort(-err)
+    ranked = err[by_err]
+    new_value = np.ones(n, dtype=bool)
+    new_value[1:] = ranked[1:] != ranked[:-1]
+    by_err = np.sort(np.cumsum(new_value) * n + by_err) % n
+    return by_err[np.sort(seg[by_err] * n + np.arange(n)) % n]
+
+
 def _bisection_picks(err, seg, count, excess, max_cells):
     """Cells to bisect, given the cells' intervals: in each interval, its
     largest-error cells whose errors together cover the interval's excess,
     and no more than ``max_cells - count`` of them."""
-    order = np.lexsort((-err, seg))
+    order = _by_interval_and_error(err, seg)
+    n = order.size
     s = seg[order]
     # Fixed point relative to each interval's excess: the running sums are
     # exact integers, so a cell's pick depends on its own interval only.
-    share = np.divide(err[order], excess[s], out=np.ones(s.size), where=err[order] < excess[s])
-    units = (share * _EXCESS_UNIT).astype(np.int64)
+    units = (np.minimum(err[order] / excess[s], 1.0) * _EXCESS_UNIT).astype(np.int64)
     run = np.cumsum(units) - units
-    start = np.searchsorted(s, s)  # first position of each cell's interval
-    rank = np.arange(s.size) - start
+    sizes = np.bincount(s, minlength=excess.size)
+    start = (np.cumsum(sizes) - sizes)[s]  # first position of each cell's interval
+    rank = np.arange(n) - start
     return order[(run - run[start] < _EXCESS_UNIT) & (rank < max_cells - count[s])]
 
 
-def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096):
+def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     ``a`` and ``b`` are floats or equal-length arrays of interval ends.
@@ -133,8 +156,19 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096):
     then bisects in each such interval the largest-error cells that cover
     its excess. An interval's result does not depend on the other
     intervals of its call. ``f`` must accept a 1-d ndarray of nodes and
-    return same-shape values. Returns ``(value, error_bound)`` per
-    interval, floats for float ends, with ``error_bound <= tol``; raises
+    return same-shape values.
+
+    With ``per_interval=True`` each interval may integrate its own function:
+    ``f`` is called as ``f(x, interval)``, where ``x`` holds the nodes as one
+    row of 15 per cell and ``interval`` each row's index into the flattened
+    ends. Rows come grouped by interval, in ascending interval order, so
+    ``f`` can slice each interval's rows out of ``x``; it returns values of
+    the shape of ``x``.
+
+    Returns ``(value, error_bound)`` per interval, floats for float ends,
+    with ``error_bound <= tol``, except that an interval whose integrand
+    gives NaN (or an infinite value) ends with a NaN estimate and takes no
+    further rounds, leaving the other intervals unaffected. Raises
     :class:`QuadratureError` when an interval's ``max_cells`` budget runs
     out, or its cells become too narrow to split, first.
     """
@@ -156,7 +190,7 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096):
     # Cells stay sorted by interval and left edge: ``ids`` lists the
     # intervals still refining and ``seg`` gives each cell's position in it.
     ids, seg, lo, hi = _initial_cells(a, b, breakpoints)
-    value, err = _gk15(f, lo, hi)
+    value, err = _gk15(f, lo, hi, ids[seg] if per_interval else None)
     frozen = np.zeros(lo.size, dtype=bool)  # cells too narrow to split
     while ids.size:
         total = np.bincount(seg, weights=err)
@@ -199,7 +233,8 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096):
         hi[first] = mid
         lo[first + 1] = mid
         kids = (first[:, None] + (0, 1)).ravel()
-        value[kids], err[kids] = _gk15(f, lo[kids], hi[kids])
+        value[kids], err[kids] = _gk15(f, lo[kids], hi[kids],
+                                       ids[seg[kids]] if per_interval else None)
 
     if scalar:
         return float(values[0]), float(errors[0])

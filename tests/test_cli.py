@@ -78,11 +78,23 @@ class TestConfigHandling:
         {"signal": {"piecewise": [[0, 1, math.nan]]}},
         {"orlicz": [{"variant": "power", "p": math.nan, "lambda": 1}]},
         {"output": {"path": 5}},
+        {"output": "results"},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         assert main(["converge", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        # --out replaces a valid output path; it does not excuse a bad file.
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+
+    def test_non_object_root_exits_2_with_overrides(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["converge", "--config", str(cfg), "--w", "5",
+                     "--out", str(tmp_path / "flag")]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_flag_overrides_win(self, tmp_path):

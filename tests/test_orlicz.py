@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from durrmeyer import kernels as K
+from durrmeyer import operators as O
 from durrmeyer import orlicz as X
 from durrmeyer import signals as S
 
@@ -149,6 +151,69 @@ class TestModularDistance:
         assert result == pytest.approx(1.0, abs=1e-9)
 
 
+def reconstruction(name, w=5.0):
+    """B-spline 2 series with unit-window samples of a builtin signal."""
+    spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w)
+    return O.SeriesEvaluator(spec, S.builtin_signal(name))
+
+
+class Counting:
+    """An evaluable that records the points of each evaluate call."""
+
+    def __init__(self, f):
+        self._f = f
+        self.breakpoints = tuple(getattr(f, "breakpoints", ()))
+        self.calls = []
+
+    def evaluate(self, x):
+        self.calls.append(np.array(x, dtype=float, copy=True))
+        return self._f.evaluate(x)
+
+
+MATRIX_GAUGES = (X.PowerFunction(1), X.PowerFunction(2), X.ZygmundFunction(1, 1))
+
+
+class TestModulars:
+    @pytest.mark.parametrize("name, lams", [("box", (0.25, 0.5, 1.0)),
+                                            ("piecewise_rational", (0.5,))])
+    def test_each_cell_equals_its_modular_call_bitwise(self, name, lams):
+        f = reconstruction(name)
+        cells = [(eta, lam) for eta in MATRIX_GAUGES for lam in lams]
+        values = X.modulars(cells, f, (-8, 8), tol=1e-9)
+        assert values == [X.modular(eta, f, lam, (-8, 8), tol=1e-9) for eta, lam in cells]
+
+    def test_overflowing_cell_leaves_its_neighbours_alone(self):
+        f = S.builtin_signal("piecewise_rational")  # sup 50, and 20 * 50 > 700
+        cells = [(X.PowerFunction(2), 0.5), (X.ExponentialFunction(1), 20.0),
+                 (X.ZygmundFunction(1, 1), 0.5)]
+        values = X.modulars(cells, f, (-8, 8), tol=1e-9)
+        assert values[1] is None
+        with pytest.raises(X.ModularOverflowError):
+            X.modular(X.ExponentialFunction(1), f, 20.0, (-8, 8), tol=1e-9)
+        for (eta, lam), value in zip(cells[::2], values[::2]):
+            assert value == X.modular(eta, f, lam, (-8, 8), tol=1e-9)
+
+    def test_first_round_evaluates_each_distinct_node_once(self):
+        f = Counting(reconstruction("box"))
+        cells = [(eta, lam) for eta in MATRIX_GAUGES for lam in (0.25, 0.5, 1.0)]
+        X.modulars(cells, f, (-8, 8), tol=1e-9)
+        first = f.calls[0]
+        cuts = [p for p in f.breakpoints if -8 < p < 8]
+        assert first.size == 15 * (len(set(cuts)) + 1)
+        assert np.unique(first.view(np.int64)).size == first.size
+
+    def test_grid_function_cells(self):
+        grid = S.UniformGrid.from_window(-1, 2, 0.25)
+        g = S.GridFunction(grid, [1.0 if 0.0 <= x < 1.0 else 0.0 for x in grid.points()])
+        values = X.modulars([(X.ExponentialFunction(1), 1.0), (X.ExponentialFunction(1), 800.0)],
+                            g, (-1, 2))
+        assert values[0] == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert values[1] is None
+
+    def test_no_cells(self):
+        assert X.modulars([], S.builtin_signal("box"), (-1, 1)) == []
+
+
 class TestLuxemburgNorm:
     def test_unit_indicator_norm_is_one(self):
         f = S.indicator(0, 1)
@@ -189,6 +254,38 @@ class TestLuxemburgNorm:
                         X.ExponentialFunction(1)):
                 norm = X.luxemburg_norm(eta, f, (-4, 4), tol=1e-9)
                 assert X.modular(eta, f, 1.0 / norm, (-4, 4), tol=1e-10) <= 1.0 + 1e-8
+
+    def test_power2_norm_is_root_of_the_modular(self):
+        f = reconstruction("box")
+        norm = X.luxemburg_norm(X.PowerFunction(2), f, (-8, 8))
+        root = math.sqrt(X.modular(X.PowerFunction(2), f, 1.0, (-8, 8), tol=1e-12))
+        assert norm == pytest.approx(root, rel=1e-8)
+
+    @pytest.mark.parametrize("eta", [X.PowerFunction(2), X.ZygmundFunction(1, 1),
+                                     X.ExponentialFunction(1)], ids=lambda e: e.label)
+    def test_norm_brackets_the_definition(self, eta):
+        f = reconstruction("box")
+        tol = 1e-9
+        norm = X.luxemburg_norm(eta, f, (-8, 8), tol=tol)
+        assert X.modular(eta, f, 1.0 / (norm * (1 + tol)), (-8, 8), tol=1e-12) <= 1 + 1e-8
+        assert X.modular(eta, f, 1.0 / (norm * (1 - tol)), (-8, 8), tol=1e-12) >= 1 - 1e-8
+
+    def test_one_norm_is_a_few_batched_quadratures(self, monkeypatch):
+        calls = []
+        real = X.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(X, "integrate", counting)
+        X.luxemburg_norm(X.PowerFunction(2), reconstruction("box"), (-8, 8))
+        assert len(calls) <= 14
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        f = S.indicator(0, 2)
+        norm = X.luxemburg_norm(X.PowerFunction(2), f, (-1, 3), tol=1e-17)
+        assert norm == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_bracket_failure_raises(self):
         huge = S.builtin_signal("constant", 1e13)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from durrmeyer import quadrature as Q
 from durrmeyer.quadrature import QuadratureError, integrate
 
 
@@ -103,3 +104,57 @@ class TestIntervalArrays:
         assert max(seen) <= 1 << 16
         assert sum(seen) >= 15 * a.size
         assert np.allclose(values, np.sin(a + 1.0) - np.sin(a), rtol=0, atol=1e-13)
+
+
+class TestPerInterval:
+    # Each interval of the batch integrates its own function; the
+    # degenerate interval at index 3 checks that rows carry indices into
+    # the ends, not positions among the refined intervals.
+    A = TestIntervalArrays.A
+    B = TestIntervalArrays.B
+    FUNCS = [lambda x, k=k: 1.0 / (1.0 + 25.0 * (k + 1) * x * x) + k * np.abs(x - 0.3)
+             for k in range(7)]
+
+    def integrand(self, x, interval):
+        assert x.ndim == 2 and x.shape == (interval.size, 15)
+        assert np.all(np.diff(interval) >= 0)
+        out = np.empty_like(x)
+        for j in np.unique(interval):
+            rows = interval == j
+            out[rows] = self.FUNCS[j](x[rows])
+        return out
+
+    def test_each_interval_equals_its_solo_call_bitwise(self):
+        values, errors = integrate(self.integrand, self.A, self.B, tol=1e-12,
+                                   breakpoints=(0.3,), per_interval=True)
+        assert np.all(errors <= 1e-12)
+        for func, a, b, value, err in zip(self.FUNCS, self.A, self.B, values, errors):
+            assert integrate(func, float(a), float(b), tol=1e-12,
+                             breakpoints=(0.3,)) == (value, err)
+
+    def test_nan_ends_only_its_interval(self):
+        seen = []
+
+        def integrand(x, interval):
+            seen.append(np.count_nonzero(interval == 1))
+            out = np.cos(x)
+            out[interval == 1] = np.nan
+            return out
+
+        a = np.array([0.0, 0.0, 1.0])
+        b = np.array([10.0, 10.0, 30.0])
+        values, errors = integrate(integrand, a, b, tol=1e-13, per_interval=True)
+        assert np.isnan(values[1]) and np.isnan(errors[1])
+        # Only the first round evaluates the NaN interval's one cell.
+        assert seen[0] == 1 and sum(seen) == 1 and len(seen) > 1
+        for j in (0, 2):
+            assert integrate(np.cos, a[j], b[j], tol=1e-13) == (values[j], errors[j])
+
+
+@pytest.mark.parametrize("n", [1, 7, 5000])
+def test_cell_order_is_the_stable_lexsort(n):
+    # Ties among errors (exact zeros, repeated values) must keep positions.
+    rng = np.random.default_rng(n)
+    seg = np.sort(rng.integers(0, 5, n))
+    err = rng.choice([0.0, 1e-12, 2e-12, 3e-9], n) * rng.choice([1.0, 1.0 + 1e-15], n)
+    assert np.array_equal(Q._by_interval_and_error(err, seg), np.lexsort((-err, seg)))
