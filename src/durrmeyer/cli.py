@@ -51,6 +51,9 @@ _CHECK_DECAYING_PROBES = 100
 _CHECK_DECAYING_RADIUS = 10_000
 _CHECK_DECAYING_TOL = 1e-4
 _POISSON_RANGE = range(-3, 4)
+# Largest evaluation grid a configuration may ask for: 10^7 points is 80 MB
+# per float array, and a grid pass holds several of them.
+_MAX_GRID_POINTS = 10**7
 
 
 class ConfigError(ValueError):
@@ -194,6 +197,14 @@ class Experiment:
         self.grid_step = _finite(raw.get("grid_step", 0.01), "grid_step")
         if self.grid_step <= 0:
             raise ConfigError("grid_step must be positive")
+        # The point count of UniformGrid.from_window, checked before any
+        # command allocates the grid.
+        span = (self.window[1] - self.window[0]) / self.grid_step
+        count = round(span) + 1 if math.isfinite(span) else math.inf
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"window {list(self.window)} at grid_step {self.grid_step:g} asks for "
+                f"{count:,} grid points; at most {_MAX_GRID_POINTS:,} are allowed")
         self.orlicz = _resolve_orlicz(raw.get("orlicz", []))
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):

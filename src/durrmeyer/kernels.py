@@ -73,7 +73,10 @@ class Kernel:
 
     ``evaluate`` accepts a float or an ndarray and returns the same shape.
     ``partition_of_unity`` records the closed-form fact that integer shifts
-    of the kernel sum to one everywhere.
+    of the kernel sum to one everywhere. The rest of the library trusts a
+    declared flag: :class:`~durrmeyer.operators.OperatorSpec` probes only
+    kernels that leave it unset against its ``pou_threshold``, and the
+    order-0 lattice moments of a declared kernel are taken as exact.
     """
 
     name: str

@@ -135,8 +135,12 @@ class OperatorSpec:
     """A fully configured operator: kernel, sample functional, scale, and
     truncation/quadrature tolerances.
 
-    Construction validates the kernel's partition-of-unity residual, since
-    every reconstruction guarantee starts from that identity.
+    Every reconstruction guarantee starts from the identity
+    sum_k phi(u - k) = 1. A kernel that declares ``partition_of_unity``
+    is trusted: the flag records a closed-form fact (phi-hat(2 pi k) =
+    delta_k0 by Poisson summation), so no residual is computed. Only a
+    kernel that declares nothing is probed, and construction fails when its
+    certified residual exceeds ``pou_threshold``.
     """
 
     phi: _k.Kernel
@@ -153,6 +157,8 @@ class OperatorSpec:
             raise ValueError("tolerances must be positive")
         if not isinstance(self.psi, (PointMass, Window, Convolution)):
             raise TypeError("psi must be a sample functional")
+        if self.phi.partition_of_unity:
+            return
         support = self.phi.support
         if isinstance(support, _k.CompactSupport):
             radius = _k.compact_lattice_radius(support)

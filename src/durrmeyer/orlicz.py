@@ -224,10 +224,12 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     once per distinct quadrature cell (the copies start from the same
     cells, and equal cells share one evaluation), and each gauge sees only
     its own copy's nodes; an overflowing cell ends there and leaves the
-    others unaffected. The line integral is truncated to the window by
-    design; mass outside it is the caller's responsibility. ``f`` may be a signal-like object (``evaluate`` plus
-    ``breakpoints``) or a :class:`GridFunction`, which integrates exactly
-    cell by cell.
+    others unaffected. A cell whose integral is NaN (``f`` is not a number
+    somewhere in the window) raises :class:`ArithmeticError` naming its
+    gauge and lambda. The line integral is truncated to the window by
+    design; mass outside it is the caller's responsibility. ``f`` may be a
+    signal-like object (``evaluate`` plus ``breakpoints``) or a
+    :class:`GridFunction`, which integrates exactly cell by cell.
     """
     cells = list(cells)
     if any(lam <= 0 for _, lam in cells):
@@ -243,6 +245,7 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
                 values.append(_grid_modular(eta, f, lam, lo, hi))
             except ModularOverflowError:
                 values.append(None)
+        _refuse_nan(cells, values)
         return values
 
     overflowed = np.zeros(len(cells), dtype=bool)
@@ -265,8 +268,21 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
                           breakpoints=tuple(getattr(f, "breakpoints", ())),
                           max_cells=max_cells, per_interval=True)
-    return [None if over else max(0.0, float(value))
-            for value, over in zip(values, overflowed)]
+    values = [None if over else float(value) for value, over in zip(values, overflowed)]
+    _refuse_nan(cells, values)
+    return [None if value is None else max(0.0, value) for value in values]
+
+
+def _refuse_nan(cells, values):
+    """Raise for the first cell whose modular is NaN: its integrand is not a
+    number somewhere in the window, and no value, 0 least of all, stands for
+    it. Overflowing cells (``None``) are left to the caller."""
+    for (eta, lam), value in zip(cells, values):
+        if value is not None and math.isnan(value):
+            raise ArithmeticError(
+                f"the modular of {eta.label} at lambda={lam:g} is NaN: "
+                "the integrand is not a number on part of the window"
+            )
 
 
 def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8,

@@ -11,6 +11,7 @@ import pytest
 
 import durrmeyer
 from durrmeyer import analysis as A
+from durrmeyer import cli
 from durrmeyer import kernels as K
 from durrmeyer import operators as O
 from durrmeyer import orlicz as X
@@ -114,6 +115,33 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         assert main(["converge", "--config", str(cfg), "--window", "oops"]) == 2
+
+    @pytest.mark.parametrize("command", ["kernel-check", "reconstruct", "converge", "orlicz"])
+    def test_oversized_grid_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        # The cap is lowered, so no large grid is ever built: [-3, 3] at 0.5
+        # has 13 points, at 0.01 it has 601.
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 13)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, grid_step=0.5)
+        out = tmp_path / "flag"
+        assert main([command, "--config", str(cfg), "--grid-step", "0.01",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "601 grid points" in err
+        assert not out.exists()
+        write_config(cfg, grid_step=0.4)  # 16 points
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "16 grid points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 13)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, grid_step=0.5, w_list=[5])
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_csv(out / "reconstruct_w5.csv")[1]) == 13
 
 
 class TestKernelCheck:
@@ -427,6 +455,19 @@ class TestCsvQuoting:
 
 
 class TestFailurePaths:
+    @pytest.mark.parametrize("command", ["orlicz", "converge"])
+    def test_nan_modular_exits_4(self, tmp_path, monkeypatch, capsys, command):
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.4) & (x < 0.6), np.nan, 1.0)
+
+        hole = S.Signal("nan-hole", evaluate, breakpoints=(0.4, 0.6), sup_norm=1.0)
+        monkeypatch.setattr(cli, "_resolve_signal", lambda desc: hole)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "bspline", "n": 2}, w_list=[5], window=[-1, 2])
+        assert main([command, "--config", str(cfg)]) == 4
+        assert "power(2) at lambda=1 is NaN" in capsys.readouterr().err
+
     def test_unreachable_convolution_tolerance_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # A slowly decaying sample kernel cannot certify the default 1e-9

@@ -205,6 +205,34 @@ class TestPartitionOfUnity:
             K.partition_of_unity_residual(k, [0.5], 0)
 
 
+DECLARED_KERNELS = ([K.bspline(n) for n in range(1, 21)] + [K.fejer()]
+                    + [K.window(*args) for args in
+                       [(0, 1, 1), (-1, 1, 0.5), (0, 3, 1 / 3), (0.1, 1.1, 1)]])
+
+
+class TestDeclaredPartitionOfUnity:
+    """The evidence behind each built-in's ``partition_of_unity`` flag, which
+    ``OperatorSpec`` trusts without probing: the certified residual on the
+    probes and radius of the probe ``OperatorSpec`` runs for kernels that
+    declare nothing, and the Poisson condition phi-hat(2 pi k) = delta_k0."""
+
+    @pytest.mark.parametrize("kernel", DECLARED_KERNELS, ids=lambda k: k.name)
+    def test_residual_at_the_spec_probe_radius(self, kernel):
+        assert kernel.partition_of_unity
+        probes = np.arange(128) / 128.0
+        if isinstance(kernel.support, K.CompactSupport):
+            radius = K.compact_lattice_radius(kernel.support)
+        else:
+            radius = K.decaying_lattice_radius(kernel.support, 0.5e-3)
+        assert K.partition_of_unity_residual(kernel, probes, radius) <= 1e-3
+
+    @pytest.mark.parametrize("kernel", [k for k in DECLARED_KERNELS if k.fourier is not None],
+                             ids=lambda k: k.name)
+    def test_fourier_transform_on_the_dual_lattice(self, kernel):
+        for j in range(-3, 4):
+            assert K.fourier_hat(kernel, 2.0 * math.pi * j) == (1.0 if j == 0 else 0.0)
+
+
 class TestFourier:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_lattice_values_exact(self, n):

@@ -114,6 +114,37 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="partition-of-unity"):
             O.OperatorSpec(bad_phi, O.PointMass(), 5.0)
 
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+        residual = K.partition_of_unity_residual
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(K, "partition_of_unity_residual", counting)
+        return calls
+
+    def test_declared_kernel_is_not_probed(self, residual_calls):
+        O.OperatorSpec(K.fejer(), O.Window(0.0, 1.0, 1.0), 5.0)
+        # The declared identity is exact, so no threshold refuses it: at 1e-12
+        # the probe would have needed a Fejer radius beyond its 2^26 cap.
+        O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, pou_threshold=1e-12)
+        O.OperatorSpec(K.bspline(20), O.PointMass(), 5.0, pou_threshold=1e-12)
+        assert residual_calls == []
+
+    def test_undeclared_partition_of_unity_is_probed_once_and_accepted(self, residual_calls):
+        hat = K.Kernel("hat", K.bspline(2).evaluate, K.CompactSupport(-1.0, 1.0), 1.0)
+        assert not hat.partition_of_unity
+        O.OperatorSpec(hat, O.PointMass(), 5.0)
+        assert len(residual_calls) == 1
+
+    def test_undeclared_failure_is_probed_once(self, residual_calls):
+        with pytest.raises(ValueError, match="partition-of-unity"):
+            O.OperatorSpec(K.window(0.0, 0.5, 1.0), O.PointMass(), 5.0)
+        assert len(residual_calls) == 1
+
 
 class TestGeneralizedSamples:
     def test_point_mass_reads_lattice_value(self):

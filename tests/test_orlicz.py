@@ -214,6 +214,43 @@ class TestModulars:
         assert X.modulars([], S.builtin_signal("box"), (-1, 1)) == []
 
 
+class NanHole:
+    """1 on the line except NaN on (0.4, 0.6), where no overflow happens."""
+
+    breakpoints = (0.4, 0.6)
+
+    def evaluate(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.4) & (x < 0.6), np.nan, 1.0)
+
+
+class TestNotANumber:
+    def test_modulars_raise_naming_gauge_and_lambda(self):
+        cells = [(X.PowerFunction(2), 1.0), (X.ZygmundFunction(1, 1), 0.5)]
+        with pytest.raises(ArithmeticError, match=r"power\(2\) at lambda=1\b"):
+            X.modulars(cells, NanHole(), (0, 1))
+
+    def test_modular_raises(self):
+        with pytest.raises(ArithmeticError, match=r"power\(2\) at lambda=1\b.*NaN"):
+            X.modular(X.PowerFunction(2), NanHole(), 1.0, (0, 1))
+
+    def test_luxemburg_norm_raises(self):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            X.luxemburg_norm(X.PowerFunction(2), NanHole(), (0, 1))
+
+    def test_grid_function_raises(self):
+        grid = S.UniformGrid.from_window(0, 1, 0.25)
+        g = S.GridFunction(grid, [1.0, np.nan, 1.0, 1.0, 1.0])
+        with pytest.raises(ArithmeticError, match="NaN"):
+            X.modulars([(X.PowerFunction(2), 1.0)], g, (0, 1))
+
+    def test_window_clear_of_the_hole_and_overflow_still_read(self):
+        values = X.modulars([(X.PowerFunction(2), 1.0), (X.ExponentialFunction(1), 800.0)],
+                            NanHole(), (0.6, 1))
+        assert values[0] == pytest.approx(0.4, rel=1e-12)
+        assert values[1] is None
+
+
 class TestLuxemburgNorm:
     def test_unit_indicator_norm_is_one(self):
         f = S.indicator(0, 1)
