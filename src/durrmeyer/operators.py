@@ -1,16 +1,18 @@
 """Sampling-series operators built from a reconstruction kernel and a
 sample functional.
 
-The operator at scale w reads a generalized sample for each lattice index k
-(a point value, a windowed mean, or a convolution against a kernel) and
-recombines the samples with shifted copies of the reconstruction kernel.
-Truncation of the lattice sum is certified from the kernel's support
-metadata. For a decaying kernel each point x gets its own radius: the first
-rung r of the doubling ladder at which
+The operator at scale w reads a generalized sample w * integral of
+psi(w u - k) f(u) du for each lattice index k (a point value for a point
+mass; a window is its kernel) and recombines the samples with shifted copies
+of the reconstruction kernel. Every compact psi shares one batched
+quadrature; only a decaying psi takes one quadrature per index. Truncation
+of the lattice sum is certified from the kernel's support metadata. For a
+decaying kernel each point x gets its own radius: the first rung r of the
+doubling ladder at which
 
     psi.mass * lattice_tail_bound(r) / 2 * (E(x + (r+lo)/w) + E((r-hi)/w - x))
 
-meets ``series_tol``, with lo/hi the window's ends (0 for a point mass), E
+meets ``series_tol``, with lo/hi the reach of psi (0 for a point mass), E
 evaluated at max(0, .) and capped at the sup norm. Each term is a one-sided
 lattice tail times the envelope at the nearest omitted sample on that side,
 so the bound is certified. E is the signal's declared decay envelope; with
@@ -56,6 +58,7 @@ _SUP_ESTIMATE_POINTS = 4001
 # Stencil values per assembly block; bounds the (points x stencil)
 # temporaries at about half a megabyte each, whatever the grid size.
 _BLOCK_VALUES = 1 << 16
+_SAMPLE_MAX_CELLS = 40000  # quadrature cells per sample, for every psi
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class Window:
 
     @property
     def kernel(self) -> _k.Kernel:
-        """The window as a sample kernel, for moments and kernel checks."""
+        """The window as a sample kernel, for samples, moments and kernel checks."""
         return _k.window(self.lo, self.hi, self.weight)
 
 
@@ -212,8 +215,8 @@ class SeriesEvaluator:
         self._values = np.empty(0)
         self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
+        psi = spec.psi
         if isinstance(self._support, _k.DecayingSupport):
-            psi = spec.psi
             sup = _sup_bound(signal, "series")
             # Every functional keeps |sample| <= mass * sup: with no usable
             # envelope the bound below takes the constant envelope sup, and
@@ -224,13 +227,11 @@ class SeriesEvaluator:
             else:
                 self._envelope = lambda r: np.minimum(
                     np.asarray(signal.envelope(r), dtype=float), sup)
-            self._psi_ends = (psi.lo, psi.hi) if isinstance(psi, Window) else (0.0, 0.0)
             self._rungs = [(r, _k.lattice_tail_bound(self._support, r))
                            for r in _k.radius_ladder(self._support)]
             try:
                 self._radius = _k.decaying_lattice_radius(
-                    self._support, spec.series_tol / max(psi.mass * sup, 1e-300)
-                )
+                    self._support, spec.series_tol / max(psi.mass * sup, 1e-300))
             except ValueError:
                 # With an envelope only a point that needs a radius beyond
                 # the cap raises, in ``_radii``.
@@ -239,29 +240,33 @@ class SeriesEvaluator:
                 self._radius = None
         else:
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
-        if isinstance(spec.psi, Convolution):
-            kernel = spec.psi.kernel
-            self._conv_cuts = []
-            if isinstance(kernel.support, _k.CompactSupport):
-                self._conv_cut = (kernel.support.lo, kernel.support.hi)
-                self._conv_tail_tol = spec.psi.quad_tol
-            else:
-                f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
-                cutoff = max(kernel.support.radius, 1.0)
-                # Cuts at 0 and at each rung below the cutoff keep the
-                # kernel's peak inside cells: on a single [-cutoff, cutoff]
-                # GK15 can miss it.
-                self._conv_cuts = [0.0]
-                while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > 0.5 * spec.psi.quad_tol:
-                    self._conv_cuts += [-cutoff, cutoff]
-                    cutoff *= 2.0
-                    if cutoff > 1e7:
-                        raise ValueError(
-                            "convolution tail tolerance unreachable for kernel "
-                            f"{kernel.name!r}"
-                        )
-                self._conv_cut = (-cutoff, cutoff)
-                self._conv_tail_tol = 0.5 * spec.psi.quad_tol
+        # The reach (lo, hi) of psi in t = w u - k: a point mass has none, a
+        # compact kernel its support, a decaying one its tail cutoff.
+        self._psi_ends = (0.0, 0.0)
+        if isinstance(psi, PointMass):
+            return
+        kernel = self._psi_kernel = psi.kernel
+        if isinstance(kernel.support, _k.CompactSupport):
+            lo, hi = self._psi_ends = (kernel.support.lo, kernel.support.hi)
+            # Lattice closure of psi's inner breakpoints: each sample is cut
+            # at ((k + m) + phase) / w for every integer m that keeps the cut
+            # inside, so a neighbour's cut is bit for bit this sample's own.
+            phases = sorted({b % 1.0 for b in kernel.breakpoints if lo < b < hi})
+            cuts = [(m, p) for p in phases for m in range(math.floor(lo), math.ceil(hi))]
+            self._psi_cuts = np.array([c for c in cuts if lo < sum(c) < hi]).reshape(-1, 2).T
+            return
+        f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
+        cutoff = max(kernel.support.radius, 1.0)
+        # Cuts at 0, the kernel's breakpoints and each rung below the cutoff
+        # keep the peak inside cells: on one [-cutoff, cutoff] GK15 can miss it.
+        self._conv_cuts = [0.0, *kernel.breakpoints]
+        while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > 0.5 * psi.quad_tol:
+            self._conv_cuts += [-cutoff, cutoff]
+            cutoff *= 2.0
+            if cutoff > 1e7:
+                raise ValueError(
+                    f"convolution tail tolerance unreachable for kernel {kernel.name!r}")
+        self._psi_ends = (-cutoff, cutoff)
 
     @property
     def breakpoints(self) -> tuple:
@@ -275,14 +280,7 @@ class SeriesEvaluator:
             phi_extent = max(abs(self._support.lo), abs(self._support.hi))
         else:
             phi_extent = float(self._radius or self._rungs[-1][0])
-        psi = self.spec.psi
-        if isinstance(psi, Window):
-            psi_extent = max(abs(psi.lo), abs(psi.hi))
-        elif isinstance(psi, Convolution):
-            psi_extent = max(abs(self._conv_cut[0]), abs(self._conv_cut[1]))
-        else:
-            psi_extent = 0.0
-        margin = (phi_extent + psi_extent) / self.spec.w
+        margin = (phi_extent + max(map(abs, self._psi_ends))) / self.spec.w
         cuts = set()
         for b in base:
             cuts.update((b - margin, b, b + margin))
@@ -295,36 +293,38 @@ class SeriesEvaluator:
         return float(self._values[k - self._k0])
 
     def _compute_sample(self, ks: np.ndarray) -> np.ndarray:
-        """The samples at the lattice indices ``ks``. Point and window
-        samples are computed together, each one independent of the others;
-        convolutions run one quadrature per index."""
-        spec = self.spec
-        w = spec.w
-        psi = spec.psi
-        f = self.signal
+        """The samples at the lattice indices ``ks``, each independent of the
+        others. Every compact psi, a window included, takes one batched
+        quadrature in u over [(k+lo)/w, (k+hi)/w], cut at the signal's
+        breakpoints and the lattice closure of psi's inner breakpoints; a
+        decaying psi runs one quadrature per index in t = w u - k."""
+        spec, f = self.spec, self.signal
+        w, psi = spec.w, spec.psi
         if isinstance(psi, PointMass):
             return np.asarray(f.evaluate(ks / w), dtype=float)
-        if isinstance(psi, Window):
-            tol = spec.quad_tol / (psi.weight * w)
-            value, _ = integrate(
-                lambda u: np.asarray(f.evaluate(u), dtype=float),
-                (ks + psi.lo) / w, (ks + psi.hi) / w, tol=tol, breakpoints=f.breakpoints,
-            )
-            return psi.weight * w * value
+        kernel, (lo, hi) = self._psi_kernel, self._psi_ends
+        tol = psi.quad_tol if isinstance(psi, Convolution) else spec.quad_tol
+        if isinstance(kernel.support, _k.CompactSupport):
+            def weighted(u, interval):
+                psi_u = np.asarray(kernel.evaluate(w * u - ks[interval, None]), dtype=float)
+                return psi_u * np.asarray(f.evaluate(u.ravel()), dtype=float).reshape(u.shape)
 
-        kernel = psi.kernel
-        lo, hi = self._conv_cut
+            shifts, phases = self._psi_cuts
+            cuts = ((ks[:, None] + shifts) + phases) / w
+            value, _ = integrate(weighted, (ks + lo) / w, (ks + hi) / w, tol=tol / w,
+                                 breakpoints=np.concatenate((f.breakpoints, cuts.ravel())),
+                                 max_cells=_SAMPLE_MAX_CELLS, per_interval=True)
+            return w * value
+
         out = np.empty(ks.size)
         for i, k in enumerate(ks.tolist()):
             def integrand(t):
-                return np.asarray(kernel.evaluate(t), dtype=float) * np.asarray(
-                    f.evaluate((t + k) / w), dtype=float
-                )
+                return (np.asarray(kernel.evaluate(t), dtype=float)
+                        * np.asarray(f.evaluate((t + k) / w), dtype=float))
 
-            cuts = list(kernel.breakpoints) + self._conv_cuts
-            cuts.extend(w * s - k for s in f.breakpoints)
-            out[i], _ = integrate(integrand, lo, hi, tol=self._conv_tail_tol,
-                                  breakpoints=cuts, max_cells=40000)
+            cuts = self._conv_cuts + [w * s - k for s in f.breakpoints]
+            out[i], _ = integrate(integrand, lo, hi, tol=0.5 * tol, breakpoints=cuts,
+                                  max_cells=_SAMPLE_MAX_CELLS)
         return out
 
     def _radii(self, points: np.ndarray) -> np.ndarray:

@@ -202,6 +202,16 @@ def _evaluate_rows(f, x, interval):
     return out
 
 
+def _gauge(eta, lam, size):
+    """eta(lam * size), raising :class:`ModularOverflowError` where it
+    overflows to infinity, as the exponential gauge does past its cap."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(eta(lam * size), dtype=float)
+    if np.isinf(out).any():
+        raise ModularOverflowError(f"{eta.label} at lambda={lam:g} overflows")
+    return out
+
+
 def _grid_modular(eta, f: GridFunction, lam, lo, hi):
     # Piecewise-constant cells integrate exactly: width times gauge value.
     step = f.grid.step
@@ -209,14 +219,15 @@ def _grid_modular(eta, f: GridFunction, lam, lo, hi):
     lefts = np.maximum(starts, lo)
     rights = np.minimum(starts + step, hi)
     widths = np.maximum(rights - lefts, 0.0)
-    gauged = np.asarray(eta(lam * np.abs(f.values)), dtype=float)
+    gauged = _gauge(eta, lam, np.abs(f.values))
     return float(np.dot(widths, gauged))
 
 
 def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> list:
     """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
     integral over the window of eta(lam |f|), or ``None`` for a cell whose
-    gauge overflows (the integral is infinite at working precision).
+    gauge overflows to infinity at some node (the integral is infinite at
+    working precision).
 
     One adaptive quadrature integrates every cell over its own copy of the
     window, each to ``tol`` with its own ``max_cells`` budget, so each value
@@ -258,7 +269,7 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
             j = interval[start]
             eta, lam = cells[j]
             try:
-                out[start:stop] = eta(lam * size[start:stop])
+                out[start:stop] = _gauge(eta, lam, size[start:stop])
             except ModularOverflowError:
                 overflowed[j] = True
                 out[start:stop] = np.nan  # ends this cell's quadrature only

@@ -215,6 +215,19 @@ class TestReconstruct:
                      w_list=[5])
         assert main(["reconstruct", "--config", str(cfg)]) == 0
 
+    def test_window_psi_and_its_general_kernel_write_the_same_bytes(self, tmp_path):
+        # A window samples through its kernel, so at the same tolerance the
+        # two descriptions give the same series.
+        general = {"kind": "general", "kernel": {"family": "window", "lo": 0, "hi": 1},
+                   "quad_tol": 1e-10}
+        outputs = []
+        for name, psi in (("window", {"kind": "window", "lo": 0, "hi": 1}), ("general", general)):
+            cfg = tmp_path / f"{name}.json"
+            write_config(cfg, psi=psi, signal="piecewise_rational")
+            out = tmp_path / name
+            assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([(out / f"reconstruct_w{w}.csv").read_bytes() for w in (5, 10)])
+        assert outputs[0] == outputs[1]
 
     def test_fejer_at_default_tolerances_matches_an_independent_lattice_sum(self, tmp_path):
         # Without the runge envelope the sup-norm radius for series_tol 1e-9

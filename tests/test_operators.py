@@ -37,6 +37,18 @@ def kantorovich_closed_form_sum(phi, w, x, antiderivative):
     return total
 
 
+def skewed_hat():
+    """Unit-mass hat on [-1, 1] peaking at 0.25: an inner breakpoint off the
+    integer lattice."""
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 0.25, np.maximum(t + 1.0, 0.0) / 1.25,
+                        np.maximum(1.0 - t, 0.0) / 0.75)
+
+    return K.Kernel(name="skewed-hat", evaluate=evaluate, support=K.CompactSupport(-1.0, 1.0),
+                    l1_norm=1.0, nonnegative=True, breakpoints=(-1.0, 0.25, 1.0))
+
+
 class CountingSignal:
     """Signal wrapper that counts scalar evaluations."""
 
@@ -168,10 +180,28 @@ class TestGeneralizedSamples:
         spec_conv = O.OperatorSpec(
             K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-12), w
         )
+        # At matched tolerances the window is its kernel, bit for bit.
+        spec_matched = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w, quad_tol=1e-12)
         for k in (-3, 0, 2, 7):
             assert O.generalized_sample(spec_conv, f, k) == pytest.approx(
                 O.generalized_sample(spec_window, f, k), abs=1e-11
             )
+            assert O.generalized_sample(spec_conv, f, k) == O.generalized_sample(spec_matched, f, k)
+
+    @pytest.mark.parametrize("w", [5.0, 80.0])
+    def test_hat_convolution_of_runge_matches_closed_form(self, w):
+        # s_k = w * integral of (1 - |w u - k|) / (1 + u^2) over [(k-1)/w, (k+1)/w].
+        tol = 1e-10
+        spec = O.OperatorSpec(K.bspline(2), O.Convolution(K.bspline(2), quad_tol=tol), w)
+        f = S.builtin_signal("runge")
+        for k in (-40, -1, 0, 3, 40):
+            a, c, b = (k - 1) / w, k / w, (k + 1) / w
+            rising = (1 - k) * (math.atan(c) - math.atan(a)) + (w / 2) * (
+                math.log1p(c * c) - math.log1p(a * a))
+            falling = (1 + k) * (math.atan(b) - math.atan(c)) - (w / 2) * (
+                math.log1p(b * b) - math.log1p(c * c))
+            assert O.generalized_sample(spec, f, k) == pytest.approx(w * (rising + falling),
+                                                                     abs=tol)
 
     def test_window_splits_at_signal_breakpoints(self):
         f = S.builtin_signal("box")
@@ -367,10 +397,12 @@ class TestGridEvaluation:
         (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, "piecewise_rational", 1),
         (K.bspline(2), O.Window(-0.5, 0.25, 2.0), 1e-9, "box", 1),
         (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4, "runge", 97),
+        (K.bspline(3), O.Convolution(K.bspline(2)), 1e-9, "piecewise_rational", 1),
+        (K.bspline(3), O.Convolution(skewed_hat()), 1e-9, "piecewise_rational", 1),
     ])
     def test_grid_pass_samples_equal_single_samples_bitwise(self, phi, psi, tol, signal, stride):
-        # A grid pass computes its window samples in one batched quadrature;
-        # each must not depend on the other samples of its batch.
+        # A grid pass computes its compact-kernel samples in one batched
+        # quadrature; each must not depend on the other samples of its batch.
         f = S.builtin_signal(signal)
         spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
         evaluator = O.SeriesEvaluator(spec, f)

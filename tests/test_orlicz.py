@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,31 @@ class TestModulars:
 
     def test_no_cells(self):
         assert X.modulars([], S.builtin_signal("box"), (-1, 1)) == []
+
+    def test_infinite_power_and_zygmund_values_are_overflows(self):
+        # These gauges reach infinity instead of raising as the exponential
+        # does; such a cell is an overflow too, and no numpy warning escapes.
+        big = S.builtin_signal("constant", 1e200)
+        cells = [(X.PowerFunction(2), 1.0), (X.ZygmundFunction(1, 1), 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert X.modulars(cells, big, (0, 1)) == [None, None]
+            with pytest.raises(X.ModularOverflowError):
+                X.modular(X.PowerFunction(2), big, 1.0, (0, 1))
+
+    def test_infinite_cell_leaves_its_neighbours_alone(self):
+        f = S.builtin_signal("runge")
+        cells = [(X.PowerFunction(2), 1.0), (X.PowerFunction(2), 1e200),
+                 (X.ZygmundFunction(1, 1), 0.5), (X.ZygmundFunction(2, 1), 1e200)]
+        values = X.modulars(cells, f, (-2, 2))
+        assert values[1::2] == [None, None]
+        assert values[::2] == [X.modular(eta, f, lam, (-2, 2)) for eta, lam in cells[::2]]
+
+    def test_grid_function_infinite_cell_overflows(self):
+        grid = S.UniformGrid.from_window(0, 1, 0.25)
+        g = S.GridFunction(grid, np.full(grid.count, 1e200))
+        values = X.modulars([(X.PowerFunction(2), 1.0), (X.PowerFunction(1), 1.0)], g, (0, 1))
+        assert values == [None, pytest.approx(1e200, rel=1e-15)]
 
 
 class NanHole:
