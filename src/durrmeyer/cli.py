@@ -75,7 +75,15 @@ def _write_csv(path: Path, header, rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    # A row of plain floats needs no quoting, so one format writes it with
+    # the bytes the writer and _fmt would give.
+    floats = ",".join(["%.17g"] * len(header)) + "\n"
+    for row in rows:
+        row = tuple(row)
+        if len(row) == len(header) and all(type(cell) is float for cell in row):
+            buffer.write(floats % row)
+        else:
+            writer.writerow([_fmt(cell) for cell in row])
     path.write_text(buffer.getvalue(), encoding="ascii", newline="\n")
 
 

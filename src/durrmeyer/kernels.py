@@ -33,6 +33,13 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _MAX_BSPLINE_ORDER = 20
+# Float64 values per row block of a lattice sum, here and in the series
+# assembly of ``operators``: 64 KiB per temporary. That stays below glibc's
+# 128 KiB mmap threshold, so numpy reuses heap memory instead of mapping
+# and faulting in every temporary afresh, and a block's elementwise passes
+# stay in L2. Each row's sum depends only on its own point, so the budget
+# moves no bit of any result.
+_BLOCK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -202,9 +209,16 @@ def fejer() -> Kernel:
     coeff = 2.0 / math.pi**2
 
     def evaluate(t):
-        arr = np.asarray(t, dtype=float)
-        out = 0.5 * np.asarray(sinc(arr / 2.0)) ** 2
-        return _as_same_shape(out, t)
+        # sinc(t/2)**2 / 2 without sinc's parity sign flip, which the square
+        # undoes; the same reduction and small-argument series, the same bits.
+        h = np.asarray(t, dtype=float) / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.asarray(np.sin(np.pi * (h - np.round(h))) / (np.pi * h))
+        small = np.abs(h) < 1e-6
+        if small.any():
+            x = np.pi * h[small]
+            out[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
+        return _as_same_shape(0.5 * out**2, t)
 
     def fourier(v):
         av = abs(float(v))
@@ -340,14 +354,27 @@ def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius:
 def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
     """Sum over shifts |j| <= radius of |k(u-j)| |u-j|**nu (or, with
     ``signed_power``, of k(u-j) (j-u)**nu) for a vector of probe points,
-    in chunks of at most 4e6 kernel values."""
+    in row blocks of at most ``_BLOCK_VALUES`` terms.
+
+    A compact kernel is evaluated only on the shifts that can reach a probe;
+    its values fill a zero row of the full width, so every row is summed
+    exactly as if the kernel had been evaluated on every shift.
+    """
     shifts = np.arange(-radius, radius + 1, dtype=float)
     out = np.zeros(u.size)
-    block = max(1, int(4_000_000 // shifts.size))
+    if not u.size:
+        return out
+    reach = slice(None)
+    if isinstance(kernel.support, CompactSupport):
+        first = max(-radius, math.floor(u.min() - kernel.support.hi))
+        last = min(radius, math.ceil(u.max() - kernel.support.lo))
+        reach = slice(first + radius, max(first, last + 1) + radius)
+    block = max(1, _BLOCK_VALUES // shifts.size)
     for start in range(0, u.size, block):
         chunk = u[start:start + block]
         diffs = chunk[:, None] - shifts[None, :]
-        vals = np.asarray(kernel.evaluate(diffs))
+        vals = np.zeros_like(diffs)
+        vals[:, reach] = kernel.evaluate(diffs[:, reach])
         if signed_power:
             terms = vals * (-diffs) ** nu if nu else vals
         else:

@@ -55,9 +55,6 @@ __all__ = [
 _POU_VALIDATION_PROBES = 128
 _SUP_ESTIMATE_REGION = (-100.0, 100.0)
 _SUP_ESTIMATE_POINTS = 4001
-# Stencil values per assembly block; bounds the (points x stencil)
-# temporaries at about half a megabyte each, whatever the grid size.
-_BLOCK_VALUES = 1 << 16
 _SAMPLE_MAX_CELLS = 40000  # quadrature cells per sample, for every psi
 
 
@@ -422,7 +419,9 @@ class SeriesEvaluator:
             x, first, end = points[group], lo[group], hi[group]
             sums = np.empty(x.size)
             offsets = np.arange(width)
-            rows = max(1, _BLOCK_VALUES // width)
+            # The (points x stencil) temporaries take the block budget of
+            # the lattice sums, whatever the grid size.
+            rows = max(1, _k._BLOCK_VALUES // width)
             for start in range(0, x.size, rows):
                 block = slice(start, start + rows)
                 ks = first[block, None] + offsets

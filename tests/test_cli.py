@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -465,6 +466,34 @@ class TestCsvQuoting:
             header, *rows = list(csv.reader(f))
         assert "modular[zygmund(1,1)]@lambda=0.5" in header
         assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+
+
+def csv_writer_bytes(header, rows):
+    """What the csv module writes for every row through ``cli._fmt``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cli._fmt(cell) for cell in row] for row in rows)
+    return buffer.getvalue().encode("ascii")
+
+
+class TestCsvBytes:
+    HEADER = ["x", "signal", "reconstruction"]
+
+    def test_float_rows_match_the_csv_writer(self, tmp_path):
+        rows = [(0.1, -0.0, math.nan), (math.inf, -math.inf, 5e-324),
+                (1 / 3, 2.0**60, -1e300), [0.0, 1.0, 123456789.125]]
+        path = tmp_path / "floats.csv"
+        cli._write_csv(path, self.HEADER, rows)
+        assert path.read_bytes() == csv_writer_bytes(self.HEADER, rows)
+
+    def test_mixed_rows_match_the_csv_writer(self, tmp_path):
+        rows = [("zygmund(1,1)", True, None), (3, -0.0, math.nan), (False, math.inf, "a\"b"),
+                (np.float64(0.1), 1.0, 2.0), (0.5, 0.25), (0.5, 0.25, 0.125, 1.0),
+                (1.5, 2, 2.5)]
+        path = tmp_path / "mixed.csv"
+        cli._write_csv(path, self.HEADER, rows)
+        assert path.read_bytes() == csv_writer_bytes(self.HEADER, rows)
 
 
 class TestFailurePaths:

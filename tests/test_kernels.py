@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -144,6 +145,20 @@ class TestFejer:
         assert abs(result.value - 1.0) <= 1e-10
         assert result.certified_error <= 1e-10
 
+    def test_values_are_sinc_squared_bitwise(self):
+        # The stencil arguments w x - k of a 601-point grid at w = 5 and 10,
+        # integers, and the small-argument series on both sides of its cut.
+        x = np.linspace(-3.0, 3.0, 601)
+        stencil = np.concatenate([(w * x[:, None] - np.arange(-160, 161)[None, :]).ravel()
+                                  for w in (5.0, 10.0)])
+        special = np.array([0.0, -0.0, 1e-7, -1e-7, 1.9e-6, -1.9e-6, 2.1e-6, 1e-300, 0.5])
+        t = np.concatenate([stencil, np.arange(-1000.0, 1001.0), special])
+        reference = 0.5 * np.asarray(K.sinc(t / 2.0)) ** 2
+        assert np.asarray(K.fejer().evaluate(t)).tobytes() == reference.tobytes()
+        for value in special.tolist() + [2.0, -3.0]:
+            scalar = K.fejer().evaluate(value)
+            assert type(scalar) is float and scalar == 0.5 * K.sinc(value / 2.0) ** 2
+
 
 class TestWindow:
     def test_reference_values(self):
@@ -203,6 +218,57 @@ class TestPartitionOfUnity:
             K.partition_of_unity_residual(k, [], 4)
         with pytest.raises(ValueError):
             K.partition_of_unity_residual(k, [0.5], 0)
+
+
+def full_width_lattice_sum(kernel, u, nu, radius, signed_power):
+    """Every shift of every probe in one block: the kernel on the whole
+    (probes x shifts) array, summed row by row."""
+    shifts = np.arange(-radius, radius + 1, dtype=float)
+    diffs = u[:, None] - shifts[None, :]
+    vals = np.asarray(kernel.evaluate(diffs))
+    if signed_power:
+        terms = vals * (-diffs) ** nu if nu else vals
+    else:
+        terms = np.abs(vals) * np.abs(diffs) ** nu if nu else np.abs(vals)
+    return terms.sum(axis=1)
+
+
+class TestLatticeSum:
+    @pytest.mark.parametrize("kernel", [K.bspline(n) for n in range(1, 13)]
+                             + [K.window(0, 1, 1), K.window(-0.25, 0.5, 2)],
+                             ids=lambda k: k.name)
+    @pytest.mark.parametrize("signed_power", [False, True])
+    @pytest.mark.parametrize("nu", [0, 0.5, 1])
+    # Probes in [0, 1), as the moments and the residual use, where only some
+    # shifts reach; and probes across the line, where every shift does.
+    # Several row blocks for every kernel.
+    @pytest.mark.parametrize("u", [np.arange(3000) / 3000.0, np.linspace(-2.5, 3.5, 3001)],
+                             ids=["unit", "line"])
+    def test_blocks_and_reach_equal_the_full_width_sum_bitwise(self, kernel, signed_power, nu, u):
+        radius = K.compact_lattice_radius(kernel.support)
+        assert u.size * (2 * radius + 1) > 2 * K._BLOCK_VALUES
+        with np.errstate(invalid="ignore"):
+            sums = K.lattice_sum(kernel, u, nu, radius, signed_power=signed_power)
+            reference = full_width_lattice_sum(kernel, u, nu, radius, signed_power)
+        assert sums.tobytes() == reference.tobytes()
+
+    def test_compact_kernel_is_evaluated_only_where_it_reaches(self):
+        seen = []
+        window = K.window(0, 1, 1)
+
+        def counting(t):
+            seen.append(np.asarray(t).copy())
+            return window.evaluate(t)
+
+        kernel = dataclasses.replace(window, evaluate=counting)
+        u = np.arange(64) / 64.0
+        sums = K.lattice_sum(kernel, u, 1, 3)
+        # Shifts -1, 0 and 1 of the seven reach [0, 1).
+        assert sum(t.size for t in seen) == 3 * u.size
+        assert sums.tobytes() == full_width_lattice_sum(window, u, 1, 3, False).tobytes()
+
+    def test_empty_probes(self):
+        assert K.lattice_sum(K.bspline(3), np.array([]), 1, 4).size == 0
 
 
 DECLARED_KERNELS = ([K.bspline(n) for n in range(1, 21)] + [K.fejer()]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,58 @@ class TestDiscreteAbsolute:
             M.discrete_absolute_moment(K.bspline(2), 0, tol=0)
         with pytest.raises(ValueError):
             M.discrete_absolute_moment(K.bspline(2), 0, method="magic")
+
+
+def full_regrid_moment(kernel, nu, probes=2048, tol=1e-9):
+    """The supremum loop that lattice-sums every probe of each doubled grid."""
+    radius, tail = M._lattice_radius(kernel, nu, tol)
+    count = probes
+    sup = float(np.max(K.lattice_sum(kernel, np.arange(count) / count, nu, radius)))
+    while count < M._MAX_PROBES:
+        count *= 2
+        refined = float(np.max(K.lattice_sum(kernel, np.arange(count) / count, nu, radius)))
+        stable = abs(refined - sup) < tol
+        sup = max(sup, refined)
+        if stable:
+            break
+    return sup, tail
+
+
+class TestProbeRefinement:
+    @pytest.mark.parametrize("count", [1, 3, 100, 2048, 1 << 14])
+    def test_even_probes_of_a_doubled_grid_are_the_grid_bitwise(self, count):
+        doubled = np.arange(0, 2 * count, 2) / (2 * count)
+        assert doubled.tobytes() == (np.arange(count) / count).tobytes()
+
+    @pytest.mark.parametrize("kernel, nu, probes, tol", [
+        (K.bspline(2), 1, 2048, 1e-9),
+        (K.bspline(3), 1, 2048, 1e-9),
+        (K.bspline(3), 0.5, 100, 1e-9),
+        (K.bspline(12), 1, 2048, 1e-9),
+        (K.bspline(4), 0, 2048, 1e-9),
+        (K.window(0, 1, 1), 1, 2048, 1e-9),
+        (K.window(-0.25, 0.5, 2), 0.5, 2048, 1e-9),
+        (K.window(0, 0.5, 1), 0, 64, 1e-9),
+        (K.fejer(), 0, 64, 1e-3),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_grid_supremum_equals_the_full_regrid_bitwise(self, kernel, nu, probes, tol):
+        result = M.discrete_absolute_moment(kernel, nu, probes=probes, tol=tol, method="grid")
+        assert (result.value, result.certified_error) == full_regrid_moment(kernel, nu, probes, tol)
+
+    def test_window_first_moment_evaluates_only_new_probes_where_the_window_reaches(self):
+        window = K.window(0, 1, 1)
+        counted = [0]
+
+        def counting(t):
+            counted[0] += np.asarray(t).size
+            return window.evaluate(t)
+
+        kernel = dataclasses.replace(window, evaluate=counting)
+        result = M.discrete_absolute_moment(kernel, 1)
+        assert result.value == M.discrete_absolute_moment(window, 1).value
+        # 2,048 probes and then the odd ones of each doubling up to 32,768:
+        # 32,768 probes in all, each on the 3 of 7 shifts that reach it.
+        assert counted[0] == 32768 * 3
 
 
 class TestDiscreteAlgebraic:

@@ -352,13 +352,28 @@ class TestGridEvaluation:
                          "--out", str(tmp_path / "out")]) == 0
         assert sorted(computed) == sorted(union)
 
+    @pytest.mark.parametrize("phi, psi, tol", [
+        (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4),
+        (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9),
+        (K.fejer(), O.PointMass(), 1e-4),
+    ], ids=["fejer-window", "bspline3-window", "fejer-pointmass"])
+    def test_on_grid_does_not_depend_on_the_block_budget(self, phi, psi, tol, monkeypatch):
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
+        points = S.UniformGrid.from_window(-3, 3, 0.01).points()
+        values = []
+        for budget in (1 << 4, 1 << 13, 1 << 16):
+            monkeypatch.setattr(K, "_BLOCK_VALUES", budget)
+            values.append(O.SeriesEvaluator(spec, f).on_grid(points).tobytes())
+        assert values[0] == values[1] == values[2]
+
     def test_fejer_blocks_match_per_point_exact_sum(self):
-        # Without its envelope runge takes the full radius: more than eight
-        # blocks of stencil values.
+        # Without its envelope runge takes the full radius: more than
+        # 8 * 2**16 stencil values, over 64 assembly blocks.
         self.check_fejer_blocks(dataclasses.replace(S.builtin_signal("runge"), envelope=None), 8)
 
     def test_fejer_blocks_match_per_point_exact_sum_with_envelope(self):
-        # With it, stencils of 129 values: more than one block in all.
+        # With it, stencils of 129 values: more than 2**16 in all.
         self.check_fejer_blocks(S.builtin_signal("runge"), 1)
 
     @staticmethod
@@ -414,14 +429,13 @@ class TestGridEvaluation:
 
     def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise(self):
         # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: without
-        # its envelope each point's stencil alone is eight times the
-        # assembly block.
+        # its envelope each point's stencil alone fills over 64 assembly blocks.
         f = dataclasses.replace(S.builtin_signal("piecewise_rational"), envelope=None)
         self.check_long_fejer_stencil(f)
 
     def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise_with_envelope(self):
-        # The envelope shortens the same points' stencils to a few blocks'
-        # worth in all.
+        # The envelope shortens the same points' stencils to under 2**15
+        # values each.
         radii = self.check_long_fejer_stencil(S.builtin_signal("piecewise_rational"))
         assert radii.max() < 2**15
 
