@@ -213,6 +213,11 @@ class SeriesEvaluator:
         self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
         psi = spec.psi
+        # The series is smooth between the knots (k + b)/w, b a breakpoint of
+        # a compact phi: the lattice its modular quadrature cuts at.
+        self.knots = None
+        if isinstance(self._support, _k.CompactSupport):
+            self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
         if isinstance(self._support, _k.DecayingSupport):
             sup = _sup_bound(signal, "series")
             # Every functional keeps |sample| <= mass * sup: with no usable
@@ -362,7 +367,7 @@ class SeriesEvaluator:
             radii = self._radii(points)
             lo = np.ceil(wx - radii)
             hi = np.floor(wx + radii)
-            groups = [(2 * r + 1, radii == r) for r in np.unique(radii).tolist()]
+            groups = [(2 * r + 1, radii == r) for r in sorted(set(radii.tolist()))]
         return lo.astype(np.int64), hi.astype(np.int64), groups
 
     def _index_range(self, x: float) -> np.ndarray:

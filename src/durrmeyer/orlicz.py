@@ -155,7 +155,11 @@ def phi_eval(eta: OrliczFunction, u):
 
 
 class Difference:
-    """Pointwise difference ``f - g`` of two evaluables, with merged breakpoints."""
+    """Pointwise difference ``f - g`` of two evaluables, with merged breakpoints.
+
+    It declares no ``knots``, even for a spline series ``f``: |f - g| also
+    kinks where it crosses zero, inside the knot cells, and cutting only at
+    the knots leaves those kinks to an error estimate that misses them."""
 
     def __init__(self, f, g):
         self._f = f
@@ -239,8 +243,10 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     somewhere in the window) raises :class:`ArithmeticError` naming its
     gauge and lambda. The line integral is truncated to the window by
     design; mass outside it is the caller's responsibility. ``f`` may be a
-    signal-like object (``evaluate`` plus ``breakpoints``) or a
-    :class:`GridFunction`, which integrates exactly cell by cell.
+    signal-like object (``evaluate`` plus ``breakpoints``, and optionally
+    ``knots``, the lattice of its kinks that :func:`integrate` splits cells
+    at, as a :class:`SeriesEvaluator` declares) or a :class:`GridFunction`,
+    which integrates exactly cell by cell.
     """
     cells = list(cells)
     if any(lam <= 0 for _, lam in cells):
@@ -278,7 +284,8 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     n = len(cells)
     values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
                           breakpoints=tuple(getattr(f, "breakpoints", ())),
-                          max_cells=max_cells, per_interval=True)
+                          max_cells=max_cells, per_interval=True,
+                          knots=getattr(f, "knots", None))
     values = [None if over else float(value) for value, over in zip(values, overflowed)]
     _refuse_nan(cells, values)
     return [None if value is None else max(0.0, value) for value in values]

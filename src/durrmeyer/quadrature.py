@@ -3,7 +3,10 @@
 Cells are bisected on the embedded-rule error estimate until the summed
 estimate meets an absolute tolerance, so every value returned carries a
 defensible error bound. Interior breakpoints seed the initial subdivision,
-which keeps piecewise integrands smooth on every cell. Many intervals are
+which keeps piecewise integrands smooth on every cell; an integrand with
+kinks on a whole lattice (a spline series) names that lattice as ``knots``,
+and a cell picked for splitting is cut at its interior knot nearest its
+midpoint instead of at the midpoint itself. Many intervals are
 refined together, in rounds that evaluate all their new cells at once, in
 the manner of QUADPACK's QAG (Piessens et al., 1983). Each interval of such
 a batch may integrate its own function: with ``per_interval=True`` the
@@ -100,7 +103,11 @@ def _initial_cells(a, b, breakpoints):
     its edges."""
     ids = np.flatnonzero(a != b)
     a, b = a[ids], b[ids]
-    cuts = np.unique(np.fromiter(breakpoints, dtype=float))
+    # Sorted and deduplicated without np.unique, whose first call imports numpy.ma.
+    cuts = np.sort(np.fromiter(breakpoints, dtype=float))
+    fresh = np.ones(cuts.size, dtype=bool)
+    fresh[1:] = cuts[1:] != cuts[:-1]
+    cuts = cuts[fresh]
     first = cuts.searchsorted(a, side="right")
     last = cuts.searchsorted(b, side="left")
     counts = last - first + 1
@@ -113,6 +120,24 @@ def _initial_cells(a, b, breakpoints):
     lo = np.where(rank == 0, a[seg], padded[right - 1])
     hi = np.where(right == last[seg], b[seg], padded[right])
     return ids, seg, lo, hi
+
+
+def _split_points(lo, hi, knots):
+    """Where to split each cell [lo, hi]: its knot (k + p)/w strictly inside
+    it that lies nearest its midpoint, or the midpoint when it holds none.
+    ``knots`` is ``(w, phases)`` or None; each cut depends on its cell only."""
+    mid = 0.5 * (lo + hi)
+    if knots is None or not len(knots[1]):
+        return mid
+    w, phases = knots[0], np.asarray(knots[1], dtype=float)
+    # Per phase, the knot nearest the midpoint: no other knot of that phase
+    # lies inside the cell when this one does not.
+    near = (np.rint(w * mid[:, None] - phases) + phases) / w
+    gap = np.where((lo[:, None] < near) & (near < hi[:, None]),
+                   np.abs(near - mid[:, None]), np.inf)
+    best = gap.argmin(axis=1)
+    rows = np.arange(mid.size)
+    return np.where(np.isfinite(gap[rows, best]), near[rows, best], mid)
 
 
 def _by_interval_and_error(err, seg):
@@ -147,13 +172,14 @@ def _bisection_picks(err, seg, count, excess, max_cells):
     return order[(run - run[start] < _EXCESS_UNIT) & (rank < max_cells - count[s])]
 
 
-def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False):
+def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False,
+              knots=None):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     ``a`` and ``b`` are floats or equal-length arrays of interval ends.
     Each round runs one GK15 pass over the new cells of every interval still
     over its tolerance, calling ``f`` on the nodes of many cells at once,
-    then bisects in each such interval the largest-error cells that cover
+    then splits in each such interval the largest-error cells that cover
     its excess. An interval's result does not depend on the other
     intervals of its call. ``f`` must accept a 1-d ndarray of nodes and
     return same-shape values.
@@ -164,6 +190,13 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     ends. Rows come grouped by interval, in ascending interval order, so
     ``f`` can slice each interval's rows out of ``x``; it returns values of
     the shape of ``x``.
+
+    ``knots=(w, phases)`` names the lattice {(k + p)/w : k integer, p in
+    phases} of the integrand's kinks, for instance the knots of a B-spline
+    series at scale w. A cell picked for splitting is then cut at its
+    interior knot nearest its midpoint, and bisected only when it holds
+    none. The cut depends on the cell alone, so an interval's result still
+    does not depend on the other intervals of its call.
 
     Returns ``(value, error_bound)`` per interval, floats for float ends,
     with ``error_bound <= tol``, except that an interval whose integrand
@@ -224,14 +257,14 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
             continue
         # Each split shifts the cells after it by one.
         first = split + np.arange(split.size)
-        mid = 0.5 * (lo[split] + hi[split])
+        cut = _split_points(lo[split], hi[split], knots)
         reps = np.ones(lo.size, dtype=np.intp)
         reps[split] = 2
         seg, lo, hi, value, err, frozen = (
             seg.repeat(reps), lo.repeat(reps), hi.repeat(reps),
             value.repeat(reps), err.repeat(reps), frozen.repeat(reps))
-        hi[first] = mid
-        lo[first + 1] = mid
+        hi[first] = cut
+        lo[first + 1] = cut
         kids = (first[:, None] + (0, 1)).ravel()
         value[kids], err[kids] = _gk15(f, lo[kids], hi[kids],
                                        ids[seg[kids]] if per_interval else None)

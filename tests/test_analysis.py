@@ -261,6 +261,18 @@ class TestModularInequalityCells:
             assert table == A.modular_inequality_cells(specs(phi, psi, [w]), f, self.CELLS,
                                                        (-8, 8))[0]
 
+    def test_fine_scale_piecewise_rational_converges(self):
+        # Bisecting through the knots k/w ran out of its 20,000 cells here.
+        f = S.builtin_signal("piecewise_rational")
+        [[cell]] = A.modular_inequality_cells(
+            specs(K.bspline(2), O.Window(0.0, 1.0, 1.0), [1280.0]), f,
+            [(X.ZygmundFunction(1, 1), 0.5)], (-8, 8),
+        )
+        # The knot-exact value: 40-point Gauss-Legendre on every knot cell of
+        # the piecewise linear series, split at its zero crossings.
+        assert cell.lhs == pytest.approx(27.603355290766427, abs=1e-8)
+        assert cell.holds
+
     def test_point_mass_is_refused(self):
         with pytest.raises(TypeError):
             A.modular_inequality_cells(specs(K.bspline(2), O.PointMass(), [5.0]),

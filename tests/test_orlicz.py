@@ -240,6 +240,54 @@ class TestModulars:
         assert values == [None, pytest.approx(1e200, rel=1e-15)]
 
 
+def knot_exact_modular(evaluator, eta, lam, window):
+    """The modular of a B-spline 2 series over the window, independent of
+    adaptive quadrature: the series is linear between the knots k/w, so
+    40-point Gauss-Legendre on each knot cell, split at its zero crossing,
+    integrates eta(lam |S|) to rounding."""
+    lo, hi = window
+    w = evaluator.spec.w
+    knots = np.arange(np.ceil(w * lo), np.floor(w * hi) + 1) / w
+    edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+    s = evaluator.evaluate(edges)
+    a, b, sa, sb = edges[:-1], edges[1:], s[:-1], s[1:]
+    cross = sa * sb < 0
+    z = a - sa * (b - a) / np.where(cross, sb - sa, 1.0)
+    zeros = np.zeros(np.count_nonzero(cross))
+    p = np.concatenate((a[~cross], a[cross], z[cross]))
+    q = np.concatenate((b[~cross], z[cross], b[cross]))
+    sp = np.concatenate((sa[~cross], sa[cross], zeros))
+    sq = np.concatenate((sb[~cross], zeros, sb[cross]))
+    x, weights = np.polynomial.legendre.leggauss(40)
+    values = sp[:, None] + (sq - sp)[:, None] * (0.5 * (x + 1.0))
+    return float((0.5 * (q - p) * (eta(lam * np.abs(values)) @ weights)).sum())
+
+
+class TestLatticeKnots:
+    def test_series_knots_are_the_breakpoint_phases(self):
+        window = O.Window(0.0, 1.0, 1.0)
+        f = S.builtin_signal("runge")
+        for n, phases in [(1, [0.5]), (2, [0.0]), (3, [0.5]), (4, [0.0])]:
+            spec = O.OperatorSpec(K.bspline(n), window, 5.0)
+            assert O.SeriesEvaluator(spec, f).knots == (5.0, phases)
+        spec = O.OperatorSpec(K.fejer(), window, 5.0, series_tol=1e-3)
+        assert O.SeriesEvaluator(spec, f).knots is None
+
+    def test_difference_declares_no_knots(self):
+        f = S.builtin_signal("runge")
+        assert not hasattr(X.Difference(reconstruction("runge"), f), "knots")
+
+    # Window offsets of the orlicz_matrix benchmark at seeds 1 and 8.
+    @pytest.mark.parametrize("offset", [0.1343642441, 0.2267058594])
+    @pytest.mark.parametrize("w", [5.0, 10.0])
+    def test_modulars_meet_the_knot_exact_reference(self, offset, w):
+        f = reconstruction("piecewise_rational", w)
+        window = (-8.0 + offset, 8.0 + offset)
+        cells = [(eta, 0.5) for eta in MATRIX_GAUGES]
+        for (eta, lam), value in zip(cells, X.modulars(cells, f, window, tol=1e-9)):
+            assert value == pytest.approx(knot_exact_modular(f, eta, lam, window), abs=1e-8)
+
+
 class NanHole:
     """1 on the line except NaN on (0.4, 0.6), where no overflow happens."""
 

@@ -158,3 +158,68 @@ def test_cell_order_is_the_stable_lexsort(n):
     seg = np.sort(rng.integers(0, 5, n))
     err = rng.choice([0.0, 1e-12, 2e-12, 3e-9], n) * rng.choice([1.0, 1.0 + 1e-15], n)
     assert np.array_equal(Q._by_interval_and_error(err, seg), np.lexsort((-err, seg)))
+
+
+def triangle_wave(x):
+    """Piecewise linear with kinks on the lattice k/3: 1 at even k, 0 at odd k."""
+    return np.abs(np.mod(3.0 * x, 2.0) - 1.0)
+
+
+class TestKnots:
+    KNOTS = (3.0, (0.0,))
+
+    @staticmethod
+    def f(x):
+        return triangle_wave(x) + 1.0 / (1.0 + 25.0 * x * x)
+
+    def test_each_interval_equals_its_solo_call_bitwise(self):
+        A, B = TestIntervalArrays.A, TestIntervalArrays.B
+        values, errors = integrate(self.f, A, B, tol=1e-12, breakpoints=(0.3,),
+                                   knots=self.KNOTS)
+        assert np.all(errors <= 1e-12)
+        for a, b, value, err in zip(A, B, values, errors):
+            assert integrate(self.f, float(a), float(b), tol=1e-12, breakpoints=(0.3,),
+                             knots=self.KNOTS) == (value, err)
+
+    def test_lattice_kinks_cost_fewer_nodes(self):
+        # 3x runs over [0.15, 29.85]: 28 whole teeth of mean 1/2 on [1, 29]
+        # and two end pieces of 0.85**2 / 2 each.
+        exact = (14.0 + 0.85**2) / 3.0
+        results = {}
+        for knots in (None, self.KNOTS):
+            seen = []
+
+            def counting(x):
+                seen.append(x.size)
+                return triangle_wave(x)
+
+            value, _ = integrate(counting, 0.05, 9.95, tol=1e-12, knots=knots)
+            results[knots] = value, sum(seen)
+        value, nodes = results[self.KNOTS]
+        assert value == pytest.approx(exact, abs=1e-14)
+        assert nodes < results[None][1]
+        # Bisection cuts no kink exactly: it needs many more nodes, and its
+        # error estimate misses some kinks.
+        assert results[None][0] == pytest.approx(exact, abs=1e-10)
+
+    def test_every_cut_lies_strictly_inside_its_cell(self):
+        rng = np.random.default_rng(7)
+        w, phases = 7.0, (0.0, 0.25, 0.5)
+        knots = (np.arange(-100, 200)[:, None] + np.array(phases)).ravel() / w
+        lo = np.concatenate((rng.uniform(-10, 10, 3000),
+                             rng.choice(knots, 1000),  # edges on a knot
+                             rng.choice(knots, 1000) - 1e-9))  # a knot just inside
+        width = np.concatenate((10.0 ** rng.uniform(-12, 1, 3000),
+                                1.0 / w * rng.choice([0.25, 0.5, 1.0, 3.0], 1000),
+                                np.full(1000, 2e-9)))
+        hi = lo + width
+        cut = Q._split_points(lo, hi, (w, phases))
+        assert np.all((lo < cut) & (cut < hi))
+        inside = ((knots > lo[:, None]) & (knots < hi[:, None])).any(axis=1)
+        mid = 0.5 * (lo + hi)
+        assert np.array_equal(cut[~inside], mid[~inside])
+        assert np.isin(cut[inside], knots).all()
+        # The nearest knot to the midpoint among those inside.
+        gaps = np.where((knots > lo[:, None]) & (knots < hi[:, None]),
+                        np.abs(knots - mid[:, None]), np.inf).min(axis=1)
+        assert np.allclose(np.abs(cut - mid)[inside], gaps[inside], rtol=0, atol=1e-12)
