@@ -4,8 +4,8 @@ sample functional.
 The operator at scale w reads a generalized sample w * integral of
 psi(w u - k) f(u) du for each lattice index k (a point value for a point
 mass; a window is its kernel) and recombines the samples with shifted copies
-of the reconstruction kernel. Every compact psi shares one batched
-quadrature; only a decaying psi takes one quadrature per index. Truncation
+of the reconstruction kernel. The samples a request is missing share one
+batched quadrature for every psi, each cut at its own breakpoints. Truncation
 of the lattice sum is certified from the kernel's support metadata. For a
 decaying kernel each point x gets its own radius: the first rung r of the
 doubling ladder at which
@@ -16,9 +16,9 @@ meets ``series_tol``, with lo/hi the reach of psi (0 for a point mass), E
 evaluated at max(0, .) and capped at the sup norm. Each term is a one-sided
 lattice tail times the envelope at the nearest omitted sample on that side,
 so the bound is certified. E is the signal's declared decay envelope; with
-none, or for a convolution functional, it is the constant sup norm, and
-every point gets the sup-norm radius ``_radius``, which no per-point radius
-exceeds. An evaluation context stores each sample once, computed only when a
+none, or for a decaying psi, whose samples reach the whole line, it is the
+constant sup norm, and every point gets the sup-norm radius ``_radius``,
+which no per-point radius exceeds. An evaluation context stores each sample once, computed only when a
 requested point's stencil touches it, and sums the series for many points in
 vectorized blocks, one row width per radius.
 """
@@ -213,6 +213,8 @@ class SeriesEvaluator:
         self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
         psi = spec.psi
+        decaying_psi = (isinstance(psi, Convolution)
+                        and isinstance(psi.kernel.support, _k.DecayingSupport))
         # The series is smooth between the knots (k + b)/w, b a breakpoint of
         # a compact phi: the lattice its modular quadrature cuts at.
         self.knots = None
@@ -220,10 +222,11 @@ class SeriesEvaluator:
             self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
         if isinstance(self._support, _k.DecayingSupport):
             sup = _sup_bound(signal, "series")
-            # Every functional keeps |sample| <= mass * sup: with no usable
-            # envelope the bound below takes the constant envelope sup, and
-            # every point gets the sup-norm radius.
-            constant = signal.envelope is None or isinstance(psi, Convolution)
+            # Every functional keeps |sample| <= mass * max |f| over psi's
+            # reach: with no envelope, or a decaying psi that reaches
+            # everywhere, the bound below takes the constant envelope sup,
+            # and every point gets the sup-norm radius.
+            constant = signal.envelope is None or decaying_psi
             if constant:
                 self._envelope = lambda r: np.full(np.shape(r), sup)
             else:
@@ -242,33 +245,35 @@ class SeriesEvaluator:
                 self._radius = None
         else:
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
-        # The reach (lo, hi) of psi in t = w u - k: a point mass has none, a
-        # compact kernel its support, a decaying one its tail cutoff.
+        # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
+        # each sample at (k + c)/w, and the samples' quadrature tolerance: a
+        # point mass has none of them, a compact kernel its support and
+        # inner breakpoints.
         self._psi_ends = (0.0, 0.0)
         if isinstance(psi, PointMass):
             return
         kernel = self._psi_kernel = psi.kernel
-        if isinstance(kernel.support, _k.CompactSupport):
+        if not decaying_psi:
             lo, hi = self._psi_ends = (kernel.support.lo, kernel.support.hi)
-            # Lattice closure of psi's inner breakpoints: each sample is cut
-            # at ((k + m) + phase) / w for every integer m that keeps the cut
-            # inside, so a neighbour's cut is bit for bit this sample's own.
-            phases = sorted({b % 1.0 for b in kernel.breakpoints if lo < b < hi})
-            cuts = [(m, p) for p in phases for m in range(math.floor(lo), math.ceil(hi))]
-            self._psi_cuts = np.array([c for c in cuts if lo < sum(c) < hi]).reshape(-1, 2).T
+            self._psi_cuts = np.array([b for b in kernel.breakpoints if lo < b < hi])
+            self._sample_tol = psi.quad_tol if isinstance(psi, Convolution) else spec.quad_tol
             return
         f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
         cutoff = max(kernel.support.radius, 1.0)
-        # Cuts at 0, the kernel's breakpoints and each rung below the cutoff
-        # keep the peak inside cells: on one [-cutoff, cutoff] GK15 can miss it.
-        self._conv_cuts = [0.0, *kernel.breakpoints]
+        # A decaying kernel reaches its tail cutoff. Cuts at 0, its
+        # breakpoints and each rung below the cutoff keep the peak inside
+        # cells: on one [-cutoff, cutoff] GK15 can miss it. The tail takes
+        # half the tolerance, the quadrature the other half.
+        cuts = [0.0, *kernel.breakpoints]
         while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > 0.5 * psi.quad_tol:
-            self._conv_cuts += [-cutoff, cutoff]
+            cuts += [-cutoff, cutoff]
             cutoff *= 2.0
             if cutoff > 1e7:
                 raise ValueError(
                     f"convolution tail tolerance unreachable for kernel {kernel.name!r}")
         self._psi_ends = (-cutoff, cutoff)
+        self._psi_cuts = np.array(cuts)
+        self._sample_tol = 0.5 * psi.quad_tol
 
     @property
     def breakpoints(self) -> tuple:
@@ -296,38 +301,24 @@ class SeriesEvaluator:
 
     def _compute_sample(self, ks: np.ndarray) -> np.ndarray:
         """The samples at the lattice indices ``ks``, each independent of the
-        others. Every compact psi, a window included, takes one batched
-        quadrature in u over [(k+lo)/w, (k+hi)/w], cut at the signal's
-        breakpoints and the lattice closure of psi's inner breakpoints; a
-        decaying psi runs one quadrature per index in t = w u - k."""
+        others: point values for a point mass, and for every other psi one
+        batched quadrature in u over [(k+lo)/w, (k+hi)/w], each sample cut
+        at the signal's breakpoints and at its own (k + c)/w."""
         spec, f = self.spec, self.signal
-        w, psi = spec.w, spec.psi
-        if isinstance(psi, PointMass):
+        w = spec.w
+        if isinstance(spec.psi, PointMass):
             return np.asarray(f.evaluate(ks / w), dtype=float)
         kernel, (lo, hi) = self._psi_kernel, self._psi_ends
-        tol = psi.quad_tol if isinstance(psi, Convolution) else spec.quad_tol
-        if isinstance(kernel.support, _k.CompactSupport):
-            def weighted(u, interval):
-                psi_u = np.asarray(kernel.evaluate(w * u - ks[interval, None]), dtype=float)
-                return psi_u * np.asarray(f.evaluate(u.ravel()), dtype=float).reshape(u.shape)
 
-            shifts, phases = self._psi_cuts
-            cuts = ((ks[:, None] + shifts) + phases) / w
-            value, _ = integrate(weighted, (ks + lo) / w, (ks + hi) / w, tol=tol / w,
-                                 breakpoints=np.concatenate((f.breakpoints, cuts.ravel())),
-                                 max_cells=_SAMPLE_MAX_CELLS, per_interval=True)
-            return w * value
+        def weighted(u, interval):
+            psi_u = np.asarray(kernel.evaluate(w * u - ks[interval, None]), dtype=float)
+            return psi_u * np.asarray(f.evaluate(u.ravel()), dtype=float).reshape(u.shape)
 
-        out = np.empty(ks.size)
-        for i, k in enumerate(ks.tolist()):
-            def integrand(t):
-                return (np.asarray(kernel.evaluate(t), dtype=float)
-                        * np.asarray(f.evaluate((t + k) / w), dtype=float))
-
-            cuts = self._conv_cuts + [w * s - k for s in f.breakpoints]
-            out[i], _ = integrate(integrand, lo, hi, tol=0.5 * tol, breakpoints=cuts,
-                                  max_cells=_SAMPLE_MAX_CELLS)
-        return out
+        shared = np.broadcast_to(f.breakpoints, (ks.size, len(f.breakpoints)))
+        rows = np.concatenate((shared, (ks[:, None] + self._psi_cuts) / w), axis=1)
+        value, _ = integrate(weighted, (ks + lo) / w, (ks + hi) / w, tol=self._sample_tol / w,
+                             breakpoints=rows, max_cells=_SAMPLE_MAX_CELLS, per_interval=True)
+        return w * value
 
     def _radii(self, points: np.ndarray) -> np.ndarray:
         """Each point's truncation radius for a decaying kernel: the first

@@ -2,16 +2,18 @@
 
 Cells are bisected on the embedded-rule error estimate until the summed
 estimate meets an absolute tolerance, so every value returned carries a
-defensible error bound. Interior breakpoints seed the initial subdivision,
-which keeps piecewise integrands smooth on every cell; an integrand with
-kinks on a whole lattice (a spline series) names that lattice as ``knots``,
-and a cell picked for splitting is cut at its interior knot nearest its
-midpoint instead of at the midpoint itself. Many intervals are
-refined together, in rounds that evaluate all their new cells at once, in
-the manner of QUADPACK's QAG (Piessens et al., 1983). Each interval of such
-a batch may integrate its own function: with ``per_interval=True`` the
-integrand receives its nodes one row per cell, beside each row's interval,
-so one call can serve many integrands that share nodes.
+defensible error bound. Interior breakpoints, shared by a batch of
+intervals or given one row per interval as QUADPACK's QAGP takes them per
+integral, seed the initial subdivision, which keeps piecewise integrands
+smooth on every cell; an integrand with kinks on a whole lattice (a spline
+series) names that lattice as ``knots``, and a cell picked for splitting is
+cut at its interior knot nearest its midpoint instead of at the midpoint
+itself. Many intervals are refined together, in rounds that evaluate all
+their new cells at once, in the manner of QUADPACK's QAG (Piessens et al.,
+1983). Each interval of such a batch may integrate its own function: with
+``per_interval=True`` the integrand receives its nodes one row per cell,
+beside each row's interval, so one call can serve many integrands that
+share nodes.
 """
 
 from __future__ import annotations
@@ -98,28 +100,24 @@ def _gk15(f, lo, hi, interval=None):
 
 def _initial_cells(a, b, breakpoints):
     """The intervals with a != b, and each one's first cells: the interval
-    cut at the breakpoints strictly inside it. Returns the intervals'
-    indices and, per cell in order, its interval's position among them and
-    its edges."""
+    cut at the distinct breakpoints strictly inside it, taken from the one
+    row shared by all intervals or from the interval's own row. Returns the
+    intervals' indices and, per cell in order, its interval's position
+    among them and its edges."""
+    cuts = np.asarray(breakpoints, dtype=float)
+    if cuts.ndim == 2 and cuts.shape[0] != a.size:
+        raise ValueError(f"{cuts.shape[0]} breakpoint rows for {a.size} intervals")
     ids = np.flatnonzero(a != b)
-    a, b = a[ids], b[ids]
-    # Sorted and deduplicated without np.unique, whose first call imports numpy.ma.
-    cuts = np.sort(np.fromiter(breakpoints, dtype=float))
-    fresh = np.ones(cuts.size, dtype=bool)
-    fresh[1:] = cuts[1:] != cuts[:-1]
-    cuts = cuts[fresh]
-    first = cuts.searchsorted(a, side="right")
-    last = cuts.searchsorted(b, side="left")
-    counts = last - first + 1
-    seg = np.repeat(np.arange(ids.size), counts)
-    rank = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # Index into ``cuts`` of each cell's right edge; the padding keeps the
-    # out-of-range edges, which the interval ends replace, in bounds.
-    right = first[seg] + rank
-    padded = np.append(cuts, np.nan)
-    lo = np.where(rank == 0, a[seg], padded[right - 1])
-    hi = np.where(right == last[seg], b[seg], padded[right])
-    return ids, seg, lo, hi
+    a, b = a[ids, None], b[ids, None]
+    if cuts.ndim == 2:
+        cuts = cuts[ids]
+    # Each interval's edges in order, a cut outside it clipped onto an end.
+    # Sorted without np.unique, whose first call imports numpy.ma.
+    edges = np.sort(np.concatenate((a, np.clip(cuts, a, b), b), axis=1), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    # Repeated and clipped cuts leave empty cells, which are dropped.
+    cell = hi > lo
+    return ids, np.nonzero(cell)[0], lo[cell], hi[cell]
 
 
 def _split_points(lo, hi, knots):
@@ -191,6 +189,12 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     ``f`` can slice each interval's rows out of ``x``; it returns values of
     the shape of ``x``.
 
+    ``breakpoints`` cuts every interval at the breakpoints strictly inside
+    it before the first round. It is one row of cuts shared by all
+    intervals, or a 2-d array with one row per interval (a batch of n
+    intervals with m cuts each then holds n x m of them), which lets each
+    interval carry its own cuts and still equal its solo call.
+
     ``knots=(w, phases)`` names the lattice {(k + p)/w : k integer, p in
     phases} of the integrand's kinks, for instance the knots of a B-spline
     series at scale w. A cell picked for splitting is then cut at its
@@ -212,8 +216,8 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape
     a, b = a.ravel(), b.ravel()
-    if (b < a).any():
-        raise ValueError("integration interval is reversed")
+    if not (a <= b).all():
+        raise ValueError("integration interval is reversed or NaN")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     values = np.zeros(a.size)

@@ -448,6 +448,22 @@ class TestImports:
                                 capture_output=True, text=True)
         assert result.stdout.strip() == "[]"
 
+    def test_commands_load_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # numpy.ma costs 12-15 ms to import; np.unique is one way to load it.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="box", w_list=[5], window=[-2, 2],
+                     psi={"kind": "general", "kernel": {"family": "bspline", "n": 2}})
+        env = dict(os.environ, PYTHONPATH=str(Path(durrmeyer.__file__).parents[1]))
+        code = ("import sys; from durrmeyer.cli import main\n"
+                "for command in ('kernel-check', 'reconstruct', 'converge', 'orlicz'):\n"
+                f"    assert main([command, '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]) == 0\n"
+                "print([name for name in sys.modules if name == 'numpy.ma'"
+                " or name.startswith(('numpy.ma.', 'scipy'))])")
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True)
+        assert result.stdout.strip() == "[]"
+
 
 class TestCsvQuoting:
     def test_every_row_reads_back_with_the_header_width(self, tmp_path):
@@ -535,10 +551,9 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         assert b"0x" not in outputs[0]
 
-    def test_repeat_runs_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, w_list=[5])
-        monkeypatch.setenv("DURRMEYER_THREADS", "1")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert main(["converge", "--config", str(cfg), "--out", str(out_a)]) == 0

@@ -10,6 +10,7 @@ from durrmeyer import cli
 from durrmeyer import kernels as K
 from durrmeyer import operators as O
 from durrmeyer import signals as S
+from durrmeyer.quadrature import integrate
 
 
 def direct_point_sampling_sum(phi, f, w, x, radius=None):
@@ -47,6 +48,22 @@ def skewed_hat():
 
     return K.Kernel(name="skewed-hat", evaluate=evaluate, support=K.CompactSupport(-1.0, 1.0),
                     l1_norm=1.0, nonnegative=True, breakpoints=(-1.0, 0.25, 1.0))
+
+
+def t_coordinate_sample(spec, f, k):
+    """A decaying psi's k-th sample as one quadrature in t = w u - k over
+    [-cutoff, cutoff], cut at the kernel's peak rungs and the signal's
+    breakpoints: an independent per-index reference for the batched path."""
+    kernel, w, tol = spec.psi.kernel, spec.w, spec.psi.quad_tol
+    cutoff = max(kernel.support.radius, 1.0)
+    cuts = [0.0, *kernel.breakpoints]
+    while K.integral_tail_bound(kernel.support, cutoff) * f.sup_norm > 0.5 * tol:
+        cuts += [-cutoff, cutoff]
+        cutoff *= 2.0
+    cuts += [w * b - k for b in f.breakpoints]
+    value, _ = integrate(lambda t: kernel.evaluate(t) * f.evaluate((t + k) / w),
+                         -cutoff, cutoff, tol=0.5 * tol, breakpoints=cuts, max_cells=40000)
+    return value
 
 
 class CountingSignal:
@@ -316,8 +333,7 @@ class TestGridEvaluation:
         distinct_lattice_indices = 5 * 6 + 2 * 2 + 1
         assert counting.calls <= distinct_lattice_indices
 
-    @pytest.mark.parametrize("threads", [1, 8])
-    def test_computes_exactly_the_union_of_stencils(self, threads, monkeypatch, tmp_path):
+    def test_computes_exactly_the_union_of_stencils(self, monkeypatch, tmp_path):
         computed = []
         compute = O.SeriesEvaluator._compute_sample
 
@@ -326,7 +342,6 @@ class TestGridEvaluation:
             return compute(evaluator, ks)
 
         monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
-        monkeypatch.setenv("DURRMEYER_THREADS", str(threads))
         w = 5120.0
         grid = S.UniformGrid.from_window(-3, 3, 0.01)
         union = set()
@@ -414,10 +429,11 @@ class TestGridEvaluation:
         (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4, "runge", 97),
         (K.bspline(3), O.Convolution(K.bspline(2)), 1e-9, "piecewise_rational", 1),
         (K.bspline(3), O.Convolution(skewed_hat()), 1e-9, "piecewise_rational", 1),
+        (K.bspline(3), O.Convolution(K.fejer(), quad_tol=1e-4), 1e-9, "piecewise_rational", 1),
     ])
     def test_grid_pass_samples_equal_single_samples_bitwise(self, phi, psi, tol, signal, stride):
-        # A grid pass computes its compact-kernel samples in one batched
-        # quadrature; each must not depend on the other samples of its batch.
+        # A grid pass computes its samples in one batched quadrature; each
+        # must not depend on the other samples of its batch.
         f = S.builtin_signal(signal)
         spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
         evaluator = O.SeriesEvaluator(spec, f)
@@ -426,6 +442,29 @@ class TestGridEvaluation:
         assert known.size > 30
         for k in known[::stride].tolist():
             assert evaluator.sample(k) == O.generalized_sample(spec, f, k)
+            if isinstance(psi.kernel.support, K.DecayingSupport):
+                assert evaluator.sample(k) == pytest.approx(t_coordinate_sample(spec, f, k),
+                                                            rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("psi", [
+        O.PointMass(),
+        O.Window(0.0, 1.0, 1.0),
+        O.Convolution(K.bspline(2)),
+        O.Convolution(K.fejer(), quad_tol=1e-4),
+    ], ids=["pointmass", "window", "compact-convolution", "decaying-convolution"])
+    def test_a_batch_of_samples_takes_one_quadrature_call(self, psi, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(O, "integrate", counting)
+        spec = O.OperatorSpec(K.bspline(3), psi, 5.0)
+        evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
+        evaluator.prefill(np.linspace(-1.0, 1.0, 11))
+        assert np.count_nonzero(evaluator._known) == 15
+        assert calls == ([] if isinstance(psi, O.PointMass) else [15])
 
     def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise(self):
         # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: without
@@ -566,6 +605,21 @@ class TestCertifiedTruncation:
         assert sorted(computed) == sorted(union)
         assert len(union) < 200
 
+    def test_a_compact_convolution_takes_the_window_radii(self):
+        # Its samples reach only psi's support, so the envelope bounds them
+        # as it bounds a window's.
+        f = S.builtin_signal("runge")
+        points = S.UniformGrid.from_window(-3, 3, 0.01).points()
+        grids, radii = [], []
+        for psi in (O.Window(0.0, 1.0, 1.0),
+                    O.Convolution(K.window(0.0, 1.0, 1.0), quad_tol=1e-10)):
+            evaluator = O.SeriesEvaluator(O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4), f)
+            radii.append(evaluator._radii(points).tolist())
+            grids.append(evaluator.on_grid(points).tobytes())
+        assert grids[0] == grids[1]
+        assert radii[0] == radii[1]
+        assert max(radii[0]) == 64
+
     def test_a_point_beyond_the_cap_raises_the_radius_error(self):
         f = S.builtin_signal("box")
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-9)
@@ -580,7 +634,7 @@ class TestCertifiedTruncation:
 
     @pytest.mark.parametrize("f, psi", [
         (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass()),
-        (S.builtin_signal("runge"), O.Convolution(K.bspline(2))),
+        (S.builtin_signal("runge"), O.Convolution(K.fejer(), quad_tol=1e-3)),
     ], ids=["no-envelope", "convolution"])
     def test_without_a_usable_envelope_every_point_takes_the_sup_norm_radius(self, f, psi):
         spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4)

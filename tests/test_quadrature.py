@@ -48,6 +48,8 @@ def test_degenerate_and_invalid_intervals():
     with pytest.raises(ValueError):
         integrate(np.sin, 1.0, 0.0)
     with pytest.raises(ValueError):
+        integrate(np.sin, np.nan, 1.0)
+    with pytest.raises(ValueError):
         integrate(np.sin, 0.0, 1.0, tol=0.0)
 
 
@@ -104,6 +106,47 @@ class TestIntervalArrays:
         assert max(seen) <= 1 << 16
         assert sum(seen) >= 15 * a.size
         assert np.allclose(values, np.sin(a + 1.0) - np.sin(a), rtol=0, atol=1e-13)
+
+
+class TestBreakpointRows:
+    # One row of cuts per interval: each row cuts its own interval at kinks
+    # the other intervals do not share, and the degenerate interval at
+    # index 3 checks that rows are matched to intervals by index into the
+    # ends, not by position among the refined intervals.
+    A = TestIntervalArrays.A
+    B = TestIntervalArrays.B
+    ROWS = np.array([[-1.0, 2.5, 0.3], [0.3, -0.2, 0.6], [0.1, 0.45, 0.3],
+                     [0.25, 9.0, 0.3], [2.0005, 0.3, -7.0], [0.0, 1.5, 0.3],
+                     [3.0, 0.3, 5.25]])
+
+    @staticmethod
+    def f(x):
+        return (1.0 / (1.0 + 25.0 * x * x) + np.abs(x - 0.3) + np.abs(x + 0.2)
+                + np.abs(x - 2.5) + np.abs(x - 5.25))
+
+    def test_each_interval_equals_its_solo_call_with_its_row_bitwise(self):
+        values, errors = integrate(self.f, self.A, self.B, tol=1e-12, breakpoints=self.ROWS)
+        assert np.all(errors <= 1e-12)
+        for a, b, row, value, err in zip(self.A, self.B, self.ROWS, values, errors):
+            assert integrate(self.f, float(a), float(b), tol=1e-12,
+                             breakpoints=tuple(row)) == (value, err)
+        # The rows change the cells: one shared row gives other bits.
+        shared, _ = integrate(self.f, self.A, self.B, tol=1e-12, breakpoints=(0.3,))
+        assert values.tobytes() != shared.tobytes()
+
+    @pytest.mark.parametrize("cuts", [
+        (0.3, 0.3, -2.0, 1.0, 0.0, 5.0, 0.3),
+        np.array([[0.3, -2.0, 0.3, 1.0, 0.0, 5.0, 0.3]]),
+    ], ids=["shared", "row"])
+    def test_duplicate_and_exterior_cuts_are_ignored(self, cuts):
+        assert (integrate(self.f, 0.0, 1.0, tol=1e-12, breakpoints=cuts)
+                == integrate(self.f, 0.0, 1.0, tol=1e-12, breakpoints=(0.3,)))
+
+    @pytest.mark.parametrize("count", [6, 8])
+    def test_a_row_count_other_than_the_interval_count_raises(self, count):
+        with pytest.raises(ValueError, match="breakpoint rows"):
+            integrate(self.f, self.A, self.B, tol=1e-12,
+                      breakpoints=np.full((count, 1), 0.3))
 
 
 class TestPerInterval:
