@@ -4,7 +4,12 @@ A gauge eta vanishes at zero, is positive and convex on the positive axis,
 and turns |f| into the modular integral of eta(lambda |f|) over a window.
 The power and logarithm-weighted families double under scaling (so modular
 and norm convergence agree); the exponential family does not, which is why
-modular statements there hold only for small enough lambda.
+modular statements there hold only for small enough lambda. Each gauge
+declares this as ``delta2``. A gauge also declares ``homogeneity``: the
+degree p with eta(s u) = s**p eta(u) for every s > 0 (p for the power
+family), or ``None``. :func:`luxemburg_norm` trusts the declaration, so a
+user gauge may make it too; a homogeneous modular gives the norm in closed
+form, any other gauge is searched for it.
 
 The modulars that one computation needs of one function, whatever their
 gauges and scalings, are one batched adaptive quadrature
@@ -70,6 +75,10 @@ class PowerFunction:
     delta2 = True
 
     @property
+    def homogeneity(self) -> float:
+        return self.p
+
+    @property
     def label(self) -> str:
         return f"power({self.p:g})"
 
@@ -93,6 +102,7 @@ class ZygmundFunction:
             raise ValueError("logarithm-weighted gauge needs a finite beta > 0")
 
     delta2 = True
+    homogeneity = None
 
     @property
     def label(self) -> str:
@@ -115,6 +125,7 @@ class ExponentialFunction:
             raise ValueError("exponential gauge needs a finite alpha > 0")
 
     delta2 = False
+    homogeneity = None
 
     @property
     def label(self) -> str:
@@ -251,9 +262,7 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     cells = list(cells)
     if any(lam <= 0 for _, lam in cells):
         raise ValueError("modular scaling lambda must be positive")
-    lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise ValueError("window is empty")
+    lo, hi = _window_ends(window)
 
     if isinstance(f, GridFunction):
         values = []
@@ -322,38 +331,74 @@ def modular_distance(eta: OrliczFunction, f, g, lam: float, window,
     return modular(eta, Difference(f, g), lam, window, tol=tol, max_cells=max_cells)
 
 
-def _is_identically_zero(f, lo, hi):
+def _window_ends(window):
+    """The window's ends as floats, refused unless finite and increasing."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("window ends must be finite")
+    if hi <= lo:
+        raise ValueError("window is empty")
+    return lo, hi
+
+
+def _probe_sup(f, lo, hi):
+    """max |f| over 257 equispaced probes of the window and the breakpoints
+    of ``f`` in it: NaN if ``f`` is not a number at some probe."""
     probes = np.linspace(lo, hi, 257)
     extra = [p for p in getattr(f, "breakpoints", ()) if lo <= p <= hi]
     points = np.concatenate([probes, np.asarray(extra, dtype=float)]) if extra else probes
-    return not np.any(np.asarray(f.evaluate(points), dtype=float))
+    return float(np.max(np.abs(np.asarray(f.evaluate(points), dtype=float))))
 
 
 def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
     """inf of scalings s > 0 with modular of f/s at most one.
 
-    A geometric search brackets s; then each k-section step takes the
-    modulars at the interior ends of equal sections of the bracket in one
-    batched quadrature and keeps the section where the modular crosses
-    one. The modular is nonincreasing in s, so the bracket is well defined
-    whenever the modular drops below one before the scale cap.
+    Both routes start at the peak of |f| over the probes of the window.
+    A gauge that declares a degree of homogeneity p has I[f/s] = I[f/t] *
+    (t/s)**p, so the norm is t * I[f/t]**(1/p) for any t: one modular at
+    the peak, and where that modular is below one (its relative error
+    dI / (p I) then exceeds the quadrature tolerance over p) a second at
+    the first estimate, where it is near one. Any other gauge, or one whose
+    modular overflows there, takes a geometric search that brackets s;
+    then each k-section step takes the modulars at the interior ends of
+    equal sections of the bracket in one batched quadrature and keeps the
+    section where the modular crosses one. The modular is nonincreasing in
+    s, so the bracket is well defined whenever the modular drops below one
+    before the scale cap.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    lo, hi = float(window[0]), float(window[1])
-    if hi <= lo:
-        raise ValueError("window is empty")
-    if _is_identically_zero(f, lo, hi):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    lo, hi = _window_ends(window)
+    peak = _probe_sup(f, lo, hi)
+    if peak == 0.0:
         return 0.0
+    if not math.isfinite(peak):
+        # 1/peak would be no scaling at all; from one, a signal that is not
+        # a number or infinite fails as it would at any scaling.
+        peak = 1.0
 
     quad_tol = max(min(tol * 1e-2, 1e-8), 1e-13)
 
+    def modular_at(scales):
+        # None where the modular overflows: it is infinite.
+        return modulars([(eta, 1.0 / s) for s in scales], f, (lo, hi), tol=quad_tol)
+
+    degree = getattr(eta, "homogeneity", None)
+    if degree is not None:
+        [first] = modular_at([peak])
+        if first is not None:
+            norm = peak * first ** (1.0 / degree)
+            if not 0.0 < first < 1.0:
+                return norm
+            [second] = modular_at([norm])
+            if second is not None:
+                return norm * second ** (1.0 / degree)
+
     def above_one(scales):
         # An overflowing modular is infinite, so above one.
-        values = modulars([(eta, 1.0 / s) for s in scales], f, (lo, hi), tol=quad_tol)
-        return [value is None or value > 1.0 for value in values]
+        return [value is None or value > 1.0 for value in modular_at(scales)]
 
-    scale = 1.0
+    scale = min(max(peak, _NORM_SCALE_FLOOR), _NORM_SCALE_CAP)
     if above_one([scale])[0]:
         while True:
             scale *= 2.0

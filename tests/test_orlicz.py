@@ -76,6 +76,11 @@ class TestGaugeFunctions:
         assert X.ZygmundFunction(1, 1).delta2
         assert not X.ExponentialFunction(1).delta2
 
+    def test_gauges_declare_their_degree(self):
+        assert X.PowerFunction(2.5).homogeneity == 2.5
+        assert X.ZygmundFunction(1, 1).homogeneity is None
+        assert X.ExponentialFunction(1).homogeneity is None
+
     def test_doubling_ratio_behavior(self):
         us = np.logspace(-3, 3, 400)
         for eta in (X.PowerFunction(2), X.ZygmundFunction(1, 1)):
@@ -126,6 +131,15 @@ class TestModular:
             X.modular(X.PowerFunction(2), f, 0.0, (-1, 1))
         with pytest.raises(ValueError):
             X.modular(X.PowerFunction(2), f, 1.0, (1, -1))
+
+    @pytest.mark.parametrize("window", [(math.nan, 2.0), (-2.0, math.inf), (-math.inf, 2.0)])
+    def test_non_finite_window_refused_before_any_evaluation(self, window):
+        f = Counting(S.builtin_signal("box"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                X.modulars([(X.PowerFunction(2), 1.0)], f, window)
+        assert f.calls == []
 
     def test_overflow_propagates(self):
         f = S.builtin_signal("piecewise_rational")  # sup 50
@@ -298,6 +312,16 @@ class NanHole:
         return np.where((x > 0.4) & (x < 0.6), np.nan, 1.0)
 
 
+class InfSpike:
+    """1 on the line except infinite on (0.4, 0.6)."""
+
+    breakpoints = (0.4, 0.6)
+
+    def evaluate(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.4) & (x < 0.6), np.inf, 1.0)
+
+
 class TestNotANumber:
     def test_modulars_raise_naming_gauge_and_lambda(self):
         cells = [(X.PowerFunction(2), 1.0), (X.ZygmundFunction(1, 1), 0.5)]
@@ -309,8 +333,19 @@ class TestNotANumber:
             X.modular(X.PowerFunction(2), NanHole(), 1.0, (0, 1))
 
     def test_luxemburg_norm_raises(self):
-        with pytest.raises(ArithmeticError, match="NaN"):
-            X.luxemburg_norm(X.PowerFunction(2), NanHole(), (0, 1))
+        for eta in (X.PowerFunction(2), X.ZygmundFunction(1, 1)):
+            with pytest.raises(ArithmeticError, match=r"at lambda=1\b.*NaN"):
+                X.luxemburg_norm(eta, NanHole(), (0, 1))
+
+    @pytest.mark.parametrize("eta", [X.PowerFunction(2), X.ZygmundFunction(1, 1)],
+                             ids=lambda e: e.label)
+    def test_infinite_spike_has_no_norm(self, eta):
+        # An infinite probe peak is no starting scale: the search runs from
+        # one, and every scaling overflows up to the cap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(X.NormBracketError):
+                X.luxemburg_norm(eta, InfSpike(), (0, 1))
 
     def test_grid_function_raises(self):
         grid = S.UniformGrid.from_window(0, 1, 0.25)
@@ -323,6 +358,21 @@ class TestNotANumber:
                             NanHole(), (0.6, 1))
         assert values[0] == pytest.approx(0.4, rel=1e-12)
         assert values[1] is None
+
+
+class ScaledPower:
+    """u -> 3 u**1.5, a user gauge declaring ``homogeneity`` or not."""
+
+    label = "3u^1.5"
+    delta2 = True
+
+    def __init__(self, homogeneity):
+        self.homogeneity = homogeneity
+
+    def __call__(self, u):
+        arr = np.asarray(u, dtype=float)
+        out = 3.0 * arr**1.5
+        return float(out) if arr.ndim == 0 else out
 
 
 class TestLuxemburgNorm:
@@ -372,8 +422,9 @@ class TestLuxemburgNorm:
         root = math.sqrt(X.modular(X.PowerFunction(2), f, 1.0, (-8, 8), tol=1e-12))
         assert norm == pytest.approx(root, rel=1e-8)
 
-    @pytest.mark.parametrize("eta", [X.PowerFunction(2), X.ZygmundFunction(1, 1),
-                                     X.ExponentialFunction(1)], ids=lambda e: e.label)
+    @pytest.mark.parametrize("eta", [X.PowerFunction(1), X.PowerFunction(2), X.PowerFunction(3),
+                                     X.ZygmundFunction(1, 1), X.ExponentialFunction(1)],
+                             ids=lambda e: e.label)
     def test_norm_brackets_the_definition(self, eta):
         f = reconstruction("box")
         tol = 1e-9
@@ -381,7 +432,8 @@ class TestLuxemburgNorm:
         assert X.modular(eta, f, 1.0 / (norm * (1 + tol)), (-8, 8), tol=1e-12) <= 1 + 1e-8
         assert X.modular(eta, f, 1.0 / (norm * (1 - tol)), (-8, 8), tol=1e-12) >= 1 - 1e-8
 
-    def test_one_norm_is_a_few_batched_quadratures(self, monkeypatch):
+    @staticmethod
+    def integrate_calls(monkeypatch, eta, f, window=(-8, 8)):
         calls = []
         real = X.integrate
 
@@ -390,13 +442,77 @@ class TestLuxemburgNorm:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(X, "integrate", counting)
-        X.luxemburg_norm(X.PowerFunction(2), reconstruction("box"), (-8, 8))
-        assert len(calls) <= 14
+        X.luxemburg_norm(eta, f, window)
+        return len(calls)
+
+    def test_one_norm_is_a_few_batched_quadratures(self, monkeypatch):
+        assert self.integrate_calls(monkeypatch, X.PowerFunction(2), reconstruction("box")) == 1
+        # The k-section stays live for a gauge that declares no degree.
+        calls = self.integrate_calls(monkeypatch, X.ZygmundFunction(1, 1), reconstruction("box"))
+        assert 2 < calls <= 14
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["box", "runge", "piecewise_rational"])
+    def test_power_norm_is_at_most_two_quadratures(self, monkeypatch, name, p):
+        for f in (S.builtin_signal(name), reconstruction(name, 10.0)):
+            assert self.integrate_calls(monkeypatch, X.PowerFunction(p), f) <= 2
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_power_norm_is_exactly_homogeneous_in_the_amplitude(self, p):
+        box = S.builtin_signal("box")
+        eta = X.PowerFunction(p)
+        base = X.luxemburg_norm(eta, box, (-2, 2))
+        for c in (1e-8, 1e-4, 1e-2, 1.0, 1e3, 1e8, 1e12):
+            norm = X.luxemburg_norm(eta, box.scaled(c), (-2, 2))
+            assert norm == pytest.approx(c * base, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [X.ZygmundFunction(1, 1), X.ExponentialFunction(1)],
+                             ids=lambda e: e.label)
+    def test_search_starts_at_the_probe_peak(self, eta):
+        # At scale one the first modular of these amplitudes cannot meet an
+        # absolute quadrature tolerance; at the peak it is of order one.
+        box = S.builtin_signal("box")
+        c = 1e8 if eta.delta2 else 1e3
+        norm = X.luxemburg_norm(eta, box.scaled(c), (-2, 2))
+        assert norm == pytest.approx(c * X.luxemburg_norm(eta, box, (-2, 2)), rel=1e-9)
+        assert X.modular(eta, box.scaled(c), 1.0 / norm, (-2, 2), tol=1e-12) == pytest.approx(
+            1.0, abs=1e-9)
+
+    def test_closed_form_meets_the_knot_exact_reference(self):
+        # The modular at the probe peak is below one here, so one call alone
+        # misses the reference by about 1e-9; the second, near one, meets it.
+        f = reconstruction("piecewise_rational", 10.0)
+        eta = X.PowerFunction(2)
+        reference = math.sqrt(knot_exact_modular(f, eta, 1.0, (-8, 8)))
+        assert X.luxemburg_norm(eta, f, (-8, 8)) == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["box", "runge", "piecewise_rational"])
+    def test_declared_homogeneity_matches_the_search(self, name):
+        f = reconstruction(name, 10.0)
+        declared = X.luxemburg_norm(ScaledPower(1.5), f, (-8, 8))
+        searched = X.luxemburg_norm(ScaledPower(None), f, (-8, 8))
+        assert declared == pytest.approx(searched, rel=1e-9)
 
     def test_tolerance_below_float_resolution_terminates(self):
         f = S.indicator(0, 2)
         norm = X.luxemburg_norm(X.PowerFunction(2), f, (-1, 3), tol=1e-17)
         assert norm == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        f = Counting(S.builtin_signal("box"))
+        with pytest.raises(ValueError, match="tolerance"):
+            X.luxemburg_norm(X.PowerFunction(2), f, (-2, 2), tol=tol)
+        assert f.calls == []
+
+    @pytest.mark.parametrize("window", [(math.nan, 2.0), (-2.0, math.inf), (-2.0, math.nan)])
+    def test_non_finite_window_refused_before_any_evaluation(self, window):
+        f = Counting(S.builtin_signal("box"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                X.luxemburg_norm(X.PowerFunction(2), f, window)
+        assert f.calls == []
 
     def test_bracket_failure_raises(self):
         huge = S.builtin_signal("constant", 1e13)
