@@ -99,7 +99,7 @@ class ConvergenceReport:
         return asdict(self)
 
 
-def functional_continuous_moments(psi: SampleFunctional, tol: float = 1e-9):
+def functional_continuous_moments(psi: SampleFunctional):
     """Zeroth and first continuous absolute moments of a sample functional.
 
     A point mass carries (1, 0) by convention so the quantitative constant
@@ -110,20 +110,18 @@ def functional_continuous_moments(psi: SampleFunctional, tol: float = 1e-9):
         return (MomentResult(1.0, 0.0, "closed_form"),
                 MomentResult(0.0, 0.0, "closed_form"))
     kernel = psi.kernel
-    return (continuous_absolute_moment(kernel, 0, tol=tol),
-            continuous_absolute_moment(kernel, 1, tol=tol))
+    return (continuous_absolute_moment(kernel, 0), continuous_absolute_moment(kernel, 1))
 
 
-def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional,
-                          probes: int = 2048, tol: float = 1e-9) -> BoundConstant:
+def quantitative_constant(phi: _k.Kernel, psi: SampleFunctional) -> BoundConstant:
     """The uniform-error constant M0(phi)(Mt0(psi)+Mt1(psi)) + M1(phi)Mt0(psi).
 
     Requires the first moments on both sides to be finite; a divergent
     moment propagates as :class:`~durrmeyer.moments.DivergentMomentError`.
     """
-    m0 = discrete_absolute_moment(phi, 0, probes=probes, tol=tol)
-    m1 = discrete_absolute_moment(phi, 1, probes=probes, tol=tol)
-    t0, t1 = functional_continuous_moments(psi, tol=tol)
+    m0 = discrete_absolute_moment(phi, 0)
+    m1 = discrete_absolute_moment(phi, 1)
+    t0, t1 = functional_continuous_moments(psi)
     value = m0.value * (t0.value + t1.value) + m1.value * t0.value
     error = (
         m0.certified_error * (t0.value + t1.value)
@@ -268,8 +266,8 @@ def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
 
 
 def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Sequence,
-                             window, probes: int = 1024, moment_tol: float = 1e-6,
-                             modular_tol: float = 1e-9, tolerance_pad: float = 1e-8) -> list:
+                             window, modular_tol: float = 1e-9,
+                             tolerance_pad: float = 1e-8) -> list:
     """Compare the modular of the reconstruction against its theoretical
     majorant at the scale of each of ``specs``, for each ``(eta, lam)`` pair
     in ``cells``. The specs must differ only in ``w``.
@@ -289,8 +287,8 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     if not isinstance(psi, (Window, Convolution)):
         raise TypeError("the modular inequality needs a window or convolution functional")
     psi_kernel = psi.kernel
-    m0_psi = discrete_absolute_moment(psi_kernel, 0, probes=probes, tol=moment_tol)
-    m0_phi = discrete_absolute_moment(phi, 0, probes=probes, tol=moment_tol)
+    m0_psi = discrete_absolute_moment(psi_kernel, 0, probes=1024, tol=1e-6)
+    m0_phi = discrete_absolute_moment(phi, 0, probes=1024, tol=1e-6)
     t0_psi = continuous_absolute_moment(psi_kernel, 0, tol=1e-9)
     ratio = (m0_psi.value + m0_psi.certified_error) * phi.l1_norm / (
         m0_phi.value * t0_psi.value
@@ -317,17 +315,14 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
 
 def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
                               eta: OrliczFunction, lam: float, window, w: float,
-                              probes: int = 1024, moment_tol: float = 1e-6,
-                              modular_tol: float = 1e-9, quad_tol: float = 1e-10,
+                              modular_tol: float = 1e-9,
                               tolerance_pad: float = 1e-8) -> ModularComparison:
     """One cell at one scale of :func:`modular_inequality_cells`, sampling
-    through a convolution with ``psi_kernel``; an overflowing gauge raises
-    :class:`~durrmeyer.orlicz.ModularOverflowError`."""
-    spec = OperatorSpec(phi, Convolution(psi_kernel, quad_tol=quad_tol), float(w),
-                        quad_tol=quad_tol)
+    through a convolution with ``psi_kernel`` at the default ``quad_tol``; an
+    overflowing gauge raises :class:`~durrmeyer.orlicz.ModularOverflowError`."""
+    spec = OperatorSpec(phi, Convolution(psi_kernel), float(w))
     [[result]] = modular_inequality_cells(
-        [spec], f, [(eta, lam)], window, probes=probes, moment_tol=moment_tol,
-        modular_tol=modular_tol, tolerance_pad=tolerance_pad,
+        [spec], f, [(eta, lam)], window, modular_tol=modular_tol, tolerance_pad=tolerance_pad,
     )
     if result == "overflow":
         raise ModularOverflowError(f"the modular of {eta.label} at lambda={lam:g} overflows")

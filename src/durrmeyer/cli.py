@@ -51,6 +51,12 @@ _CHECK_DECAYING_PROBES = 100
 _CHECK_DECAYING_RADIUS = 10_000
 _CHECK_DECAYING_TOL = 1e-4
 _POISSON_RANGE = range(-3, 4)
+# The keys each kind of descriptor reads besides its kind key; any other key
+# is refused rather than silently ignored.
+_KERNEL_KEYS = {"bspline": {"n"}, "fejer": set(), "window": {"lo", "hi", "weight"}}
+_PSI_KEYS = {"pointmass": set(), "window": {"lo", "hi", "weight"}, "general": {"kernel"}}
+_GAUGE_KEYS = {"power": {"p", "lambda"}, "zygmund": {"alpha", "beta", "lambda"},
+               "exponential": {"alpha", "lambda"}}
 # Largest evaluation grid a configuration may ask for: 10^7 points is 80 MB
 # per float array, and a grid pass holds several of them.
 _MAX_GRID_POINTS = 10**7
@@ -106,10 +112,22 @@ def _need(mapping, key, context):
     return mapping[key]
 
 
+def _refuse_unread(desc, tag, reads, context):
+    """Refuse the keys of ``desc`` that the kind named by ``desc[tag]`` never
+    reads; an unknown kind is left to its resolver."""
+    kind = desc[tag]
+    if isinstance(kind, str) and kind in reads:
+        unread = sorted(map(str, set(desc) - reads[kind] - {tag}))
+        if unread:
+            raise ConfigError(f"{context}: {tag} {kind!r} reads no key {unread}; "
+                              f"it reads {sorted(reads[kind] | {tag})}")
+
+
 def _resolve_kernel(desc, context) -> _k.Kernel:
     if not isinstance(desc, dict):
         raise ConfigError(f"{context} must be an object with a 'family' key")
     family = _need(desc, "family", context)
+    _refuse_unread(desc, "family", _KERNEL_KEYS, context)
     try:
         if family == "bspline":
             n = _need(desc, "n", context)
@@ -131,6 +149,9 @@ def _resolve_functional(desc) -> _o.SampleFunctional:
     if not isinstance(desc, dict):
         raise ConfigError("psi must be an object with a 'kind' key")
     kind = _need(desc, "kind", "psi")
+    if "quad_tol" in desc:
+        raise ConfigError("psi.quad_tol is not read: every psi samples at tolerances.quad_tol")
+    _refuse_unread(desc, "kind", _PSI_KEYS, "psi")
     try:
         if kind == "pointmass":
             return _o.PointMass()
@@ -140,8 +161,7 @@ def _resolve_functional(desc) -> _o.SampleFunctional:
                              _finite(desc.get("weight", 1.0), "psi.weight"))
         if kind == "general":
             kernel = _resolve_kernel(_need(desc, "kernel", "psi"), "psi.kernel")
-            return _o.Convolution(kernel, quad_tol=_finite(desc.get("quad_tol", 1e-9),
-                                                           "psi.quad_tol"))
+            return _o.Convolution(kernel)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -172,6 +192,7 @@ def _resolve_orlicz(entries):
             eta = orlicz_function(_need(entry, "variant", f"orlicz[{i}]"), **params)
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"orlicz[{i}]: {exc}") from exc
+        _refuse_unread(entry, "variant", _GAUGE_KEYS, f"orlicz[{i}]")
         lam = _finite(entry.get("lambda", 1.0), f"orlicz[{i}].lambda")
         if lam <= 0:
             raise ConfigError(f"orlicz[{i}]: lambda must be positive")

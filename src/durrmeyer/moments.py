@@ -30,6 +30,7 @@ __all__ = [
 _METHODS = ("closed_form", "grid_supremum", "quadrature")
 _MAX_PROBES = 1 << 15
 _MAX_CUTOFF = 1.0e6
+_MAX_CELLS = 20000  # quadrature cells per continuous moment
 
 
 class DivergentMomentError(ArithmeticError):
@@ -137,7 +138,7 @@ def _moment_integrand(kernel, nu, signed):
     return lambda t: np.abs(kernel.evaluate(t)) * np.abs(t) ** nu
 
 
-def _continuous_moment(kernel, nu, tol, signed, max_cells):
+def _continuous_moment(kernel, nu, tol, signed):
     _require_convergent(kernel, nu, "continuous")
     if nu == 0 and kernel.nonnegative:
         # A nonnegative kernel's signed and absolute masses are both its
@@ -149,7 +150,7 @@ def _continuous_moment(kernel, nu, tol, signed, max_cells):
 
     if isinstance(support, _k.CompactSupport):
         value, err = integrate(integrand, support.lo, support.hi, tol=tol,
-                               breakpoints=cuts, max_cells=max_cells)
+                               breakpoints=cuts, max_cells=_MAX_CELLS)
         return MomentResult(value, err, "quadrature")
 
     cutoff = max(support.radius, 1.0)
@@ -161,23 +162,23 @@ def _continuous_moment(kernel, nu, tol, signed, max_cells):
                 f"tolerance {tol:g} needs a truncation window beyond {_MAX_CUTOFF:g}"
             )
     value, err = integrate(integrand, -cutoff, cutoff, tol=0.5 * tol,
-                           breakpoints=cuts, max_cells=max_cells)
+                           breakpoints=cuts, max_cells=_MAX_CELLS)
     return MomentResult(value, err + _k.integral_tail_bound(support, cutoff, nu),
                         "quadrature")
 
 
-def continuous_absolute_moment(kernel, nu, tol=1e-9, max_cells=20000):
+def continuous_absolute_moment(kernel, nu, tol=1e-9):
     """integral of |t|**nu |k(t)| dt with certified error at most ``tol``."""
     nu = _check_order(nu)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return _continuous_moment(kernel, nu, tol, signed=False, max_cells=max_cells)
+    return _continuous_moment(kernel, nu, tol, signed=False)
 
 
-def continuous_algebraic_moment(kernel, nu, tol=1e-9, max_cells=20000):
+def continuous_algebraic_moment(kernel, nu, tol=1e-9):
     """integral of t**nu k(t) dt with certified error at most ``tol``."""
     if not isinstance(nu, int) or isinstance(nu, bool) or nu < 0:
         raise ValueError("algebraic moment order must be a nonnegative integer")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return _continuous_moment(kernel, nu, tol, signed=True, max_cells=max_cells)
+    return _continuous_moment(kernel, nu, tol, signed=True)

@@ -98,11 +98,8 @@ class Convolution:
     """Sample functional convolving the signal against a scaled kernel."""
 
     kernel: _k.Kernel
-    quad_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.quad_tol <= 0:
-            raise ValueError("quadrature tolerance must be positive")
         mass = continuous_algebraic_moment(self.kernel, 0, tol=1e-8)
         if abs(mass.value - 1.0) > 1e-6 + mass.certified_error:
             warnings.warn(
@@ -118,7 +115,7 @@ class Convolution:
     def __repr__(self) -> str:
         # The kernel by name: its repr holds function addresses, which
         # differ between processes and would leak into report echoes.
-        return f"Convolution(kernel={self.kernel.name}, quad_tol={self.quad_tol!r})"
+        return f"Convolution(kernel={self.kernel.name})"
 
 
 SampleFunctional = Union[PointMass, Window, Convolution]
@@ -133,7 +130,8 @@ class ReductionKind(Enum):
 @dataclass(frozen=True)
 class OperatorSpec:
     """A fully configured operator: kernel, sample functional, scale, and
-    truncation/quadrature tolerances.
+    truncation/quadrature tolerances. ``quad_tol`` is the sample tolerance
+    of every functional; a decaying one gives half of it to its tail.
 
     Every reconstruction guarantee starts from the identity
     sum_k phi(u - k) = 1. A kernel that declares ``partition_of_unity``
@@ -256,16 +254,17 @@ class SeriesEvaluator:
         if not decaying_psi:
             lo, hi = self._psi_ends = (kernel.support.lo, kernel.support.hi)
             self._psi_cuts = np.array([b for b in kernel.breakpoints if lo < b < hi])
-            self._sample_tol = psi.quad_tol if isinstance(psi, Convolution) else spec.quad_tol
+            self._sample_tol = spec.quad_tol
             return
         f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
         cutoff = max(kernel.support.radius, 1.0)
         # A decaying kernel reaches its tail cutoff. Cuts at 0, its
         # breakpoints and each rung below the cutoff keep the peak inside
         # cells: on one [-cutoff, cutoff] GK15 can miss it. The tail takes
-        # half the tolerance, the quadrature the other half.
+        # half of ``quad_tol``, the quadrature the other half.
+        self._sample_tol = 0.5 * spec.quad_tol
         cuts = [0.0, *kernel.breakpoints]
-        while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > 0.5 * psi.quad_tol:
+        while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > self._sample_tol:
             cuts += [-cutoff, cutoff]
             cutoff *= 2.0
             if cutoff > 1e7:
@@ -273,7 +272,6 @@ class SeriesEvaluator:
                     f"convolution tail tolerance unreachable for kernel {kernel.name!r}")
         self._psi_ends = (-cutoff, cutoff)
         self._psi_cuts = np.array(cuts)
-        self._sample_tol = 0.5 * psi.quad_tol
 
     @property
     def breakpoints(self) -> tuple:

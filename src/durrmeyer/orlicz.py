@@ -47,6 +47,7 @@ __all__ = [
 _EXP_ARG_CAP = 700.0
 _NORM_SCALE_CAP = 1e9
 _NORM_SCALE_FLOOR = 1e-12
+_MAX_CELLS = 20000  # quadrature cells per modular
 # Each step of the Luxemburg search cuts its bracket into this many equal
 # sections and takes the modulars at their interior ends in one quadrature.
 _NORM_SECTIONS = 9
@@ -238,14 +239,14 @@ def _grid_modular(eta, f: GridFunction, lam, lo, hi):
     return float(np.dot(widths, gauged))
 
 
-def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> list:
+def modulars(cells, f, window, tol: float = 1e-8) -> list:
     """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
     integral over the window of eta(lam |f|), or ``None`` for a cell whose
     gauge overflows to infinity at some node (the integral is infinite at
     working precision).
 
     One adaptive quadrature integrates every cell over its own copy of the
-    window, each to ``tol`` with its own ``max_cells`` budget, so each value
+    window, each to ``tol`` with its own 20,000-cell budget, so each value
     equals the one-cell call bit for bit. In each round ``f`` is evaluated
     once per distinct quadrature cell (the copies start from the same
     cells, and equal cells share one evaluation), and each gauge sees only
@@ -293,7 +294,7 @@ def modulars(cells, f, window, tol: float = 1e-8, max_cells: int = 20000) -> lis
     n = len(cells)
     values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
                           breakpoints=tuple(getattr(f, "breakpoints", ())),
-                          max_cells=max_cells, per_interval=True,
+                          max_cells=_MAX_CELLS, per_interval=True,
                           knots=getattr(f, "knots", None))
     values = [None if over else float(value) for value, over in zip(values, overflowed)]
     _refuse_nan(cells, values)
@@ -312,12 +313,11 @@ def _refuse_nan(cells, values):
             )
 
 
-def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8,
-            max_cells: int = 20000) -> float:
+def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8) -> float:
     """Integral over the window of eta(lam |f|): the one-cell call of
     :func:`modulars`, raising :class:`ModularOverflowError` where the gauge
     overflows."""
-    [value] = modulars([(eta, lam)], f, window, tol=tol, max_cells=max_cells)
+    [value] = modulars([(eta, lam)], f, window, tol=tol)
     if value is None:
         raise ModularOverflowError(
             f"the modular of {eta.label} at lambda={lam:g} is infinite at working precision"
@@ -326,9 +326,9 @@ def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8,
 
 
 def modular_distance(eta: OrliczFunction, f, g, lam: float, window,
-                     tol: float = 1e-8, max_cells: int = 20000) -> float:
+                     tol: float = 1e-8) -> float:
     """Modular of the pointwise difference f - g."""
-    return modular(eta, Difference(f, g), lam, window, tol=tol, max_cells=max_cells)
+    return modular(eta, Difference(f, g), lam, window, tol=tol)
 
 
 def _window_ends(window):

@@ -1,11 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature with explicit error accounting.
 
 Cells are bisected on the embedded-rule error estimate until the summed
-estimate meets an absolute tolerance, so every value returned carries a
-defensible error bound. Interior breakpoints, shared by a batch of
-intervals or given one row per interval as QUADPACK's QAGP takes them per
-integral, seed the initial subdivision, which keeps piecewise integrands
-smooth on every cell; an integrand with kinks on a whole lattice (a spline
+estimate meets an absolute tolerance, so every value returned carries the
+summed |Kronrod - Gauss| difference of its cells: an error estimate, not a
+bound. Interior breakpoints, shared by a batch of intervals or given one
+row per interval as QUADPACK's QAGP takes them per integral, seed the
+initial subdivision, which keeps piecewise integrands smooth on every
+cell; an integrand with kinks on a whole lattice (a spline
 series) names that lattice as ``knots``, and a cell picked for splitting is
 cut at its interior knot nearest its midpoint instead of at the midpoint
 itself. Many intervals are refined together, in rounds that evaluate all
@@ -31,7 +32,8 @@ _EXCESS_UNIT = 1 << 30
 
 
 class QuadratureError(RuntimeError):
-    """Requested certified tolerance is unreachable within the given budget."""
+    """The summed |Kronrod - Gauss| error estimate stays above the requested
+    tolerance within the given budget."""
 
 
 def _gauss_kronrod_rule():
@@ -202,8 +204,8 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     none. The cut depends on the cell alone, so an interval's result still
     does not depend on the other intervals of its call.
 
-    Returns ``(value, error_bound)`` per interval, floats for float ends,
-    with ``error_bound <= tol``, except that an interval whose integrand
+    Returns ``(value, error_estimate)`` per interval, floats for float ends,
+    with ``error_estimate <= tol``, except that an interval whose integrand
     gives NaN (or an infinite value) ends with a NaN estimate and takes no
     further rounds, leaving the other intervals unaffected. Raises
     :class:`QuadratureError` when an interval's ``max_cells`` budget runs
@@ -248,8 +250,8 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
         if stuck.any():
             i = int(np.flatnonzero(stuck)[0])
             raise QuadratureError(
-                f"certified tolerance {tol:g} unreachable on "
-                f"[{a[ids[i]]:g}, {b[ids[i]]:g}]: estimate {total[i]:g} "
+                f"tolerance {tol:g} unreachable on "
+                f"[{a[ids[i]]:g}, {b[ids[i]]:g}]: |K-G| error estimate {total[i]:g} "
                 f"with {count[i]} cells"
             )
         picks = candidates[_bisection_picks(err[candidates], seg[candidates], count,

@@ -218,11 +218,11 @@ class TestModularInequalityCells:
 
     @pytest.mark.parametrize("psi", [
         O.Window(0.0, 1.0, 1.0),
-        O.Convolution(K.window(0, 1, 1), quad_tol=1e-10),
+        O.Convolution(K.window(0, 1, 1)),
     ], ids=["window", "convolution"])
     def test_each_cell_equals_its_one_cell_call_bitwise(self, psi):
         f = S.builtin_signal("box")
-        scale = specs(K.bspline(2), psi, [5.0])
+        scale = specs(K.bspline(2), psi, [5.0], quad_tol=1e-10)
         [together] = A.modular_inequality_cells(scale, f, self.CELLS, (-8, 8))
         assert len(together) == len(self.CELLS)
         for cell, shared in zip(self.CELLS, together):
@@ -233,7 +233,7 @@ class TestModularInequalityCells:
         f = S.builtin_signal("piecewise_rational")
         eta, lam = X.ZygmundFunction(1, 1), 0.5
         [[cell]] = A.modular_inequality_cells(
-            specs(K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-10), [5.0]), f,
+            specs(K.bspline(2), O.Convolution(K.window(0, 1, 1)), [5.0], quad_tol=1e-10), f,
             [(eta, lam)], (-8, 8),
         )
         assert cell == A.verify_modular_inequality(K.bspline(2), K.window(0, 1, 1), f,

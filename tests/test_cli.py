@@ -18,6 +18,7 @@ from durrmeyer import operators as O
 from durrmeyer import orlicz as X
 from durrmeyer import signals as S
 from durrmeyer.cli import main
+from durrmeyer.quadrature import integrate
 
 
 def write_config(path, **overrides):
@@ -74,13 +75,23 @@ class TestConfigHandling:
         {"phi": {"family": "window", "lo": 0, "hi": math.inf}},
         {"phi": {"family": "window", "lo": 0, "hi": 1, "weight": math.inf}},
         {"psi": {"kind": "general", "kernel": {"family": "window", "lo": math.nan, "hi": 1}}},
-        {"psi": {"kind": "general", "kernel": {"family": "bspline", "n": 2},
-                 "quad_tol": math.inf}},
+        {"psi": {"kind": "general", "kernel": {"family": "bspline", "n": 2}},
+         "tolerances": {"quad_tol": math.inf}},
         {"signal": {"name": "constant", "value": math.nan}},
         {"signal": {"piecewise": [[0, 1, math.nan]]}},
         {"orlicz": [{"variant": "power", "p": math.nan, "lambda": 1}]},
         {"output": {"path": 5}},
         {"output": "results"},
+        # A key that its descriptor's kind never reads.
+        {"psi": {"kind": "pointmass", "weight": 2}},
+        {"psi": {"kind": "window", "lo": 0, "hi": 1, "wieght": 2}},
+        {"psi": {"kind": "general", "kernel": {"family": "bspline", "n": 2}, "lo": 0}},
+        {"phi": {"family": "bspline", "n": 3, "degree": 2}},
+        {"phi": {"family": "fejer", "n": 2}},
+        {"phi": {"family": "window", "lo": 0, "hi": 1, "wieght": 2}},
+        {"orlicz": [{"variant": "power", "p": 2, "alpha": 1}]},
+        {"orlicz": [{"variant": "zygmund", "alpha": 1, "beta": 1, "p": 2}]},
+        {"orlicz": [{"variant": "exponential", "alpha": 1, "lamda": 2}]},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"
@@ -90,6 +101,17 @@ class TestConfigHandling:
         # --out replaces a valid output path; it does not excuse a bad file.
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists()
+
+    @pytest.mark.parametrize("psi", [
+        {"kind": "general", "kernel": {"family": "bspline", "n": 2}, "quad_tol": 1e-7},
+        {"kind": "window", "lo": 0, "hi": 1, "quad_tol": 1e-7},
+    ], ids=["general", "window"])
+    def test_a_psi_quad_tol_points_to_tolerances(self, tmp_path, psi, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, psi=psi)
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 2
+        assert "tolerances.quad_tol" in capsys.readouterr().err
         assert not (tmp_path / "flag").exists()
 
     def test_non_object_root_exits_2_with_overrides(self, tmp_path, capsys):
@@ -219,12 +241,12 @@ class TestReconstruct:
     def test_window_psi_and_its_general_kernel_write_the_same_bytes(self, tmp_path):
         # A window samples through its kernel, so at the same tolerance the
         # two descriptions give the same series.
-        general = {"kind": "general", "kernel": {"family": "window", "lo": 0, "hi": 1},
-                   "quad_tol": 1e-10}
+        general = {"kind": "general", "kernel": {"family": "window", "lo": 0, "hi": 1}}
         outputs = []
         for name, psi in (("window", {"kind": "window", "lo": 0, "hi": 1}), ("general", general)):
             cfg = tmp_path / f"{name}.json"
-            write_config(cfg, psi=psi, signal="piecewise_rational")
+            write_config(cfg, psi=psi, signal="piecewise_rational",
+                         tolerances={"quad_tol": 1e-10})
             out = tmp_path / name
             assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
             outputs.append([(out / f"reconstruct_w{w}.csv").read_bytes() for w in (5, 10)])
@@ -343,9 +365,8 @@ class TestOrliczCommand:
         # A numpy scalar in the ratio would make "holds" a numpy bool, which
         # the JSON writer cannot encode.
         cfg = tmp_path / "cfg.json"
-        write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"},
-                               "quad_tol": 1e-6},
-                     w_list=[5], window=[-2, 2])
+        write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"}},
+                     w_list=[5], window=[-2, 2], tolerances={"quad_tol": 1e-6})
         assert main(["orlicz", "--config", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert [row["ratio"] for row in payload["rows"]] == [1.0]
@@ -405,7 +426,7 @@ class TestOrliczCommand:
         assert lines["beside"][2] == lines["alone"][1]
 
 
-GENERAL_PSI = {"kind": "general", "kernel": {"family": "bspline", "n": 2}, "quad_tol": 1e-7}
+GENERAL_PSI = {"kind": "general", "kernel": {"family": "bspline", "n": 2}}
 
 
 class TestConfiguredTolerances:
@@ -426,17 +447,36 @@ class TestConfiguredTolerances:
         monkeypatch.setattr(O.OperatorSpec, "__post_init__", record)
         cfg = tmp_path / "cfg.json"
         overrides = {} if psi is None else {"psi": psi}
+        quad_tol = 1e-10 if psi is None else 1e-7
         write_config(cfg, phi=phi, w_list=[5], window=[-2, 2],
                      orlicz=[{"variant": "power", "p": 1, "lambda": 1}],
                      tolerances={"series_tol": 1e-4, "pou_threshold": 2e-3,
-                                 "quad_tol": 1e-10},
+                                 "quad_tol": quad_tol},
                      **overrides)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert specs
-        assert {(spec.series_tol, spec.pou_threshold) for spec in specs} == {(1e-4, 2e-3)}
-        # A general psi samples at its own quad_tol in every command.
-        if psi is not None:
-            assert {(spec.quad_tol, spec.psi.quad_tol) for spec in specs} == {(1e-10, 1e-7)}
+        assert ({(spec.series_tol, spec.quad_tol, spec.pou_threshold) for spec in specs}
+                == {(1e-4, quad_tol, 2e-3)})
+
+    @pytest.mark.parametrize("kernel, share", [
+        ({"family": "bspline", "n": 2}, 1.0),
+        ({"family": "fejer"}, 0.5),
+    ], ids=["compact", "decaying"])
+    def test_a_general_psi_samples_at_tolerances_quad_tol(self, tmp_path, monkeypatch,
+                                                          kernel, share):
+        # A decaying psi gives the other half of quad_tol to its tail.
+        tols = []
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(O, "integrate", recording)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, psi={"kind": "general", "kernel": kernel}, w_list=[5, 10],
+                     window=[-1, 1], grid_step=0.05, tolerances={"quad_tol": 1e-4})
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert set(tols) == {share * 1e-4 / 5, share * 1e-4 / 10}
 
 
 class TestImports:
@@ -528,8 +568,8 @@ class TestFailurePaths:
 
     def test_unreachable_convolution_tolerance_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        # A slowly decaying sample kernel cannot certify the default 1e-9
-        # quadrature tail at any affordable cutoff.
+        # A slowly decaying sample kernel cannot certify half the default
+        # quad_tol, 1e-10, as its tail at any affordable cutoff.
         write_config(cfg, psi={"kind": "general", "kernel": {"family": "fejer"}},
                      w_list=[5])
         assert main(["reconstruct", "--config", str(cfg)]) == 4

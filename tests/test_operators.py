@@ -54,7 +54,7 @@ def t_coordinate_sample(spec, f, k):
     """A decaying psi's k-th sample as one quadrature in t = w u - k over
     [-cutoff, cutoff], cut at the kernel's peak rungs and the signal's
     breakpoints: an independent per-index reference for the batched path."""
-    kernel, w, tol = spec.psi.kernel, spec.w, spec.psi.quad_tol
+    kernel, w, tol = spec.psi.kernel, spec.w, spec.quad_tol
     cutoff = max(kernel.support.radius, 1.0)
     cuts = [0.0, *kernel.breakpoints]
     while K.integral_tail_bound(kernel.support, cutoff) * f.sup_norm > 0.5 * tol:
@@ -104,7 +104,7 @@ class TestFunctionals:
         assert np.array_equal(psi.kernel.evaluate(t), reference.evaluate(t))
 
     def test_functional_reprs_hold_no_addresses(self):
-        assert repr(O.Convolution(K.bspline(2))) == "Convolution(kernel=bspline2, quad_tol=1e-09)"
+        assert repr(O.Convolution(K.bspline(2))) == "Convolution(kernel=bspline2)"
         assert repr(O.Window(0.0, 1.0, 1.0)) == "Window(lo=0.0, hi=1.0, weight=1.0)"
         assert repr(O.PointMass()) == "PointMass()"
 
@@ -195,7 +195,7 @@ class TestGeneralizedSamples:
         w = 5.0
         spec_window = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w)
         spec_conv = O.OperatorSpec(
-            K.bspline(2), O.Convolution(K.window(0, 1, 1), quad_tol=1e-12), w
+            K.bspline(2), O.Convolution(K.window(0, 1, 1)), w, quad_tol=1e-12
         )
         # At matched tolerances the window is its kernel, bit for bit.
         spec_matched = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w, quad_tol=1e-12)
@@ -209,7 +209,7 @@ class TestGeneralizedSamples:
     def test_hat_convolution_of_runge_matches_closed_form(self, w):
         # s_k = w * integral of (1 - |w u - k|) / (1 + u^2) over [(k-1)/w, (k+1)/w].
         tol = 1e-10
-        spec = O.OperatorSpec(K.bspline(2), O.Convolution(K.bspline(2), quad_tol=tol), w)
+        spec = O.OperatorSpec(K.bspline(2), O.Convolution(K.bspline(2)), w, quad_tol=tol)
         f = S.builtin_signal("runge")
         for k in (-40, -1, 0, 3, 40):
             a, c, b = (k - 1) / w, k / w, (k + 1) / w
@@ -423,19 +423,20 @@ class TestGridEvaluation:
         singles = [O.SeriesEvaluator(spec, f).at(float(x)) for x in nodes]
         assert values.tobytes() == np.array(singles).tobytes()
 
-    @pytest.mark.parametrize("phi, psi, tol, signal, stride", [
-        (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, "piecewise_rational", 1),
-        (K.bspline(2), O.Window(-0.5, 0.25, 2.0), 1e-9, "box", 1),
-        (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4, "runge", 97),
-        (K.bspline(3), O.Convolution(K.bspline(2)), 1e-9, "piecewise_rational", 1),
-        (K.bspline(3), O.Convolution(skewed_hat()), 1e-9, "piecewise_rational", 1),
-        (K.bspline(3), O.Convolution(K.fejer(), quad_tol=1e-4), 1e-9, "piecewise_rational", 1),
+    @pytest.mark.parametrize("phi, psi, tol, quad_tol, signal, stride", [
+        (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, 1e-10, "piecewise_rational", 1),
+        (K.bspline(2), O.Window(-0.5, 0.25, 2.0), 1e-9, 1e-10, "box", 1),
+        (K.fejer(), O.Window(0.0, 1.0, 1.0), 1e-4, 1e-10, "runge", 97),
+        (K.bspline(3), O.Convolution(K.bspline(2)), 1e-9, 1e-9, "piecewise_rational", 1),
+        (K.bspline(3), O.Convolution(skewed_hat()), 1e-9, 1e-9, "piecewise_rational", 1),
+        (K.bspline(3), O.Convolution(K.fejer()), 1e-9, 1e-4, "piecewise_rational", 1),
     ])
-    def test_grid_pass_samples_equal_single_samples_bitwise(self, phi, psi, tol, signal, stride):
+    def test_grid_pass_samples_equal_single_samples_bitwise(self, phi, psi, tol, quad_tol,
+                                                            signal, stride):
         # A grid pass computes its samples in one batched quadrature; each
         # must not depend on the other samples of its batch.
         f = S.builtin_signal(signal)
-        spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol)
+        spec = O.OperatorSpec(phi, psi, 5.0, series_tol=tol, quad_tol=quad_tol)
         evaluator = O.SeriesEvaluator(spec, f)
         evaluator.on_grid(S.UniformGrid.from_window(-3, 3, 0.01).points())
         known = np.flatnonzero(evaluator._known) + evaluator._k0
@@ -446,13 +447,13 @@ class TestGridEvaluation:
                 assert evaluator.sample(k) == pytest.approx(t_coordinate_sample(spec, f, k),
                                                             rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("psi", [
-        O.PointMass(),
-        O.Window(0.0, 1.0, 1.0),
-        O.Convolution(K.bspline(2)),
-        O.Convolution(K.fejer(), quad_tol=1e-4),
+    @pytest.mark.parametrize("psi, quad_tol", [
+        (O.PointMass(), 1e-10),
+        (O.Window(0.0, 1.0, 1.0), 1e-10),
+        (O.Convolution(K.bspline(2)), 1e-9),
+        (O.Convolution(K.fejer()), 1e-4),
     ], ids=["pointmass", "window", "compact-convolution", "decaying-convolution"])
-    def test_a_batch_of_samples_takes_one_quadrature_call(self, psi, monkeypatch):
+    def test_a_batch_of_samples_takes_one_quadrature_call(self, psi, quad_tol, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -460,7 +461,7 @@ class TestGridEvaluation:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(O, "integrate", counting)
-        spec = O.OperatorSpec(K.bspline(3), psi, 5.0)
+        spec = O.OperatorSpec(K.bspline(3), psi, 5.0, quad_tol=quad_tol)
         evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
         evaluator.prefill(np.linspace(-1.0, 1.0, 11))
         assert np.count_nonzero(evaluator._known) == 15
@@ -612,8 +613,9 @@ class TestCertifiedTruncation:
         points = S.UniformGrid.from_window(-3, 3, 0.01).points()
         grids, radii = [], []
         for psi in (O.Window(0.0, 1.0, 1.0),
-                    O.Convolution(K.window(0.0, 1.0, 1.0), quad_tol=1e-10)):
-            evaluator = O.SeriesEvaluator(O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4), f)
+                    O.Convolution(K.window(0.0, 1.0, 1.0))):
+            spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4, quad_tol=1e-10)
+            evaluator = O.SeriesEvaluator(spec, f)
             radii.append(evaluator._radii(points).tolist())
             grids.append(evaluator.on_grid(points).tobytes())
         assert grids[0] == grids[1]
@@ -632,12 +634,13 @@ class TestCertifiedTruncation:
         with pytest.raises(ValueError, match="beyond 67108864"):
             evaluator.at(1e8)
 
-    @pytest.mark.parametrize("f, psi", [
-        (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass()),
-        (S.builtin_signal("runge"), O.Convolution(K.fejer(), quad_tol=1e-3)),
+    @pytest.mark.parametrize("f, psi, quad_tol", [
+        (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass(), 1e-10),
+        (S.builtin_signal("runge"), O.Convolution(K.fejer()), 1e-3),
     ], ids=["no-envelope", "convolution"])
-    def test_without_a_usable_envelope_every_point_takes_the_sup_norm_radius(self, f, psi):
-        spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4)
+    def test_without_a_usable_envelope_every_point_takes_the_sup_norm_radius(self, f, psi,
+                                                                             quad_tol):
+        spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4, quad_tol=quad_tol)
         evaluator = O.SeriesEvaluator(spec, f)
         radii = evaluator._radii(np.array([-50.0, -0.3, 0.0, 0.2, 3.0, 50.0]))
         assert evaluator._radius == 4096
@@ -653,7 +656,7 @@ class TestDecayingPaths:
     def test_fejer_sample_kernel_reproduces_constants_loosely(self):
         f = S.builtin_signal("constant", 1.0)
         spec = O.OperatorSpec(
-            K.bspline(2), O.Convolution(K.fejer(), quad_tol=1e-3), 5.0
+            K.bspline(2), O.Convolution(K.fejer()), 5.0, quad_tol=1e-3
         )
         assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=5e-3)
 
@@ -663,7 +666,7 @@ class TestDecayingPaths:
         quad = pytest.importorskip("scipy.integrate").quad
         f = S.builtin_signal("runge")
         w, tol = 5.0, 1e-6
-        spec = O.OperatorSpec(K.bspline(3), O.Convolution(K.fejer(), quad_tol=tol), w)
+        spec = O.OperatorSpec(K.bspline(3), O.Convolution(K.fejer()), w, quad_tol=tol)
 
         def integrand(t, k):
             half = 0.5 * math.pi * t

@@ -90,7 +90,8 @@ class TestIntervalArrays:
 
     def test_one_unreachable_interval_fails_the_batch(self):
         singular = lambda x: 1.0 / np.sqrt(np.abs(x))
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError,
+                           match=r"tolerance 1e-13 unreachable on \[0, 1\]: \|K-G\| error estimate"):
             integrate(singular, np.array([1.0, 0.0, 2.0]), np.array([2.0, 1.0, 3.0]),
                       tol=1e-13, max_cells=64)
 
