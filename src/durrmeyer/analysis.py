@@ -225,12 +225,11 @@ def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_s
 def convergence_study(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                       w_list: Sequence[float], window, grid_step: float,
                       eta_list: Sequence[OrliczFunction] = (), lam: float = 1.0,
-                      modular_window=None, series_tol: float = 1e-9,
-                      quad_tol: float = 1e-10, modular_tol: float = 1e-6) -> ConvergenceReport:
-    """The one-group call of :func:`convergence_studies`: the error table
-    with one modular column per gauge of ``eta_list`` at ``lam``."""
-    specs = [OperatorSpec(phi, psi, float(w), series_tol=series_tol, quad_tol=quad_tol)
-             for w in w_list]
+                      modular_window=None, modular_tol: float = 1e-6) -> ConvergenceReport:
+    """The one-group call of :func:`convergence_studies` on operators at
+    :class:`OperatorSpec`'s default tolerances: the error table with one
+    modular column per gauge of ``eta_list`` at ``lam``."""
+    specs = [OperatorSpec(phi, psi, float(w)) for w in w_list]
     [report] = convergence_studies(specs, f, window, grid_step, [(lam, eta_list)],
                                    modular_window=modular_window, modular_tol=modular_tol)
     return report
@@ -250,8 +249,7 @@ def bound_checks(report: ConvergenceReport, tolerance_pad: float = 1e-8) -> list
 
 def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
                               w_list: Sequence[float], window, grid_step: float,
-                              tolerance_pad: float = 1e-8,
-                              series_tol: float = 1e-9, quad_tol: float = 1e-10) -> list:
+                              tolerance_pad: float = 1e-8) -> list:
     """Check measured sup errors against C * L / w for each scale of an
     ascending list, from the rows of :func:`convergence_study`.
 
@@ -260,8 +258,7 @@ def verify_quantitative_bound(phi: _k.Kernel, psi: SampleFunctional, f: Signal,
     """
     if f.lipschitz_constant is None:
         raise ValueError("quantitative bound needs a declared Lipschitz constant")
-    report = convergence_study(phi, psi, f, w_list, window, grid_step,
-                               series_tol=series_tol, quad_tol=quad_tol)
+    report = convergence_study(phi, psi, f, w_list, window, grid_step)
     return bound_checks(report, tolerance_pad)
 
 

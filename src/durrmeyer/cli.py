@@ -32,7 +32,7 @@ from .moments import (
     continuous_algebraic_moment,
     discrete_absolute_moment,
 )
-from .orlicz import ModularOverflowError, NormBracketError, orlicz_function
+from .orlicz import GAUGES, ModularOverflowError, NormBracketError
 from .quadrature import QuadratureError
 
 __all__ = ["ConfigError", "main"]
@@ -51,12 +51,14 @@ _CHECK_DECAYING_PROBES = 100
 _CHECK_DECAYING_RADIUS = 10_000
 _CHECK_DECAYING_TOL = 1e-4
 _POISSON_RANGE = range(-3, 4)
-# The keys each kind of descriptor reads besides its kind key; any other key
-# is refused rather than silently ignored.
-_KERNEL_KEYS = {"bspline": {"n"}, "fejer": set(), "window": {"lo", "hi", "weight"}}
-_PSI_KEYS = {"pointmass": set(), "window": {"lo", "hi", "weight"}, "general": {"kernel"}}
-_GAUGE_KEYS = {"power": {"p", "lambda"}, "zygmund": {"alpha", "beta", "lambda"},
-               "exponential": {"alpha", "lambda"}}
+# The constructor of each kind of descriptor; it is called with the
+# descriptor's other keys, so its signature decides which keys are read.
+_KERNELS = {"bspline": _k.bspline, "fejer": _k.fejer, "window": _k.window}
+_FUNCTIONALS = {"pointmass": _o.PointMass, "window": _o.Window, "general": _o.Convolution}
+# The keys of the configuration root and of a signal object.
+_ROOT_KEYS = {"phi", "psi", "signal", "w_list", "window", "grid_step", "orlicz",
+              "tolerances", "output"}
+_SIGNAL_KEYS = ({"piecewise"}, {"name"}, {"name", "value"})
 # Largest evaluation grid a configuration may ask for: 10^7 points is 80 MB
 # per float array, and a grid pass holds several of them.
 _MAX_GRID_POINTS = 10**7
@@ -99,9 +101,10 @@ def _write_json(path: Path, payload):
 
 
 def _finite(value, context) -> float:
-    """A JSON number that is finite; booleans and strings are refused."""
+    """A JSON number that is finite as a float; booleans, strings and
+    integers beyond the float range are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{context} must be a finite number, got {value!r}")
     return float(value)
 
@@ -112,87 +115,61 @@ def _need(mapping, key, context):
     return mapping[key]
 
 
-def _refuse_unread(desc, tag, reads, context):
-    """Refuse the keys of ``desc`` that the kind named by ``desc[tag]`` never
-    reads; an unknown kind is left to its resolver."""
-    kind = desc[tag]
-    if isinstance(kind, str) and kind in reads:
-        unread = sorted(map(str, set(desc) - reads[kind] - {tag}))
-        if unread:
-            raise ConfigError(f"{context}: {tag} {kind!r} reads no key {unread}; "
-                              f"it reads {sorted(reads[kind] | {tag})}")
+def _refuse_unknown(mapping, keys, context):
+    unknown = sorted(map(str, set(mapping) - keys))
+    if unknown:
+        raise ConfigError(f"unknown {context} keys {unknown}; expected keys from {sorted(keys)}")
 
 
-def _resolve_kernel(desc, context) -> _k.Kernel:
+def _build(desc, tag, table, context):
+    """The object that ``desc`` describes: the constructor ``table[desc[tag]]``
+    called with every other key of ``desc`` as a keyword argument, each a
+    finite number, or for a sample functional a nested ``kernel``
+    descriptor. The constructor's signature refuses a missing key and one
+    that its kind never reads."""
     if not isinstance(desc, dict):
-        raise ConfigError(f"{context} must be an object with a 'family' key")
-    family = _need(desc, "family", context)
-    _refuse_unread(desc, "family", _KERNEL_KEYS, context)
+        raise ConfigError(f"{context} must be an object with a {tag!r} key")
+    kind = _need(desc, tag, context)
+    if not (isinstance(kind, str) and kind in table):
+        raise ConfigError(f"{context}: unknown {tag} {kind!r}; expected one of {sorted(table)}")
+    params = {}
+    for key, value in desc.items():
+        if key == "kernel" and table is _FUNCTIONALS:
+            params[key] = _build(value, "family", _KERNELS, f"{context}.kernel")
+        elif key != tag:
+            params[key] = _finite(value, f"{context}.{key}")
+    n = params.get("n")
+    if kind == "bspline" and isinstance(n, float) and n.is_integer():
+        params["n"] = int(n)  # JSON has one number type
     try:
-        if family == "bspline":
-            n = _need(desc, "n", context)
-            if isinstance(n, float) and n.is_integer():
-                n = int(n)
-            return _k.bspline(n)
-        if family == "fejer":
-            return _k.fejer()
-        if family == "window":
-            return _k.window(_finite(_need(desc, "lo", context), "lo"),
-                             _finite(_need(desc, "hi", context), "hi"),
-                             _finite(desc.get("weight", 1.0), "weight"))
+        return table[kind](**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}: unknown kernel family {family!r}")
-
-
-def _resolve_functional(desc) -> _o.SampleFunctional:
-    if not isinstance(desc, dict):
-        raise ConfigError("psi must be an object with a 'kind' key")
-    kind = _need(desc, "kind", "psi")
-    if "quad_tol" in desc:
-        raise ConfigError("psi.quad_tol is not read: every psi samples at tolerances.quad_tol")
-    _refuse_unread(desc, "kind", _PSI_KEYS, "psi")
-    try:
-        if kind == "pointmass":
-            return _o.PointMass()
-        if kind == "window":
-            return _o.Window(_finite(_need(desc, "lo", "psi"), "psi.lo"),
-                             _finite(_need(desc, "hi", "psi"), "psi.hi"),
-                             _finite(desc.get("weight", 1.0), "psi.weight"))
-        if kind == "general":
-            kernel = _resolve_kernel(_need(desc, "kernel", "psi"), "psi.kernel")
-            return _o.Convolution(kernel)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"psi: {exc}") from exc
-    raise ConfigError(f"psi: unknown functional kind {kind!r}")
+        raise ConfigError(f"{context} ({tag} {kind!r}): {exc}") from exc
 
 
 def _resolve_signal(desc) -> _s.Signal:
+    if isinstance(desc, str):
+        desc = {"name": desc}
+    if not (isinstance(desc, dict) and set(desc) in _SIGNAL_KEYS):
+        raise ConfigError("signal must be a name, {'name':..,'value':..}, or a piecewise "
+                          f"literal {{'piecewise':..}}, got {desc!r}")
     try:
-        if isinstance(desc, str):
-            return _s.builtin_signal(desc)
-        if isinstance(desc, dict) and "piecewise" in desc:
+        if "piecewise" in desc:
             return _s.piecewise_constant(desc["piecewise"])
-        if isinstance(desc, dict) and "name" in desc:
-            return _s.builtin_signal(desc["name"], desc.get("value"))
-    except (TypeError, ValueError) as exc:
+        return _s.builtin_signal(desc["name"], desc.get("value"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"signal: {exc}") from exc
-    raise ConfigError("signal must be a name, {'name':..,'value':..}, or a piecewise literal")
 
 
 def _resolve_orlicz(entries):
+    if not isinstance(entries, list):
+        raise ConfigError("orlicz must be a list of gauge entries")
     probes = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"orlicz[{i}] must be an object")
-        params = {key: val for key, val in entry.items() if key not in ("variant", "lambda")}
-        try:
-            eta = orlicz_function(_need(entry, "variant", f"orlicz[{i}]"), **params)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(f"orlicz[{i}]: {exc}") from exc
-        _refuse_unread(entry, "variant", _GAUGE_KEYS, f"orlicz[{i}]")
+        gauge = {key: val for key, val in entry.items() if key != "lambda"}
+        eta = _build(gauge, "variant", GAUGES, f"orlicz[{i}]")
         lam = _finite(entry.get("lambda", 1.0), f"orlicz[{i}].lambda")
         if lam <= 0:
             raise ConfigError(f"orlicz[{i}]: lambda must be positive")
@@ -206,9 +183,13 @@ class Experiment:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
+        _refuse_unknown(raw, _ROOT_KEYS, "config")
         self.raw = raw
-        self.phi = _resolve_kernel(_need(raw, "phi", "config"), "phi")
-        self.psi = _resolve_functional(_need(raw, "psi", "config"))
+        self.phi = _build(_need(raw, "phi", "config"), "family", _KERNELS, "phi")
+        psi = _need(raw, "psi", "config")
+        if isinstance(psi, dict) and "quad_tol" in psi:
+            raise ConfigError("psi.quad_tol is not read: every psi samples at tolerances.quad_tol")
+        self.psi = _build(psi, "kind", _FUNCTIONALS, "psi")
         self.signal = _resolve_signal(_need(raw, "signal", "config"))
         w_list = _need(raw, "w_list", "config")
         if not isinstance(w_list, list) or not w_list:
@@ -238,10 +219,7 @@ class Experiment:
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):
             raise ConfigError("tolerances must be an object")
-        unknown = sorted(set(given) - set(_DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(f"unknown tolerances {unknown}; expected keys from "
-                              f"{sorted(_DEFAULT_TOLERANCES)}")
+        _refuse_unknown(given, set(_DEFAULT_TOLERANCES), "tolerances")
         tolerances = dict(_DEFAULT_TOLERANCES)
         for key, val in given.items():
             if _finite(val, f"tolerances.{key}") <= 0:
@@ -251,6 +229,7 @@ class Experiment:
         output = raw.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError(f"output must be an object, got {output!r}")
+        _refuse_unknown(output, {"path"}, "output")
         path = output.get("path", "out")
         if not isinstance(path, str):
             raise ConfigError(f"output.path must be a string, got {path!r}")

@@ -238,7 +238,7 @@ def fejer() -> Kernel:
     )
 
 
-def window(lo: float, hi: float, weight: float) -> Kernel:
+def window(lo: float, hi: float, weight: float = 1.0) -> Kernel:
     """Weighted indicator of the half-open interval [lo, hi).
 
     The half-open convention makes the integer-shift sum of a unit-mass,
@@ -248,6 +248,8 @@ def window(lo: float, hi: float, weight: float) -> Kernel:
         raise ValueError("window needs lo < hi")
     if not weight > 0:
         raise ValueError("window weight must be positive")
+    if not 0 < weight * (hi - lo) < math.inf:
+        raise ValueError("window mass must be positive and finite")
 
     lo = float(lo)
     hi = float(hi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as _k
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError, check_tolerance, integrate
 
 __all__ = [
     "DivergentMomentError",
@@ -89,8 +89,7 @@ def discrete_absolute_moment(kernel, nu, probes=2048, tol=1e-9, method="auto"):
     nu = _check_order(nu)
     if probes < 1:
         raise ValueError("probe count must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     _require_convergent(kernel, nu, "discrete absolute")
 
     if method == "auto" and nu == 0 and kernel.nonnegative and kernel.partition_of_unity:
@@ -119,6 +118,7 @@ def discrete_algebraic_moment(kernel, nu, u, tol=1e-12):
     """sum_j k(u - j) (j - u)**nu, truncated with a certified tail."""
     if not isinstance(nu, int) or isinstance(nu, bool) or nu < 0:
         raise ValueError("algebraic moment order must be a nonnegative integer")
+    check_tolerance(tol)
     _require_convergent(kernel, nu, "discrete algebraic")
     if nu == 0 and kernel.partition_of_unity:
         return 1.0
@@ -168,17 +168,18 @@ def _continuous_moment(kernel, nu, tol, signed):
 
 
 def continuous_absolute_moment(kernel, nu, tol=1e-9):
-    """integral of |t|**nu |k(t)| dt with certified error at most ``tol``."""
+    """integral of |t|**nu |k(t)| dt to ``tol``. Its ``certified_error`` adds
+    the certified bound of a decaying kernel's truncated tails to the
+    quadrature's ``|K-G|`` error estimate, which is an estimate, not a bound."""
     nu = _check_order(nu)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     return _continuous_moment(kernel, nu, tol, signed=False)
 
 
 def continuous_algebraic_moment(kernel, nu, tol=1e-9):
-    """integral of t**nu k(t) dt with certified error at most ``tol``."""
+    """integral of t**nu k(t) dt to ``tol``, with an error that is part
+    estimate, as for :func:`continuous_absolute_moment`."""
     if not isinstance(nu, int) or isinstance(nu, bool) or nu < 0:
         raise ValueError("algebraic moment order must be a nonnegative integer")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     return _continuous_moment(kernel, nu, tol, signed=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernels as _k
 from .moments import continuous_algebraic_moment
-from .quadrature import integrate
+from .quadrature import check_tolerance, integrate
 from .signals import Signal, UniformGrid
 
 __all__ = [
@@ -75,13 +75,15 @@ class Window:
 
     lo: float
     hi: float
-    weight: float
+    weight: float = 1.0
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("window functional needs lo < hi")
         if not self.weight > 0:
             raise ValueError("window functional weight must be positive")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("window functional mass must be positive and finite")
 
     @property
     def mass(self) -> float:
@@ -149,10 +151,10 @@ class OperatorSpec:
     pou_threshold: float = 1e-3
 
     def __post_init__(self):
-        if not self.w > 0:
-            raise ValueError("scale w must be positive")
-        if self.series_tol <= 0 or self.quad_tol <= 0 or self.pou_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.w < math.inf:
+            raise ValueError("scale w must be finite and positive")
+        for tol in (self.series_tol, self.quad_tol, self.pou_threshold):
+            check_tolerance(tol)
         if not isinstance(self.psi, (PointMass, Window, Convolution)):
             raise TypeError("psi must be a sample functional")
         if self.phi.partition_of_unity:

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import check_tolerance, integrate
 from .signals import GridFunction
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "ZygmundFunction",
     "ExponentialFunction",
     "OrliczFunction",
+    "GAUGES",
     "orlicz_function",
     "phi_eval",
     "Difference",
@@ -147,15 +148,17 @@ class ExponentialFunction:
 OrliczFunction = Union[PowerFunction, ZygmundFunction, ExponentialFunction]
 
 
+# Each variant name of the CLI configuration, mapped to its gauge's class.
+GAUGES = {"power": PowerFunction, "zygmund": ZygmundFunction,
+          "exponential": ExponentialFunction}
+
+
 def orlicz_function(variant: str, **params) -> OrliczFunction:
-    """Factory keyed by variant name, mirroring the CLI configuration."""
-    if variant == "power":
-        return PowerFunction(float(params["p"]))
-    if variant == "zygmund":
-        return ZygmundFunction(float(params["alpha"]), float(params["beta"]))
-    if variant == "exponential":
-        return ExponentialFunction(float(params["alpha"]))
-    raise ValueError(f"unknown gauge variant {variant!r}")
+    """The gauge of ``GAUGES[variant]`` built from ``params``; the class's
+    signature refuses a missing parameter or one it does not read."""
+    if variant not in GAUGES:
+        raise ValueError(f"unknown gauge variant {variant!r}")
+    return GAUGES[variant](**params)
 
 
 def phi_eval(eta: OrliczFunction, u):
@@ -260,6 +263,7 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     at, as a :class:`SeriesEvaluator` declares) or a :class:`GridFunction`,
     which integrates exactly cell by cell.
     """
+    check_tolerance(tol)
     cells = list(cells)
     if any(lam <= 0 for _, lam in cells):
         raise ValueError("modular scaling lambda must be positive")
@@ -366,8 +370,7 @@ def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
     s, so the bracket is well defined whenever the modular drops below one
     before the scale cap.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be finite and positive")
+    check_tolerance(tol)
     lo, hi = _window_ends(window)
     peak = _probe_sup(f, lo, hi)
     if peak == 0.0:

@@ -19,6 +19,8 @@ share nodes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["QuadratureError", "integrate"]
@@ -172,6 +174,12 @@ def _bisection_picks(err, seg, count, excess, max_cells):
     return order[(run - run[start] < _EXCESS_UNIT) & (rank < max_cells - count[s])]
 
 
+def check_tolerance(tol):
+    """Refuse a tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+
+
 def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False,
               knots=None):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
@@ -220,8 +228,7 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     a, b = a.ravel(), b.ravel()
     if not (a <= b).all():
         raise ValueError("integration interval is reversed or NaN")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     values = np.zeros(a.size)
     errors = np.zeros(a.size)
     min_width = _MIN_REL_WIDTH * (np.abs(a) + np.abs(b) + (b - a))

@@ -92,6 +92,13 @@ class TestConfigHandling:
         {"orlicz": [{"variant": "power", "p": 2, "alpha": 1}]},
         {"orlicz": [{"variant": "zygmund", "alpha": 1, "beta": 1, "p": 2}]},
         {"orlicz": [{"variant": "exponential", "alpha": 1, "lamda": 2}]},
+        # Unknown root and signal keys, a boolean gauge parameter, and an
+        # object where a number belongs.
+        {"grid_stp": 0.5},
+        {"signal": {"name": "runge", "valu": 3}},
+        {"orlicz": [{"variant": "power", "p": True}]},
+        {"phi": {"family": "bspline", "n": {}}},
+        {"output": {"path": "results", "paht": "elsewhere"}},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"
@@ -113,6 +120,26 @@ class TestConfigHandling:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 2
         assert "tolerances.quad_tol" in capsys.readouterr().err
         assert not (tmp_path / "flag").exists()
+
+    def test_each_kind_resolves_with_its_constructor(self):
+        exp = cli.Experiment({
+            "phi": {"family": "bspline", "n": 3.0},
+            "psi": {"kind": "window", "lo": 0, "hi": 1},
+            "signal": {"name": "constant", "value": 2},
+            "w_list": [5], "window": [-1, 1],
+            "orlicz": [{"variant": "power", "p": 2},
+                       {"variant": "zygmund", "alpha": 1, "beta": 2, "lambda": 0.5},
+                       {"variant": "exponential", "alpha": 1}],
+        })
+        assert exp.phi.name == "bspline3"
+        assert repr(exp.psi) == "Window(lo=0.0, hi=1.0, weight=1.0)"
+        assert exp.signal.name == "constant(2)"
+        assert [(eta, lam) for eta, lam in exp.orlicz] == [
+            (X.PowerFunction(2.0), 1.0), (X.ZygmundFunction(1.0, 2.0), 0.5),
+            (X.ExponentialFunction(1.0), 1.0)]
+        general = cli.Experiment({**exp.raw, "psi": {
+            "kind": "general", "kernel": {"family": "window", "lo": -0.5, "hi": 0.5}}})
+        assert repr(general.psi) == "Convolution(kernel=window[-0.5..0.5)*1)"
 
     def test_non_object_root_exits_2_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -308,3 +308,15 @@ class TestMomentRelations:
             M.MomentResult(1.0, 1e-3, "closed_form")
         with pytest.raises(ValueError):
             M.MomentResult(1.0, 0.0, "guesswork")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("moment", [
+        lambda kernel, tol: M.discrete_absolute_moment(kernel, 1, tol=tol),
+        lambda kernel, tol: M.discrete_algebraic_moment(kernel, 1, 0.25, tol=tol),
+        lambda kernel, tol: M.continuous_absolute_moment(kernel, 1, tol=tol),
+        lambda kernel, tol: M.continuous_algebraic_moment(kernel, 1, tol=tol),
+    ], ids=["discrete_absolute", "discrete_algebraic", "continuous_absolute",
+            "continuous_algebraic"])
+    def test_non_finite_tolerance_refused(self, moment, tol):
+        with pytest.raises(ValueError, match="finite"):
+            moment(K.bspline(3), tol)

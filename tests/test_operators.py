@@ -90,6 +90,18 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             O.Window(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi, weight", [(-1e308, 1e308, 1.0), (0.0, 1.0, 1e309),
+                                                (0.0, 1e-300, 1e-300)])
+    def test_window_mass_must_be_positive_and_finite(self, lo, hi, weight):
+        with pytest.raises(ValueError, match="mass"):
+            O.Window(lo, hi, weight)
+        with pytest.raises(ValueError, match="mass"):
+            K.window(lo, hi, weight)
+
+    def test_window_weight_defaults_to_one(self):
+        assert O.Window(0.0, 1.0) == O.Window(0.0, 1.0, 1.0)
+        assert K.window(-0.5, 0.5).name == K.window(-0.5, 0.5, 1.0).name
+
     def test_masses(self):
         assert O.PointMass().mass == 1.0
         assert O.Window(0.0, 1.0, 1.0).mass == 1.0
@@ -137,6 +149,17 @@ class TestSpecValidation:
             O.OperatorSpec(phi, O.PointMass(), 5.0, series_tol=0.0)
         with pytest.raises(TypeError):
             O.OperatorSpec(phi, "not-a-functional", 5.0)
+
+    @pytest.mark.parametrize("field", ["w", "series_tol", "quad_tol", "pou_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scale_and_tolerances(self, field, value):
+        # A width-1/2 window declares no partition of unity, so the spec
+        # would probe it with pou_threshold.
+        params = {"w": 5.0, field: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                O.OperatorSpec(K.window(0.0, 0.5, 2.0), O.PointMass(), **params)
 
     def test_partition_of_unity_enforced(self):
         bad_phi = K.window(0.0, 0.5, 1.0)  # shift sum oscillates between 0 and 1

@@ -132,6 +132,16 @@ class TestModular:
         with pytest.raises(ValueError):
             X.modular(X.PowerFunction(2), f, 1.0, (1, -1))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("grid", [False, True], ids=["signal", "grid"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, grid):
+        f = Counting(S.builtin_signal("runge"))
+        if grid:
+            f = S.GridFunction(S.UniformGrid(-1.0, 0.5, 5), np.ones(5))
+        with pytest.raises(ValueError, match="tolerance"):
+            X.modulars([(X.PowerFunction(2), 1.0)], f, (-1, 1), tol=tol)
+        assert grid or f.calls == []
+
     @pytest.mark.parametrize("window", [(math.nan, 2.0), (-2.0, math.inf), (-math.inf, 2.0)])
     def test_non_finite_window_refused_before_any_evaluation(self, window):
         f = Counting(S.builtin_signal("box"))
@@ -526,3 +536,14 @@ def test_factory_round_trip():
     assert X.orlicz_function("exponential", alpha=1).label == "exponential(1)"
     with pytest.raises(ValueError):
         X.orlicz_function("mystery")
+
+
+@pytest.mark.parametrize("variant, params", [
+    ("power", {"p": 2, "alpha": 1}),
+    ("zygmund", {"alpha": 1, "beta": 1, "p": 2}),
+    ("exponential", {"alpha": 1, "beta": 1}),
+    ("zygmund", {"alpha": 1}),
+])
+def test_factory_refuses_parameters_its_gauge_does_not_take(variant, params):
+    with pytest.raises(TypeError):
+        X.orlicz_function(variant, **params)

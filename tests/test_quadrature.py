@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -51,6 +53,19 @@ def test_degenerate_and_invalid_intervals():
         integrate(np.sin, np.nan, 1.0)
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_refused_before_any_evaluation(tol):
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return np.abs(x - 0.3)
+
+    with pytest.raises(ValueError, match="finite"):
+        integrate(kink, 0.0, 1.0, tol=tol)
+    assert calls == []
 
 
 def test_narrow_feature_found_when_bracketed_by_breakpoints():
