@@ -40,6 +40,8 @@ _MAX_BSPLINE_ORDER = 20
 # stay in L2. Each row's sum depends only on its own point, so the budget
 # moves no bit of any result.
 _BLOCK_VALUES = 1 << 13
+_RADIUS_CAP = 1 << 26  # largest lattice truncation radius of a decaying kernel
+_COMPACT_RADIUS_MARGIN = 2  # lattice shifts kept beyond a compact support
 
 
 @dataclass(frozen=True)
@@ -303,27 +305,28 @@ def integral_tail_bound(support: DecayingSupport, cutoff: float, weight_power: f
     return 2.0 * support.coefficient * cutoff ** (nu - alpha + 1) / (alpha - nu - 1)
 
 
-def compact_lattice_radius(support: CompactSupport, extra: int = 2) -> int:
-    """Smallest integer radius so shifts outside it cannot touch [0, 1)."""
-    return int(math.ceil(max(abs(support.lo), abs(support.hi)))) + extra
+def compact_lattice_radius(support: CompactSupport) -> int:
+    """Smallest integer radius so shifts outside it cannot touch [0, 1), plus a margin."""
+    return int(math.ceil(max(abs(support.lo), abs(support.hi)))) + _COMPACT_RADIUS_MARGIN
 
 
-def radius_ladder(support: DecayingSupport, cap: int = 1 << 26) -> list:
+def radius_ladder(support: DecayingSupport) -> list:
     """The truncation radii tried in turn: doublings of
-    max(ceil(support.radius), 1, 4), the first always and the rest up to cap."""
+    max(ceil(support.radius), 1, 4), the first always and the rest up to _RADIUS_CAP."""
     ladder = [max(int(math.ceil(support.radius)), 1, 4)]
-    while 2 * ladder[-1] <= cap:
+    while 2 * ladder[-1] <= _RADIUS_CAP:
         ladder.append(2 * ladder[-1])
     return ladder
 
 
 def decaying_lattice_radius(support: DecayingSupport, tol: float,
-                            weight_power: float = 0.0, cap: int = 1 << 26) -> int:
+                            weight_power: float = 0.0) -> int:
     """First radius of the ladder whose lattice tail bound meets tol."""
-    for radius in radius_ladder(support, cap):
+    for radius in radius_ladder(support):
         if lattice_tail_bound(support, radius, weight_power) <= tol:
             return radius
-    raise ValueError(f"lattice tail tolerance {tol:g} needs truncation radius beyond {cap}")
+    raise ValueError(
+        f"lattice tail tolerance {tol:g} needs truncation radius beyond {_RADIUS_CAP}")
 
 
 def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius: int) -> float:
@@ -345,8 +348,6 @@ def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius:
 
     tail = 0.0
     if isinstance(kernel.support, DecayingSupport):
-        if kernel.support.exponent <= 1:
-            raise ValueError("non-integrable decay: exponent must exceed 1")
         tail = lattice_tail_bound(kernel.support, radius, 0.0)
 
     sums = lattice_sum(kernel, u, 0, radius, signed_power=True)

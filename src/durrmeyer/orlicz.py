@@ -9,7 +9,7 @@ declares this as ``delta2``. A gauge also declares ``homogeneity``: the
 degree p with eta(s u) = s**p eta(u) for every s > 0 (p for the power
 family), or ``None``. :func:`luxemburg_norm` trusts the declaration, so a
 user gauge may make it too; a homogeneous modular gives the norm in closed
-form, any other gauge is searched for it.
+form, and for any other gauge the modular at one scaling brackets it.
 
 The modulars that one computation needs of one function, whatever their
 gauges and scalings, are one batched adaptive quadrature
@@ -47,9 +47,8 @@ __all__ = [
 
 _EXP_ARG_CAP = 700.0
 _NORM_SCALE_CAP = 1e9
-_NORM_SCALE_FLOOR = 1e-12
 _MAX_CELLS = 20000  # quadrature cells per modular
-# Each step of the Luxemburg search cuts its bracket into this many equal
+# Each k-section step of a Luxemburg norm cuts its bracket into this many equal
 # sections and takes the modulars at their interior ends in one quadrature.
 _NORM_SECTIONS = 9
 
@@ -60,8 +59,8 @@ class ModularOverflowError(OverflowError):
 
 
 class NormBracketError(ArithmeticError):
-    """No finite scaling brings the modular below one; the function lies
-    outside the gauge's space at this window and precision."""
+    """No scaling up to the scale cap brings the modular below one: the
+    modular still overflows there, or the norm lies beyond it."""
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,9 @@ class ExponentialFunction:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("exponential gauge needs a finite alpha > 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            # Below one, exp(u**alpha) - 1 is concave near zero.
+            raise ValueError("exponential gauge needs a finite alpha >= 1 for convexity")
 
     delta2 = False
     homogeneity = None
@@ -357,28 +357,31 @@ def _probe_sup(f, lo, hi):
 def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
     """inf of scalings s > 0 with modular of f/s at most one.
 
-    Both routes start at the peak of |f| over the probes of the window.
-    A gauge that declares a degree of homogeneity p has I[f/s] = I[f/t] *
-    (t/s)**p, so the norm is t * I[f/t]**(1/p) for any t: one modular at
-    the peak, and where that modular is below one (its relative error
-    dI / (p I) then exceeds the quadrature tolerance over p) a second at
-    the first estimate, where it is near one. Any other gauge, or one whose
-    modular overflows there, takes a geometric search that brackets s;
-    then each k-section step takes the modulars at the interior ends of
-    equal sections of the bracket in one batched quadrature and keeps the
-    section where the modular crosses one. The modular is nonincreasing in
-    s, so the bracket is well defined whenever the modular drops below one
-    before the scale cap.
+    One modular I = I[f/t] at the peak t of |f| over the probes of the
+    window brackets the norm. A convex gauge with eta(0) = 0 has eta(c u)
+    <= c eta(u) for c <= 1, so I[f/s] <= (t/s) I for s >= t and
+    I[f/s] >= (t/s) I for s <= t: the norm lies between t and t * I. A
+    gauge that declares a degree of homogeneity p has I[f/s] = I * (t/s)**p,
+    so the norm is t * I**(1/p) exactly; where I is below one (its
+    relative error dI / (p I) then exceeds the quadrature tolerance over p)
+    a second modular at that estimate, where it is near one, refines it.
+    Any other gauge runs k-section steps on the bracket: each takes the
+    modulars at the interior ends of equal sections in one batched
+    quadrature and keeps the section where the modular crosses one.
+
+    A modular that overflows at t is infinite, so t doubles until it is
+    finite. :class:`NormBracketError` is raised once t passes the scale cap,
+    and for a k-section bracket that starts beyond it.
     """
     check_tolerance(tol)
     lo, hi = _window_ends(window)
-    peak = _probe_sup(f, lo, hi)
-    if peak == 0.0:
+    scale = _probe_sup(f, lo, hi)
+    if scale == 0.0:
         return 0.0
-    if not math.isfinite(peak):
-        # 1/peak would be no scaling at all; from one, a signal that is not
-        # a number or infinite fails as it would at any scaling.
-        peak = 1.0
+    if not math.isfinite(scale):
+        # Its inverse would be no scaling at all; from one, a signal that is
+        # not a number or infinite fails as it would at any scaling.
+        scale = 1.0
 
     quad_tol = max(min(tol * 1e-2, 1e-8), 1e-13)
 
@@ -386,45 +389,31 @@ def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
         # None where the modular overflows: it is infinite.
         return modulars([(eta, 1.0 / s) for s in scales], f, (lo, hi), tol=quad_tol)
 
+    [value] = modular_at([scale])
+    while value is None:
+        scale *= 2.0
+        if scale > _NORM_SCALE_CAP:
+            raise NormBracketError(f"modular is infinite for scalings up to {_NORM_SCALE_CAP:g}")
+        [value] = modular_at([scale])
+    if value == 0.0:
+        return 0.0  # f vanishes on the window up to quadrature precision
     degree = getattr(eta, "homogeneity", None)
+    estimate = scale * value ** (1.0 / (1.0 if degree is None else degree))
     if degree is not None:
-        [first] = modular_at([peak])
-        if first is not None:
-            norm = peak * first ** (1.0 / degree)
-            if not 0.0 < first < 1.0:
-                return norm
-            [second] = modular_at([norm])
+        if value < 1.0:
+            [second] = modular_at([estimate])
             if second is not None:
-                return norm * second ** (1.0 / degree)
+                return estimate * second ** (1.0 / degree)
+        return estimate
 
-    def above_one(scales):
-        # An overflowing modular is infinite, so above one.
-        return [value is None or value > 1.0 for value in modular_at(scales)]
-
-    scale = min(max(peak, _NORM_SCALE_FLOOR), _NORM_SCALE_CAP)
-    if above_one([scale])[0]:
-        while True:
-            scale *= 2.0
-            if scale > _NORM_SCALE_CAP:
-                raise NormBracketError(
-                    f"modular stays above one for scalings up to {_NORM_SCALE_CAP:g}"
-                )
-            if not above_one([scale])[0]:
-                break
-        bracket_lo, bracket_hi = scale / 2.0, scale
-    else:
-        while True:
-            scale /= 2.0
-            if scale < _NORM_SCALE_FLOOR:
-                return scale
-            if above_one([scale])[0]:
-                break
-        bracket_lo, bracket_hi = scale, scale * 2.0
-
+    bracket_lo, bracket_hi = min(scale, estimate), max(scale, estimate)
+    if bracket_lo > _NORM_SCALE_CAP:
+        raise NormBracketError(f"the norm exceeds the scale cap {_NORM_SCALE_CAP:g}")
     fractions = np.arange(1, _NORM_SECTIONS) / _NORM_SECTIONS
     while bracket_hi - bracket_lo > tol * bracket_hi:
         scales = (bracket_lo + (bracket_hi - bracket_lo) * fractions).tolist()
-        above = above_one(scales)
+        # An overflowing modular is infinite, so above one.
+        above = [v is None or v > 1.0 for v in modular_at(scales)]
         crossing = above.index(False) if False in above else len(scales)
         bracket = (scales[crossing - 1] if crossing > 0 else bracket_lo,
                    scales[crossing] if crossing < len(scales) else bracket_hi)

@@ -270,15 +270,10 @@ def piecewise_constant(pieces, name: str = "piecewise-constant") -> Signal:
         if not math.isfinite(v):
             raise ValueError(f"each piece needs a finite value, got {v!r}")
     edges = tuple(sorted({edge for lo, hi, _ in rows for edge in (lo, hi)}))
-
-    def evaluate(x):
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr)
-        out = np.zeros_like(flat)
-        for lo, hi, v in rows:
-            out[(flat >= lo) & (flat < hi)] = v
-        return float(out[0]) if arr.ndim == 0 else out
-
+    evaluate = _piecewise([
+        (lambda t, lo=lo, hi=hi: (t >= lo) & (t < hi), lambda t, v=v: np.full_like(t, v))
+        for lo, hi, v in rows
+    ])
     peak = max(abs(v) for _, _, v in rows)
     reach = max(abs(edge) for edge in edges)
     return Signal(

@@ -57,3 +57,21 @@ def test_tracing_the_four_commands_restores_every_binding(tmp_path, monkeypatch)
     metrics = tracer.metrics()
     assert set(metrics) == {metric["name"] for metric in declared} - WORKER_METRICS
     assert metrics["cli.orlicz.s"][0] > 0.0
+
+
+def test_a_configured_phi_is_traced(tmp_path, monkeypatch):
+    # The CLI must call the kernel factory bound on ``kernels`` when it
+    # builds phi, not one captured at import, or the tracer sees no phi.
+    tracer_module = load_tracer(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "phi": {"family": "bspline", "n": 2}, "psi": {"kind": "pointmass"},
+        "signal": "box", "w_list": [5], "window": [-2, 2], "grid_step": 0.05,
+    }))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.start()
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.stop()
+    assert tracer.metrics()["kernels.evaluate.values"][0] > 0

@@ -99,6 +99,11 @@ class TestConfigHandling:
         {"orlicz": [{"variant": "power", "p": True}]},
         {"phi": {"family": "bspline", "n": {}}},
         {"output": {"path": "results", "paht": "elsewhere"}},
+        # A signal value that is not a number, or beside a signal without one.
+        {"signal": {"name": "constant", "value": True}},
+        {"signal": {"name": "constant", "value": "2"}},
+        {"signal": {"name": "runge", "value": 3}},
+        {"signal": {"piecewise": [["0", "1", True]]}},
     ])
     def test_bad_fields_exit_2(self, tmp_path, overrides, capsys):
         cfg = tmp_path / "cfg.json"

@@ -55,6 +55,9 @@ class TestGaugeFunctions:
             X.ZygmundFunction(1, 0)
         with pytest.raises(ValueError):
             X.ExponentialFunction(0)
+        # exp(u**0.5) - 1 is concave near zero.
+        with pytest.raises(ValueError, match="convexity"):
+            X.ExponentialFunction(0.5)
 
     @pytest.mark.parametrize("eta", GAUGE_CATALOG, ids=lambda e: e.label)
     def test_gauge_axioms_on_sampled_points(self, eta):
@@ -487,6 +490,17 @@ class TestLuxemburgNorm:
         assert norm == pytest.approx(c * X.luxemburg_norm(eta, box, (-2, 2)), rel=1e-9)
         assert X.modular(eta, box.scaled(c), 1.0 / norm, (-2, 2), tol=1e-12) == pytest.approx(
             1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [X.ZygmundFunction(1, 1), X.ExponentialFunction(1)],
+                             ids=lambda e: e.label)
+    def test_norm_is_homogeneous_at_small_amplitudes(self, eta):
+        # The bracket comes from the modular at the probe peak, with no
+        # scale floor, so a tiny amplitude scales its norm like any other.
+        box = S.builtin_signal("box")
+        base = X.luxemburg_norm(eta, box, (-2, 2))
+        for c in (1e-14, 1e-13, 1e-12, 1.0, 1e3):
+            norm = X.luxemburg_norm(eta, box.scaled(c), (-2, 2))
+            assert norm == pytest.approx(c * base, rel=1e-9, abs=0.0)
 
     def test_closed_form_meets_the_knot_exact_reference(self):
         # The modular at the probe peak is below one here, so one call alone
