@@ -243,12 +243,16 @@ class Experiment:
         self.out_dir = Path(path)
 
     def spec(self, w: float) -> _o.OperatorSpec:
-        return _o.OperatorSpec(
-            self.phi, self.psi, w,
-            series_tol=self.tolerances["series_tol"],
-            quad_tol=self.tolerances["quad_tol"],
-            pou_threshold=self.tolerances["pou_threshold"],
-        )
+        # w and the tolerances are checked above: only phi can fail the spec.
+        try:
+            return _o.OperatorSpec(
+                self.phi, self.psi, w,
+                series_tol=self.tolerances["series_tol"],
+                quad_tol=self.tolerances["quad_tol"],
+                pou_threshold=self.tolerances["pou_threshold"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"phi: {exc}") from exc
 
     def grid(self) -> _s.UniformGrid:
         return _s.UniformGrid.from_window(self.window[0], self.window[1], self.grid_step)

@@ -29,6 +29,8 @@ __all__ = [
     "fourier_hat",
     "lattice_tail_bound",
     "integral_tail_bound",
+    "lattice_radius",
+    "integral_cutoff",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -40,7 +42,7 @@ _MAX_BSPLINE_ORDER = 20
 # stay in L2. Each row's sum depends only on its own point, so the budget
 # moves no bit of any result.
 _BLOCK_VALUES = 1 << 13
-_RADIUS_CAP = 1 << 26  # largest lattice truncation radius of a decaying kernel
+_RADIUS_CAP = 1 << 26  # largest lattice radius or integral cutoff of a decaying kernel
 _COMPACT_RADIUS_MARGIN = 2  # lattice shifts kept beyond a compact support
 
 
@@ -319,14 +321,35 @@ def radius_ladder(support: DecayingSupport) -> list:
     return ladder
 
 
-def decaying_lattice_radius(support: DecayingSupport, tol: float,
-                            weight_power: float = 0.0) -> int:
-    """First radius of the ladder whose lattice tail bound meets tol."""
+def lattice_radius(support: SupportDescriptor, tol: float, weight_power: float = 0.0) -> tuple:
+    """(radius, tail) of a lattice sum: a compact support's radius with tail
+    0, or the first rung of a decaying support's ladder whose lattice tail
+    bound meets tol, with that bound."""
+    if isinstance(support, CompactSupport):
+        return compact_lattice_radius(support), 0.0
     for radius in radius_ladder(support):
-        if lattice_tail_bound(support, radius, weight_power) <= tol:
-            return radius
+        tail = lattice_tail_bound(support, radius, weight_power)
+        if tail <= tol:
+            return radius, tail
     raise ValueError(
         f"lattice tail tolerance {tol:g} needs truncation radius beyond {_RADIUS_CAP}")
+
+
+def integral_cutoff(kernel: Kernel, tol: float, weight_power: float = 0.0) -> tuple:
+    """(cutoff, cuts) of an integral against a decaying kernel: the first
+    doubling c of max(radius, 1) whose integral tail bound meets tol, and
+    the cuts 0, the kernel's breakpoints and +-each smaller doubling. The
+    cuts keep the peak inside cells: on one [-c, c] GK15 can miss it."""
+    support = kernel.support
+    cutoff = max(support.radius, 1.0)
+    cuts = [0.0, *kernel.breakpoints]
+    while integral_tail_bound(support, cutoff, weight_power) > tol:
+        cuts += [-cutoff, cutoff]
+        cutoff *= 2.0
+        if cutoff > _RADIUS_CAP:
+            raise ValueError(f"integral tail tolerance {tol:g} for kernel {kernel.name!r} "
+                             f"needs a cutoff beyond {_RADIUS_CAP}")
+    return cutoff, cuts
 
 
 def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius: int) -> float:

@@ -29,7 +29,6 @@ __all__ = [
 
 _METHODS = ("closed_form", "grid_supremum", "quadrature")
 _MAX_PROBES = 1 << 15
-_MAX_CUTOFF = 1.0e6
 _MAX_CELLS = 20000  # quadrature cells per continuous moment
 
 
@@ -70,14 +69,10 @@ def _require_convergent(kernel, nu, kind):
 
 
 def _lattice_radius(kernel, nu, tol):
-    support = kernel.support
-    if isinstance(support, _k.CompactSupport):
-        return _k.compact_lattice_radius(support), 0.0
     try:
-        radius = _k.decaying_lattice_radius(support, tol, nu)
+        return _k.lattice_radius(kernel.support, tol, nu)
     except ValueError as exc:
         raise QuadratureError(str(exc)) from None
-    return radius, _k.lattice_tail_bound(support, radius, nu)
 
 
 def discrete_absolute_moment(kernel, nu, probes=2048, tol=1e-9, method="auto"):
@@ -145,22 +140,19 @@ def _continuous_moment(kernel, nu, tol, signed):
         # declared L1 norm.
         return MomentResult(kernel.l1_norm, 0.0, "closed_form")
     integrand = _moment_integrand(kernel, nu, signed)
-    cuts = tuple(kernel.breakpoints) + ((0.0,) if nu > 0 else ())
     support = kernel.support
 
     if isinstance(support, _k.CompactSupport):
+        cuts = tuple(kernel.breakpoints) + ((0.0,) if nu > 0 else ())
         value, err = integrate(integrand, support.lo, support.hi, tol=tol,
                                breakpoints=cuts, max_cells=_MAX_CELLS)
         return MomentResult(value, err, "quadrature")
 
-    cutoff = max(support.radius, 1.0)
-    while _k.integral_tail_bound(support, cutoff, nu) > 0.5 * tol:
-        cutoff *= 2.0
-        if cutoff > _MAX_CUTOFF:
-            raise QuadratureError(
-                f"continuous moment of order {nu:g} for {kernel.name!r}: "
-                f"tolerance {tol:g} needs a truncation window beyond {_MAX_CUTOFF:g}"
-            )
+    # A decaying kernel is cut at 0 and at each rung, as its samples are.
+    try:
+        cutoff, cuts = _k.integral_cutoff(kernel, 0.5 * tol, nu)
+    except ValueError as exc:
+        raise QuadratureError(f"continuous moment of order {nu:g}: {exc}") from None
     value, err = integrate(integrand, -cutoff, cutoff, tol=0.5 * tol,
                            breakpoints=cuts, max_cells=_MAX_CELLS)
     return MomentResult(value, err + _k.integral_tail_bound(support, cutoff, nu),

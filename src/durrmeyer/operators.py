@@ -78,12 +78,7 @@ class Window:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("window functional needs lo < hi")
-        if not self.weight > 0:
-            raise ValueError("window functional weight must be positive")
-        if not 0 < self.mass < math.inf:
-            raise ValueError("window functional mass must be positive and finite")
+        _k.window(self.lo, self.hi, self.weight)  # refuses a bad window
 
     @property
     def mass(self) -> float:
@@ -159,11 +154,7 @@ class OperatorSpec:
             raise TypeError("psi must be a sample functional")
         if self.phi.partition_of_unity:
             return
-        support = self.phi.support
-        if isinstance(support, _k.CompactSupport):
-            radius = _k.compact_lattice_radius(support)
-        else:
-            radius = _k.decaying_lattice_radius(support, 0.5 * self.pou_threshold)
+        radius, _ = _k.lattice_radius(self.phi.support, 0.5 * self.pou_threshold)
         probes = np.arange(_POU_VALIDATION_PROBES) / _POU_VALIDATION_PROBES
         residual = _k.partition_of_unity_residual(self.phi, probes, radius)
         if residual > self.pou_threshold:
@@ -182,12 +173,12 @@ def reduce_special_case(spec: OperatorSpec) -> ReductionKind:
     return ReductionKind.GENERAL_DURRMEYER
 
 
-def _sup_bound(signal, kind: str) -> float:
+def _sup_bound(signal) -> float:
     if signal.sup_norm is not None:
         return signal.sup_norm
     warnings.warn(
-        f"signal {signal.name!r} declares no sup norm; the {kind} truncation "
-        f"bound uses a grid estimate over {_SUP_ESTIMATE_REGION} and is not "
+        f"signal {signal.name!r} declares no sup norm; the truncation "
+        f"bounds use a grid estimate over {_SUP_ESTIMATE_REGION} and are not "
         "certified",
         stacklevel=3,
     )
@@ -215,13 +206,10 @@ class SeriesEvaluator:
         psi = spec.psi
         decaying_psi = (isinstance(psi, Convolution)
                         and isinstance(psi.kernel.support, _k.DecayingSupport))
-        # The series is smooth between the knots (k + b)/w, b a breakpoint of
-        # a compact phi: the lattice its modular quadrature cuts at.
+        decaying_phi = isinstance(self._support, _k.DecayingSupport)
+        sup = _sup_bound(signal) if decaying_phi or decaying_psi else None
         self.knots = None
-        if isinstance(self._support, _k.CompactSupport):
-            self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
-        if isinstance(self._support, _k.DecayingSupport):
-            sup = _sup_bound(signal, "series")
+        if decaying_phi:
             # Every functional keeps |sample| <= mass * max |f| over psi's
             # reach: with no envelope, or a decaying psi that reaches
             # everywhere, the bound below takes the constant envelope sup,
@@ -235,7 +223,7 @@ class SeriesEvaluator:
             self._rungs = [(r, _k.lattice_tail_bound(self._support, r))
                            for r in _k.radius_ladder(self._support)]
             try:
-                self._radius = _k.decaying_lattice_radius(
+                self._radius, _ = _k.lattice_radius(
                     self._support, spec.series_tol / max(psi.mass * sup, 1e-300))
             except ValueError:
                 # With an envelope only a point that needs a radius beyond
@@ -245,6 +233,9 @@ class SeriesEvaluator:
                 self._radius = None
         else:
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
+            # The series is smooth between the knots (k + b)/w, b a breakpoint
+            # of a compact phi: the lattice its modular quadrature cuts at.
+            self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
         # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
         # each sample at (k + c)/w, and the samples' quadrature tolerance: a
         # point mass has none of them, a compact kernel its support and
@@ -253,27 +244,16 @@ class SeriesEvaluator:
         if isinstance(psi, PointMass):
             return
         kernel = self._psi_kernel = psi.kernel
-        if not decaying_psi:
+        if decaying_psi:
+            # A decaying kernel reaches its tail cutoff, cut at its peak rungs.
+            # The tail takes half of ``quad_tol``, the quadrature the other half.
+            self._sample_tol = 0.5 * spec.quad_tol
+            cutoff, cuts = _k.integral_cutoff(kernel, self._sample_tol / max(sup, 1e-300))
+            self._psi_ends, self._psi_cuts = (-cutoff, cutoff), np.array(cuts)
+        else:
             lo, hi = self._psi_ends = (kernel.support.lo, kernel.support.hi)
             self._psi_cuts = np.array([b for b in kernel.breakpoints if lo < b < hi])
             self._sample_tol = spec.quad_tol
-            return
-        f_sup = max(_sup_bound(signal, "convolution"), 1e-300)
-        cutoff = max(kernel.support.radius, 1.0)
-        # A decaying kernel reaches its tail cutoff. Cuts at 0, its
-        # breakpoints and each rung below the cutoff keep the peak inside
-        # cells: on one [-cutoff, cutoff] GK15 can miss it. The tail takes
-        # half of ``quad_tol``, the quadrature the other half.
-        self._sample_tol = 0.5 * spec.quad_tol
-        cuts = [0.0, *kernel.breakpoints]
-        while _k.integral_tail_bound(kernel.support, cutoff) * f_sup > self._sample_tol:
-            cuts += [-cutoff, cutoff]
-            cutoff *= 2.0
-            if cutoff > 1e7:
-                raise ValueError(
-                    f"convolution tail tolerance unreachable for kernel {kernel.name!r}")
-        self._psi_ends = (-cutoff, cutoff)
-        self._psi_cuts = np.array(cuts)
 
     @property
     def breakpoints(self) -> tuple:
@@ -333,7 +313,7 @@ class SeriesEvaluator:
             x = points[todo]
             near = (self._envelope(np.maximum(0.0, x + (r + lo) / w))
                     + self._envelope(np.maximum(0.0, (r - hi) / w - x)))
-            # Divided as in decaying_lattice_radius, so a constant envelope
+            # Divided as in kernels.lattice_radius, so a constant envelope
             # gives exactly the sup-norm radius.
             met = tail <= tol / np.maximum(half_mass * near, 1e-300)
             radii[todo[met]] = r

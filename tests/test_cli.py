@@ -598,6 +598,20 @@ class TestFailurePaths:
         assert main([command, "--config", str(cfg)]) == 4
         assert "power(2) at lambda=1 is NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, code", [("reconstruct", 2), ("converge", 2),
+                                               ("orlicz", 2), ("kernel-check", 0)])
+    def test_a_phi_that_is_no_partition_of_unity_is_a_config_error(self, tmp_path, capsys,
+                                                                   command, code):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "window", "lo": 0.3, "hi": 1.3, "weight": 2},
+                     w_list=[5])
+        assert main([command, "--config", str(cfg)]) == code
+        if code:
+            assert "partition-of-unity check: residual 1 exceeds" in capsys.readouterr().err
+        else:
+            row = json.loads((tmp_path / "out" / "kernel_check.json").read_text())["rows"][0]
+            assert (row["kernel"], row["pou_residual"]) == ("window[0.3..1.3)*2", 1.0)
+
     def test_unreachable_convolution_tolerance_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # A slowly decaying sample kernel cannot certify half the default

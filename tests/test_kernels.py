@@ -289,7 +289,7 @@ class TestDeclaredPartitionOfUnity:
         if isinstance(kernel.support, K.CompactSupport):
             radius = K.compact_lattice_radius(kernel.support)
         else:
-            radius = K.decaying_lattice_radius(kernel.support, 0.5e-3)
+            radius = K.lattice_radius(kernel.support, 0.5e-3)[0]
         assert K.partition_of_unity_residual(kernel, probes, radius) <= 1e-3
 
     @pytest.mark.parametrize("kernel", [k for k in DECLARED_KERNELS if k.fourier is not None],
@@ -352,3 +352,35 @@ class TestSupportDescriptors:
             K.lattice_tail_bound(f.support, 10, weight_power=1.0)
         with pytest.raises(ValueError):
             K.integral_tail_bound(f.support, 10.0, weight_power=1.5)
+
+
+class TestTruncation:
+    def test_a_compact_lattice_radius_has_no_tail(self):
+        support = K.bspline(3).support
+        assert K.lattice_radius(support, 1e-12) == (K.compact_lattice_radius(support), 0.0)
+
+    @pytest.mark.parametrize("tol, nu", [(1e-3, 0.0), (1e-6, 0.0), (1e-3, 0.5)])
+    def test_a_decaying_lattice_radius_is_the_first_rung_that_meets_tol(self, tol, nu):
+        support = K.fejer().support
+        radius, tail = K.lattice_radius(support, tol, nu)
+        ladder = K.radius_ladder(support)
+        assert tail == K.lattice_tail_bound(support, radius, nu) <= tol
+        below = ladder[:ladder.index(radius)]
+        assert all(K.lattice_tail_bound(support, r, nu) > tol for r in below)
+
+    def test_the_integral_cutoff_is_cut_at_zero_and_every_smaller_rung(self):
+        fejer = K.fejer()
+        cutoff, cuts = K.integral_cutoff(fejer, 1e-3)
+        assert K.integral_tail_bound(fejer.support, cutoff) <= 1e-3
+        assert K.integral_tail_bound(fejer.support, cutoff / 2) > 1e-3
+        rungs = [2.0 ** i for i in range(int(math.log2(cutoff)))]
+        assert cuts == [0.0] + [c for r in rungs for c in (-r, r)]
+
+    def test_one_cap_bounds_radii_and_cutoffs(self):
+        fejer = K.fejer()
+        with pytest.raises(ValueError, match="beyond 67108864"):
+            K.lattice_radius(fejer.support, 1e-18)
+        with pytest.raises(ValueError, match="beyond 67108864"):
+            K.integral_cutoff(fejer, 1e-9)
+        cutoff, _ = K.integral_cutoff(fejer, 1e-8)
+        assert cutoff == 2.0 ** 26

@@ -230,6 +230,18 @@ class TestContinuousAbsolute:
         result = M.continuous_absolute_moment(k, 0.5, tol=1e-9)
         assert result.value == pytest.approx(oracle, abs=1e-8 + oracle_err)
 
+    @pytest.mark.parametrize("nu, tol", [(0.25, 1e-2), (0.25, 1e-4), (0.5, 1e-2),
+                                         (0.5, 3e-3), (0.75, 5e-2)])
+    def test_fejer_fractional_moment_matches_closed_form(self, nu, tol):
+        # Integral of |t|**nu F(t) with F(t) = (1 - cos(pi t)) / (pi t)^2:
+        # -2 Gamma(nu - 1) cos(pi (nu - 1) / 2) pi**(-1 - nu).
+        closed = -2.0 * math.gamma(nu - 1.0) * math.cos(0.5 * math.pi * (nu - 1.0)) \
+            * math.pi ** (-1.0 - nu)
+        assert closed == pytest.approx({0.25: 0.884611, 0.5: 0.900316, 0.75: 1.221735}[nu],
+                                       abs=1e-6)
+        result = M.continuous_absolute_moment(K.fejer(), nu, tol=tol)
+        assert abs(result.value - closed) <= result.certified_error
+
     def test_divergent_and_unreachable(self):
         with pytest.raises(M.DivergentMomentError):
             M.continuous_absolute_moment(K.fejer(), 1)

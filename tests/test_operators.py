@@ -712,6 +712,14 @@ class TestDecayingPaths:
         with pytest.warns(UserWarning, match="not\\s+certified"):
             O.evaluate(spec, f, 0.0)
 
+    def test_missing_sup_norm_is_estimated_once_for_phi_and_psi(self):
+        f = S.builtin_signal("identity")
+        spec = O.OperatorSpec(K.fejer(), O.Convolution(K.fejer()), 5.0, series_tol=1e-3,
+                              quad_tol=1e-3)
+        with pytest.warns(UserWarning, match="not\\s+certified") as caught:
+            O.SeriesEvaluator(spec, f)
+        assert len(caught) == 1
+
     def test_breakpoints_cover_smearing_zone(self):
         f = S.builtin_signal("box")
         spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), 4.0)
