@@ -82,19 +82,19 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write ``header`` and ``rows``: a list of rows of any cells, or a 2-d
+    float array with one column per header cell."""
     # Minimal quoting: a gauge label such as zygmund(1,1) holds a comma.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    # A row of plain floats needs no quoting, so one format writes it with
-    # the bytes the writer and _fmt would give.
-    floats = ",".join(["%.17g"] * len(header)) + "\n"
-    for row in rows:
-        row = tuple(row)
-        if len(row) == len(header) and all(type(cell) is float for cell in row):
-            buffer.write(floats % row)
-        else:
-            writer.writerow([_fmt(cell) for cell in row])
+    if isinstance(rows, np.ndarray):
+        # Floats need no quoting, so one format over the whole block writes
+        # the bytes the writer and _fmt would give.
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        buffer.write(line * len(rows) % tuple(rows.ravel().tolist()))
+    else:
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
     path.write_text(buffer.getvalue(), encoding="ascii", newline="\n")
 
 
@@ -390,7 +390,7 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
         recon = _o.evaluate_grid(exp.spec(w), exp.signal, grid)
         name = f"reconstruct_w{w:g}.csv"
         _write_csv(exp.out_dir / name, ["x", "signal", "reconstruction"],
-                   list(zip(points.tolist(), exact.tolist(), recon.tolist())))
+                   np.column_stack((points, exact, recon)))
         files.append(name)
     _write_json(exp.out_dir / "reconstruct.json", {
         "config_echo": exp.echo(),

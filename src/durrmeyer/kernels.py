@@ -43,6 +43,9 @@ _MAX_BSPLINE_ORDER = 20
 # moves no bit of any result.
 _BLOCK_VALUES = 1 << 13
 _RADIUS_CAP = 1 << 26  # largest lattice radius or integral cutoff of a decaying kernel
+# Most shifts in one lattice-sum row: a row of 10^7 float64 values is 80 MB,
+# and a radius of _RADIUS_CAP would ask for 1.3e8 of them.
+_MAX_ROW_SHIFTS = 10**7
 _COMPACT_RADIUS_MARGIN = 2  # lattice shifts kept beyond a compact support
 
 
@@ -88,6 +91,9 @@ class Kernel:
     declared flag: :class:`~durrmeyer.operators.OperatorSpec` probes only
     kernels that leave it unset against its ``pou_threshold``, and the
     order-0 lattice moments of a declared kernel are taken as exact.
+
+    ``rows``, where given, computes :meth:`shifted` for the kernel in place
+    of ``evaluate`` on the differences.
     """
 
     name: str
@@ -99,6 +105,7 @@ class Kernel:
     partition_of_unity: bool = False
     breakpoints: tuple = ()
     fourier: Optional[Callable] = None
+    rows: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.l1_norm > 0:
@@ -106,6 +113,16 @@ class Kernel:
 
     def __call__(self, t):
         return self.evaluate(t)
+
+    def shifted(self, x, ks):
+        """The rows k(x[:, None] - ks) for a 1-d float array x and an integer
+        array ks (one row of shifts, or one per point): the kernel values of
+        the series and of the lattice sums. Without ``rows`` it is
+        ``evaluate`` on the differences, bit for bit."""
+        x = np.asarray(x, dtype=float)
+        if self.rows is not None:
+            return self.rows(x, ks)
+        return np.asarray(self.evaluate(x[:, None] - ks), dtype=float)
 
 
 def _as_same_shape(values, arg):
@@ -208,7 +225,15 @@ def bspline(n: int) -> Kernel:
 
 def fejer() -> Kernel:
     """Fejer kernel F(t) = sinc(t/2)**2 / 2: nonnegative, unit mass,
-    quadratic decay, triangular Fourier transform supported on [-pi, pi]."""
+    quadratic decay, triangular Fourier transform supported on [-pi, pi].
+
+    Its rows take two sines per point: sin(pi (x - k)/2)**2 is sin(pi r)**2
+    for even k and sin(pi (r -+ 1/2))**2 for odd k, with r = x/2 - round(x/2),
+    so F(x - k) = that square * (2/pi**2) / (x - k)**2. The phase comes from
+    x itself, reduced exactly, so a far shift keeps every digit of it: only
+    1/(x - k)**2 sees the rounded difference. Below |x - k| = 2e-6 the rows
+    take ``evaluate``'s series.
+    """
 
     coeff = 2.0 / math.pi**2
 
@@ -223,6 +248,24 @@ def fejer() -> Kernel:
             x = np.pi * h[small]
             out[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
         return _as_same_shape(0.5 * out**2, t)
+
+    def rows(x, ks):
+        ks = np.asarray(ks)
+        r = x / 2.0 - np.round(x / 2.0)
+        # An odd shift moves r by a half towards zero: the argument stays in
+        # [-1/2, 1/2] and, for |x| >= 1, is exact.
+        even, odd = coeff * np.sin(np.pi * np.stack((r, r - np.copysign(0.5, r)))) ** 2
+        t = x[:, None] - ks
+        out = np.where(ks & 1, odd[:, None], even[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out /= t * t
+        # Only the shift nearest a point can come within 2e-6 of it.
+        near = np.flatnonzero(np.abs(x - np.round(x)) < 2e-6)
+        if near.size:
+            close = t[near]
+            i, j = np.nonzero(np.abs(close, out=close) < 2e-6)
+            out[near[i], j] = evaluate(t[near[i], j])
+        return out
 
     def fourier(v):
         av = abs(float(v))
@@ -239,6 +282,7 @@ def fejer() -> Kernel:
         symmetric=True,
         partition_of_unity=True,
         fourier=fourier,
+        rows=rows,
     )
 
 
@@ -377,6 +421,13 @@ def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius:
     return float(np.max(np.abs(sums - 1.0))) + tail
 
 
+def check_lattice_row(radius: int):
+    """Refuse a lattice-sum radius whose rows hold more than ``_MAX_ROW_SHIFTS`` shifts."""
+    if 2 * radius + 1 > _MAX_ROW_SHIFTS:
+        raise ValueError(f"a lattice sum of radius {radius} needs rows of {2 * radius + 1:,} "
+                         f"shifts; at most {_MAX_ROW_SHIFTS:,} are allowed")
+
+
 def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
     """Sum over shifts |j| <= radius of |k(u-j)| |u-j|**nu (or, with
     ``signed_power``, of k(u-j) (j-u)**nu) for a vector of probe points,
@@ -384,9 +435,12 @@ def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
 
     A compact kernel is evaluated only on the shifts that can reach a probe;
     its values fill a zero row of the full width, so every row is summed
-    exactly as if the kernel had been evaluated on every shift.
+    exactly as if the kernel had been evaluated on every shift. A row of
+    more than ``_MAX_ROW_SHIFTS`` shifts is refused before anything is
+    allocated.
     """
-    shifts = np.arange(-radius, radius + 1, dtype=float)
+    check_lattice_row(radius)
+    shifts = np.arange(-radius, radius + 1)
     out = np.zeros(u.size)
     if not u.size:
         return out
@@ -398,14 +452,14 @@ def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
     block = max(1, _BLOCK_VALUES // shifts.size)
     for start in range(0, u.size, block):
         chunk = u[start:start + block]
-        diffs = chunk[:, None] - shifts[None, :]
-        vals = np.zeros_like(diffs)
-        vals[:, reach] = kernel.evaluate(diffs[:, reach])
-        if signed_power:
-            terms = vals * (-diffs) ** nu if nu else vals
-        else:
-            terms = np.abs(vals) * np.abs(diffs) ** nu if nu else np.abs(vals)
-        out[start:start + block] = terms.sum(axis=1)
+        vals = np.zeros((chunk.size, shifts.size))
+        vals[:, reach] = kernel.shifted(chunk, shifts[reach])
+        if not signed_power:
+            vals = np.abs(vals)
+        if nu:
+            diffs = chunk[:, None] - shifts
+            vals = vals * ((-diffs) ** nu if signed_power else np.abs(diffs) ** nu)
+        out[start:start + block] = vals.sum(axis=1)
     return out
 
 

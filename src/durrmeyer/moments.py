@@ -69,10 +69,15 @@ def _require_convergent(kernel, nu, kind):
 
 
 def _lattice_radius(kernel, nu, tol):
+    """(radius, tail) of the kernel's lattice sums to tol. A radius beyond
+    the ladder's cap, or one whose rows ``lattice_sum`` refuses, raises
+    QuadratureError before any row is allocated."""
     try:
-        return _k.lattice_radius(kernel.support, tol, nu)
+        radius, tail = _k.lattice_radius(kernel.support, tol, nu)
+        _k.check_lattice_row(radius)
     except ValueError as exc:
         raise QuadratureError(str(exc)) from None
+    return radius, tail
 
 
 def discrete_absolute_moment(kernel, nu, probes=2048, tol=1e-9, method="auto"):

@@ -328,7 +328,9 @@ class SeriesEvaluator:
     def _stencils(self, points: np.ndarray) -> tuple:
         """First and last lattice index of each point's stencil, and the
         points grouped by the length of their rows in ``_assemble``: a list
-        of (width, index) pairs."""
+        of (width, index) pairs. A stencil holds width or width - 1
+        indices: floor(hi - lo) + 3 or one fewer for a compact phi on
+        [lo, hi], and 2r + 1 (w x an integer) or 2r for a decaying one."""
         wx = self.spec.w * points
         if isinstance(self._support, _k.CompactSupport):
             lo = np.ceil(wx - self._support.hi) - 1
@@ -401,11 +403,15 @@ class SeriesEvaluator:
             for start in range(0, x.size, rows):
                 block = slice(start, start + rows)
                 ks = first[block, None] + offsets
-                last = end[block, None]
-                weights = np.asarray(self.spec.phi.evaluate(w * x[block, None] - ks),
-                                     dtype=float)
-                samples = self._values[np.minimum(ks, last) - self._k0]
-                sums[block] = np.where(ks <= last, weights * samples, 0.0).sum(axis=1)
+                # A stencil is width or width - 1 long (``_stencils``), so
+                # only its row's last column can lie past its end: that
+                # column reads the stencil's last sample, and its term is 0.
+                index = ks - self._k0
+                past = end[block] < ks[:, -1]
+                index[past, -1] -= 1
+                terms = self.spec.phi.shifted(w * x[block], ks) * self._values[index]
+                terms[past, -1] = 0.0
+                sums[block] = terms.sum(axis=1)
             out[group] = sums
         return out
 

@@ -8,6 +8,8 @@ time is measured.
 
 import tracemalloc
 
+import numpy as np
+
 from durrmeyer import kernels as K
 from durrmeyer import moments as M
 from durrmeyer import operators as O
@@ -50,4 +52,15 @@ def test_window_first_moment_peaks_below_one_mib():
     peak = traced_peak(lambda: result.append(M.discrete_absolute_moment(K.window(0, 1, 1), 1)))
     # sup over u in [0, 1) of u, on the finest probe grid.
     assert result[-1].value == 1.0 - 2.0**-15
+    assert peak < _MIB
+
+
+def test_fejer_residual_at_the_check_radius_peaks_below_one_mib():
+    # kernel-check's probes and radius for a decaying kernel: one row of
+    # 20,001 shifts per block, through Fejer's row evaluator.
+    probes = np.arange(100) / 100
+    result = []
+    peak = traced_peak(lambda: result.append(
+        K.partition_of_unity_residual(K.fejer(), probes, 10_000)))
+    assert 0.0 < result[-1] < 1e-4
     assert peak < _MIB

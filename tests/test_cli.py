@@ -190,6 +190,22 @@ class TestConfigHandling:
         assert "16 grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lattice_rows_beyond_the_cap_exit_4_before_any_output(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # kernel-check sums Fejer's shifts out to radius 10^4: rows of
+        # 20,001 shifts, here beyond a lowered cap.
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 20_000)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "fejer"})
+        out = tmp_path / "out"
+        assert main(["kernel-check", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "evaluation failed" in err and "20,001 shifts; at most 20,000" in err
+        assert not out.exists()
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 20_001)
+        assert main(["kernel-check", "--config", str(cfg), "--out", str(out)]) == 3
+        assert (out / "kernel_check.csv").exists()
+
     def test_grid_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 13)
         cfg = tmp_path / "cfg.json"
@@ -574,6 +590,15 @@ class TestCsvBytes:
         path = tmp_path / "floats.csv"
         cli._write_csv(path, self.HEADER, rows)
         assert path.read_bytes() == csv_writer_bytes(self.HEADER, rows)
+
+    def test_a_float_block_matches_the_csv_writer(self, tmp_path):
+        cells = [-0.0, 5e-324, 1e308, 3.0, math.inf, -math.inf, math.nan, 0.1, -1 / 3]
+        block = np.array([cells[i:] + cells[:i] for i in range(len(cells))])[:, :3]
+        path = tmp_path / "block.csv"
+        cli._write_csv(path, self.HEADER, block)
+        assert path.read_bytes() == csv_writer_bytes(self.HEADER, block.tolist())
+        cli._write_csv(path, self.HEADER, np.empty((0, 3)))
+        assert path.read_bytes() == csv_writer_bytes(self.HEADER, [])
 
     def test_mixed_rows_match_the_csv_writer(self, tmp_path):
         rows = [("zygmund(1,1)", True, None), (3, -0.0, math.nan), (False, math.inf, "a\"b"),

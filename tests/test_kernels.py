@@ -10,6 +10,8 @@ from durrmeyer import kernels as K
 from durrmeyer.moments import continuous_absolute_moment
 from durrmeyer.quadrature import integrate
 
+_EPS = np.finfo(float).eps
+
 
 def fejer_tail_mass(T):
     """Exact Fejer mass beyond [-T, T]: F(t) = (1 - cos(pi t)) / (pi t)^2,
@@ -160,6 +162,102 @@ class TestFejer:
             assert type(scalar) is float and scalar == 0.5 * K.sinc(value / 2.0) ** 2
 
 
+FAR = 2**26  # the largest lattice radius of a decaying kernel
+
+
+def fejer_40_digits(x, k):
+    """F(x - k) to 40 digits, with x - k taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(x)) - int(k)
+        if t == 0:
+            return mpmath.mpf(0.5)
+        return 2 * mpmath.sinpi(t / 2) ** 2 / (mpmath.pi * t) ** 2
+
+
+class TestFejerRows:
+    """``fejer().shifted``: two sines per point instead of one per shift."""
+
+    # Dyadic points, where every x - k below is exact; shifts near the
+    # points, and out to the largest lattice radius on both sides.
+    DYADIC = np.arange(-40 * 64, 40 * 64 + 1, 7) / 64.0
+    SHIFTS = np.concatenate([np.arange(-64, 65), FAR - 3 + np.arange(7), -FAR - 3 + np.arange(7)])
+
+    def test_rows_match_evaluate_within_6_eps_at_dyadic_points(self):
+        phi = K.fejer()
+        rows = phi.shifted(self.DYADIC, self.SHIFTS)
+        values = phi.evaluate(self.DYADIC[:, None] - self.SHIFTS)
+        assert np.array_equal(rows == 0.0, values == 0.0)
+        assert np.all(np.abs(rows - values) <= 6 * _EPS * values)
+
+    @pytest.mark.parametrize("points", [
+        DYADIC[::5],
+        # The stencil points w x of fejer_grid's 601-point grid, and others.
+        5.0 * np.linspace(-3.0, 3.0, 601)[::13],
+        10.0 * np.linspace(-3.0, 3.0, 601)[::13],
+        np.random.default_rng(5).uniform(-50.0, 50.0, 30),
+    ], ids=["dyadic", "grid-w5", "grid-w10", "random"])
+    def test_rows_match_40_digits_within_4_eps(self, points):
+        shifts = np.concatenate([np.arange(-40, 41, 3), [4097, -4099, 123457],
+                                 FAR - 1 + np.arange(3), -FAR - 1 + np.arange(3)])
+        rows = K.fejer().shifted(points, shifts)
+        for x, row in zip(points, rows):
+            for k, value in zip(shifts, row):
+                reference = fejer_40_digits(x, k)
+                if reference:  # an even t != 0 gives an exact 0 (below)
+                    assert abs(value - reference) <= 4 * _EPS * reference, (x, k)
+
+    def test_far_rows_keep_the_digits_evaluate_loses(self):
+        # At x = 1/3 and k = 2**26 the difference x - k rounds away 26 bits
+        # of x, so evaluate's reduction sees a different phase.
+        x, k = np.array([1.0 / 3.0]), np.array([FAR])
+        reference = fejer_40_digits(x[0], k[0])
+        assert abs(K.fejer().shifted(x, k)[0, 0] - reference) <= 4 * _EPS * reference
+        assert abs(K.fejer().evaluate(x[0] - k[0]) - reference) > 1e6 * _EPS * reference
+
+    def test_integer_differences_are_exact(self):
+        x = np.array([-7.0, -2.0, 0.0, 3.0, 6.0, 2.0**30])
+        shifts = np.arange(-12, 13)
+        rows = K.fejer().shifted(x, shifts)
+        t = x[:, None] - shifts
+        assert np.all(rows[t == 0] == 0.5)
+        assert np.all(rows[(t != 0) & (t % 2 == 0)] == 0.0)
+        odd = t % 2 == 1
+        envelope = 2.0 / (math.pi * t[odd]) ** 2  # sin^2 = 1 at odd t
+        assert np.all(np.abs(rows[odd] - envelope) <= 2 * _EPS * envelope)
+
+    def test_small_differences_take_evaluates_series(self):
+        tiny = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-7, -1e-7, 1.9e-6, -1.9e-6,
+                         2.1e-6, -2.1e-6])
+        for k in (-3, 0, 4, FAR):
+            x = k + tiny
+            rows = K.fejer().shifted(x, np.arange(k - 2, k + 3))
+            t = x - k
+            small = np.abs(t) < 2e-6
+            assert rows[small, 2].tobytes() == K.fejer().evaluate(t[small]).tobytes()
+
+    def test_rows_are_the_same_alone_and_in_a_block(self):
+        phi = K.fejer()
+        x = np.concatenate([self.DYADIC[::11], 5.0 * np.linspace(-3.0, 3.0, 601)[::17],
+                            [0.0, 1e-7, 3.0 + 1e-7]])
+        block = np.round(x).astype(np.int64)[:, None] + np.arange(-40, 41)
+        rows = phi.shifted(x, block)
+        for i in range(x.size):
+            assert rows[i].tobytes() == phi.shifted(x[i:i + 1], block[i:i + 1])[0].tobytes()
+        shared = phi.shifted(x, self.SHIFTS)
+        for i in range(x.size):
+            assert shared[i].tobytes() == phi.shifted(x[i:i + 1], self.SHIFTS)[0].tobytes()
+
+    @pytest.mark.parametrize("kernel", [K.bspline(n) for n in range(1, 6)]
+                             + [K.window(0, 1, 1), K.window(-0.25, 0.5, 2)],
+                             ids=lambda k: k.name)
+    def test_other_kernels_shift_through_evaluate_bitwise(self, kernel):
+        x = np.concatenate([np.linspace(-3.0, 3.0, 601), [-0.5, 0.5, 0.25, 2.0]])
+        for ks in (np.arange(-6, 7), np.floor(x).astype(np.int64)[:, None] + np.arange(-4, 5)):
+            expected = np.asarray(kernel.evaluate(x[:, None] - ks), dtype=float)
+            assert kernel.shifted(x, ks).tobytes() == expected.tobytes()
+
+
 class TestWindow:
     def test_reference_values(self):
         assert K.window(0, 1, 1).l1_norm == 1.0
@@ -269,6 +367,21 @@ class TestLatticeSum:
 
     def test_empty_probes(self):
         assert K.lattice_sum(K.bspline(3), np.array([]), 1, 4).size == 0
+
+    def test_a_row_beyond_the_cap_is_refused_before_any_evaluation(self, monkeypatch):
+        # The cap is lowered, so no oversized row is ever allocated.
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 21)
+        seen = []
+        fejer = K.fejer()
+        kernel = dataclasses.replace(fejer, rows=lambda x, ks: seen.append(ks) or fejer.rows(x, ks))
+        u = np.arange(8) / 8.0
+        assert K.lattice_sum(kernel, u, 0, 10).tobytes() == K.lattice_sum(fejer, u, 0, 10).tobytes()
+        assert len(seen) == 1 and seen[0].size == 21
+        with pytest.raises(ValueError, match="23 shifts; at most 21"):
+            K.lattice_sum(kernel, u, 0, 11)
+        with pytest.raises(ValueError, match="23 shifts"):
+            K.partition_of_unity_residual(kernel, u, 11)
+        assert len(seen) == 1
 
 
 DECLARED_KERNELS = ([K.bspline(n) for n in range(1, 21)] + [K.fejer()]

@@ -191,6 +191,20 @@ class TestDiscreteAlgebraic:
                 brute_discrete_algebraic(k, 2, u), abs=1e-14
             )
 
+    def test_rows_beyond_the_lattice_cap_raise_quadrature_error(self, monkeypatch):
+        # Fejer's order-0.5 moment at tol 1e-2 needs radius 8192, and an
+        # undeclared Fejer's order-0 sum at tol 1e-2 radius 64: both beyond
+        # a lowered cap, so the oversized rows of a real cap never run.
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 101)
+        with pytest.raises(QuadratureError, match="16,385 shifts"):
+            M.discrete_absolute_moment(K.fejer(), 0.5, tol=1e-2)
+        undeclared = dataclasses.replace(K.fejer(), partition_of_unity=False)
+        with pytest.raises(QuadratureError, match="129 shifts"):
+            M.discrete_algebraic_moment(undeclared, 0, 0.25, tol=1e-2)
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 129)
+        assert M.discrete_algebraic_moment(undeclared, 0, 0.25, tol=1e-2) == pytest.approx(
+            1.0, abs=1e-2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             M.discrete_algebraic_moment(K.bspline(2), 1.5, 0.0)

@@ -428,9 +428,32 @@ class TestGridEvaluation:
         assert sum(ks.size for ks in stencils) > blocks * 2**16
         eps = np.finfo(float).eps
         for x, ks, value in zip(points, stencils, values):
-            terms = phi.evaluate(w * float(x) - ks) * f.evaluate(ks / w)
+            terms = phi.shifted(np.array([w * float(x)]), ks)[0] * f.evaluate(ks / w)
             reference = math.fsum(terms.tolist())
             assert abs(value - reference) <= 4 * eps * abs(reference)
+
+    @pytest.mark.parametrize("w", [5.0, 10.0])
+    def test_fejer_grid_values_match_a_40_digit_sum_of_their_samples(self, w):
+        # The series of the fejer_grid benchmark: Fejer phi, the unit window
+        # and runge at series_tol 1e-4, on every 30th point of its grid.
+        mpmath = pytest.importorskip("mpmath")
+        spec = O.OperatorSpec(K.fejer(), O.Window(0.0, 1.0, 1.0), w, series_tol=1e-4)
+        points = S.UniformGrid.from_window(-3, 3, 0.01).points()[::30]
+        evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
+        values = evaluator.on_grid(points)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for x, value in zip(points, values):
+                ks = evaluator._index_range(float(x))
+                samples = evaluator._values[ks - evaluator._k0]
+                wx = mpmath.mpf(w * float(x))  # the series' own rounded w x
+                terms = []
+                for k, sample in zip(ks.tolist(), samples.tolist()):
+                    t = wx - k
+                    phi = 2 * mpmath.sinpi(t / 2) ** 2 / (mpmath.pi * t) ** 2 if t else 0.5
+                    terms.append(phi * sample)
+                reference = mpmath.fsum(terms)
+                assert abs(value - reference) <= 4 * eps * abs(reference), x
 
     @pytest.mark.parametrize("phi, psi, tol, signal", [
         (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, "piecewise_rational"),
@@ -445,6 +468,23 @@ class TestGridEvaluation:
         values = O.SeriesEvaluator(spec, f).evaluate(nodes)
         singles = [O.SeriesEvaluator(spec, f).at(float(x)) for x in nodes]
         assert values.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("phi, tol", [
+        (K.fejer(), 1e-4), (K.window(0, 1, 1), 1e-9), (K.window(-1, 1, 0.5), 1e-9),
+        *[(K.bspline(n), 1e-9) for n in range(1, 6)],
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_stencils_are_their_row_width_or_one_shorter(self, phi, tol):
+        # _assemble zeroes only the last column of a row past its stencil.
+        spec = O.OperatorSpec(phi, O.PointMass(), 5.0, series_tol=tol)
+        evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
+        lattice = np.arange(-15, 16) / 5.0  # w x on and beside the integers
+        points = np.concatenate([np.linspace(-3, 3, 601), lattice,
+                                 np.nextafter(lattice, np.inf), np.nextafter(lattice, -np.inf)])
+        lo, hi, groups = evaluator._stencils(points)
+        lengths = hi - lo + 1
+        for width, group in groups:
+            assert np.all((lengths[group] == width) | (lengths[group] == width - 1))
+        assert {width - 1 for width, _ in groups} <= set(lengths.tolist())
 
     @pytest.mark.parametrize("phi, psi, tol, quad_tol, signal, stride", [
         (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, 1e-10, "piecewise_rational", 1),
