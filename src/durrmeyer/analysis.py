@@ -1,10 +1,10 @@
 """Convergence-study harness: error curves, empirical orders, and
 verification of the quantitative and modular bounds.
 
-Every reported comparison carries its numerical budget on the favorable
-side, so a "bound holds" conclusion is conservative: measured errors are
-grid suprema (lower estimates) while bounds fold in certified moment and
-quadrature errors.
+The bounds add the moments' reported errors, but a measured sup error is
+a grid maximum, a lower estimate of the error on the window: the error
+between grid points can be larger. So a "bound holds" conclusion is not
+certified.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -243,16 +244,19 @@ class Experiment:
         self.out_dir = Path(path)
 
     def spec(self, w: float) -> _o.OperatorSpec:
-        # w and the tolerances are checked above: only phi can fail the spec.
+        # w and the tolerances are checked above: only phi can fail the spec,
+        # and a decaying kernel a signal that declares no sup norm.
         try:
-            return _o.OperatorSpec(
+            spec = _o.OperatorSpec(
                 self.phi, self.psi, w,
                 series_tol=self.tolerances["series_tol"],
                 quad_tol=self.tolerances["quad_tol"],
                 pou_threshold=self.tolerances["pou_threshold"],
             )
+            _o.required_sup_norm(spec, self.signal)
         except ValueError as exc:
-            raise ConfigError(f"phi: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
+        return spec
 
     def grid(self) -> _s.UniformGrid:
         return _s.UniformGrid.from_window(self.window[0], self.window[1], self.grid_step)
@@ -385,9 +389,10 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
     points = grid.points()
     exact = np.asarray(exp.signal.evaluate(points), dtype=float)
     files = []
-    exp.out_dir.mkdir(parents=True, exist_ok=True)
     for w in exp.w_list:
+        # Every scale's spec refuses what the first one refuses, before any output.
         recon = _o.evaluate_grid(exp.spec(w), exp.signal, grid)
+        exp.out_dir.mkdir(parents=True, exist_ok=True)
         name = f"reconstruct_w{w:g}.csv"
         _write_csv(exp.out_dir / name, ["x", "signal", "reconstruction"],
                    np.column_stack((points, exact, recon)))
@@ -468,6 +473,7 @@ def cmd_orlicz(exp: Experiment) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="durrmeyer",

@@ -31,6 +31,7 @@ __all__ = [
     "integral_tail_bound",
     "lattice_radius",
     "integral_cutoff",
+    "integral_reach",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -394,6 +395,22 @@ def integral_cutoff(kernel: Kernel, tol: float, weight_power: float = 0.0) -> tu
             raise ValueError(f"integral tail tolerance {tol:g} for kernel {kernel.name!r} "
                              f"needs a cutoff beyond {_RADIUS_CAP}")
     return cutoff, cuts
+
+
+def integral_reach(kernel: Kernel, tol: float, weight_power: float = 0.0,
+                   scale: float = 1.0) -> tuple:
+    """(lo, hi, cuts, quad_tol, tail) of an integral of |t|**weight_power times
+    the kernel against a function bounded by ``scale``, to ``tol``: a compact
+    kernel's support and breakpoints (and 0 for weight_power > 0) with all of
+    tol and no tail, or +-``integral_cutoff`` of a decaying kernel, whose tail
+    takes half of tol over ``scale`` and its quadrature the other half."""
+    support = kernel.support
+    if isinstance(support, CompactSupport):
+        cuts = [*kernel.breakpoints, *([0.0] if weight_power > 0 else [])]
+        return support.lo, support.hi, cuts, tol, 0.0
+    cutoff, cuts = integral_cutoff(kernel, 0.5 * tol / max(scale, 1e-300), weight_power)
+    return (-cutoff, cutoff, cuts, 0.5 * tol,
+            integral_tail_bound(support, cutoff, weight_power))
 
 
 def partition_of_unity_residual(kernel: Kernel, probe_points, truncation_radius: int) -> float:

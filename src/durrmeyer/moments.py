@@ -129,12 +129,9 @@ def discrete_algebraic_moment(kernel, nu, u, tol=1e-12):
 
 
 def _moment_integrand(kernel, nu, signed):
+    # t**0 is exactly 1, so order 0 takes the same product.
     if signed:
-        if nu == 0:
-            return lambda t: np.asarray(kernel.evaluate(t), dtype=float)
         return lambda t: np.asarray(kernel.evaluate(t), dtype=float) * t**nu
-    if nu == 0:
-        return lambda t: np.abs(kernel.evaluate(t))
     return lambda t: np.abs(kernel.evaluate(t)) * np.abs(t) ** nu
 
 
@@ -144,24 +141,13 @@ def _continuous_moment(kernel, nu, tol, signed):
         # A nonnegative kernel's signed and absolute masses are both its
         # declared L1 norm.
         return MomentResult(kernel.l1_norm, 0.0, "closed_form")
-    integrand = _moment_integrand(kernel, nu, signed)
-    support = kernel.support
-
-    if isinstance(support, _k.CompactSupport):
-        cuts = tuple(kernel.breakpoints) + ((0.0,) if nu > 0 else ())
-        value, err = integrate(integrand, support.lo, support.hi, tol=tol,
-                               breakpoints=cuts, max_cells=_MAX_CELLS)
-        return MomentResult(value, err, "quadrature")
-
-    # A decaying kernel is cut at 0 and at each rung, as its samples are.
     try:
-        cutoff, cuts = _k.integral_cutoff(kernel, 0.5 * tol, nu)
+        lo, hi, cuts, quad_tol, tail = _k.integral_reach(kernel, tol, nu)
     except ValueError as exc:
         raise QuadratureError(f"continuous moment of order {nu:g}: {exc}") from None
-    value, err = integrate(integrand, -cutoff, cutoff, tol=0.5 * tol,
+    value, err = integrate(_moment_integrand(kernel, nu, signed), lo, hi, tol=quad_tol,
                            breakpoints=cuts, max_cells=_MAX_CELLS)
-    return MomentResult(value, err + _k.integral_tail_bound(support, cutoff, nu),
-                        "quadrature")
+    return MomentResult(value, err + tail, "quadrature")
 
 
 def continuous_absolute_moment(kernel, nu, tol=1e-9):

@@ -50,11 +50,10 @@ __all__ = [
     "evaluate",
     "evaluate_grid",
     "reduce_special_case",
+    "required_sup_norm",
 ]
 
 _POU_VALIDATION_PROBES = 128
-_SUP_ESTIMATE_REGION = (-100.0, 100.0)
-_SUP_ESTIMATE_POINTS = 4001
 _SAMPLE_MAX_CELLS = 40000  # quadrature cells per sample, for every psi
 
 
@@ -173,17 +172,16 @@ def reduce_special_case(spec: OperatorSpec) -> ReductionKind:
     return ReductionKind.GENERAL_DURRMEYER
 
 
-def _sup_bound(signal) -> float:
-    if signal.sup_norm is not None:
-        return signal.sup_norm
-    warnings.warn(
-        f"signal {signal.name!r} declares no sup norm; the truncation "
-        f"bounds use a grid estimate over {_SUP_ESTIMATE_REGION} and are not "
-        "certified",
-        stacklevel=3,
-    )
-    pts = np.linspace(*_SUP_ESTIMATE_REGION, _SUP_ESTIMATE_POINTS)
-    return 1.1 * float(np.max(np.abs(np.asarray(signal.evaluate(pts), dtype=float)))) + 1e-30
+def required_sup_norm(spec: OperatorSpec, signal: Signal):
+    """The declared sup norm of ``signal`` where ``spec`` truncates a decaying
+    phi or psi with it, None where both are compact. A signal that declares
+    none is refused there: no truncation is certified without it."""
+    kernels = (spec.phi, getattr(spec.psi, "kernel", spec.phi))  # a point mass has none
+    if all(isinstance(kernel.support, _k.CompactSupport) for kernel in kernels):
+        return None
+    if signal.sup_norm is None:
+        raise ValueError(f"signal {signal.name!r} declares no sup norm; a decaying kernel needs it")
+    return signal.sup_norm
 
 
 class SeriesEvaluator:
@@ -204,17 +202,23 @@ class SeriesEvaluator:
         self._known = np.zeros(0, dtype=bool)
         self._support = spec.phi.support
         psi = spec.psi
-        decaying_psi = (isinstance(psi, Convolution)
-                        and isinstance(psi.kernel.support, _k.DecayingSupport))
-        decaying_phi = isinstance(self._support, _k.DecayingSupport)
-        sup = _sup_bound(signal) if decaying_phi or decaying_psi else None
+        sup = required_sup_norm(spec, signal)
+        # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
+        # each sample at (k + c)/w, the samples' quadrature tolerance and the
+        # tail beyond the reach: a point mass has none of them.
+        self._psi_ends, tail = (0.0, 0.0), 0.0
+        if not isinstance(psi, PointMass):
+            self._psi_kernel = psi.kernel
+            lo, hi, cuts, self._sample_tol, tail = _k.integral_reach(
+                psi.kernel, spec.quad_tol, scale=1.0 if sup is None else sup)
+            self._psi_ends, self._psi_cuts = (lo, hi), np.array(cuts)
         self.knots = None
-        if decaying_phi:
+        if isinstance(self._support, _k.DecayingSupport):
             # Every functional keeps |sample| <= mass * max |f| over psi's
-            # reach: with no envelope, or a decaying psi that reaches
+            # reach: with no envelope, or a psi with a tail that reaches
             # everywhere, the bound below takes the constant envelope sup,
             # and every point gets the sup-norm radius.
-            constant = signal.envelope is None or decaying_psi
+            constant = signal.envelope is None or tail > 0
             if constant:
                 self._envelope = lambda r: np.full(np.shape(r), sup)
             else:
@@ -236,24 +240,6 @@ class SeriesEvaluator:
             # The series is smooth between the knots (k + b)/w, b a breakpoint
             # of a compact phi: the lattice its modular quadrature cuts at.
             self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
-        # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
-        # each sample at (k + c)/w, and the samples' quadrature tolerance: a
-        # point mass has none of them, a compact kernel its support and
-        # inner breakpoints.
-        self._psi_ends = (0.0, 0.0)
-        if isinstance(psi, PointMass):
-            return
-        kernel = self._psi_kernel = psi.kernel
-        if decaying_psi:
-            # A decaying kernel reaches its tail cutoff, cut at its peak rungs.
-            # The tail takes half of ``quad_tol``, the quadrature the other half.
-            self._sample_tol = 0.5 * spec.quad_tol
-            cutoff, cuts = _k.integral_cutoff(kernel, self._sample_tol / max(sup, 1e-300))
-            self._psi_ends, self._psi_cuts = (-cutoff, cutoff), np.array(cuts)
-        else:
-            lo, hi = self._psi_ends = (kernel.support.lo, kernel.support.hi)
-            self._psi_cuts = np.array([b for b in kernel.breakpoints if lo < b < hi])
-            self._sample_tol = spec.quad_tol
 
     @property
     def breakpoints(self) -> tuple:
@@ -338,6 +324,7 @@ class SeriesEvaluator:
             groups = [(self._width, slice(None))]
         else:
             radii = self._radii(points)
+            _k.check_lattice_row(int(radii.max(initial=0)))  # before any sample
             lo = np.ceil(wx - radii)
             hi = np.floor(wx + radii)
             groups = [(2 * r + 1, radii == r) for r in sorted(set(radii.tolist()))]

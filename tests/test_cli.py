@@ -206,6 +206,27 @@ class TestConfigHandling:
         assert main(["kernel-check", "--config", str(cfg), "--out", str(out)]) == 3
         assert (out / "kernel_check.csv").exists()
 
+    def test_series_rows_beyond_the_cap_exit_4_before_any_output(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # Fejer phi on a constant at series_tol 1e-4 takes radius 4096: rows
+        # of 8,193 shifts, here beyond a lowered cap.
+        computed = []
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample",
+                            lambda evaluator, ks: computed.append(ks) or np.ones(ks.size))
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 8_192)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "fejer"}, psi={"kind": "pointmass"},
+                     signal={"name": "constant", "value": 1}, w_list=[5], window=[-1, 1],
+                     grid_step=0.5, tolerances={"series_tol": 1e-4})
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "evaluation failed" in err and "8,193 shifts; at most 8,192" in err
+        assert not out.exists() and computed == []
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 8_193)
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_csv(out / "reconstruct_w5.csv")[1]) == 5
+
     def test_grid_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 13)
         cfg = tmp_path / "cfg.json"
@@ -552,6 +573,30 @@ class TestImports:
                                 capture_output=True, text=True)
         assert result.stdout.strip() == "[]"
 
+    def test_kernel_check_runs_without_scipy(self, tmp_path):
+        # The package needs only numpy: scipy is made unimportable.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "fejer"},
+                     psi={"kind": "general", "kernel": {"family": "bspline", "n": 2}})
+        env = dict(os.environ, PYTHONPATH=str(Path(durrmeyer.__file__).parents[1]))
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from durrmeyer.cli import main\n"
+                f"sys.exit(main(['kernel-check', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}]))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        # Fejer's first moments diverge, which is exit 3, not a crash.
+        assert result.returncode == 3, result.stderr
+        rows = read_csv(tmp_path / "out" / "kernel_check.csv")[1]
+        assert [row["kernel"] for row in rows] == ["fejer", "bspline2"]
+
+    def test_the_parser_is_built_once(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[5], window=[-1, 1], grid_step=0.5)
+        for command in ("reconstruct", "converge", "reconstruct"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestCsvQuoting:
     def test_every_row_reads_back_with_the_header_width(self, tmp_path):
@@ -636,6 +681,32 @@ class TestFailurePaths:
         else:
             row = json.loads((tmp_path / "out" / "kernel_check.json").read_text())["rows"][0]
             assert (row["kernel"], row["pou_residual"]) == ("window[0.3..1.3)*2", 1.0)
+
+    @pytest.mark.parametrize("phi, psi", [
+        ({"family": "fejer"}, {"kind": "window", "lo": 0, "hi": 1, "weight": 1}),
+        ({"family": "bspline", "n": 3}, {"kind": "general", "kernel": {"family": "fejer"}}),
+    ], ids=["fejer-phi", "fejer-psi"])
+    @pytest.mark.parametrize("command", ["reconstruct", "converge", "orlicz"])
+    def test_a_decaying_kernel_refuses_a_signal_without_a_sup_norm(self, tmp_path, capsys,
+                                                                   phi, psi, command):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi=phi, psi=psi, signal="identity", w_list=[5], window=[-1, 1],
+                     grid_step=0.1, tolerances={"series_tol": 1e-3, "quad_tol": 1e-3})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: signal 'identity' declares no sup norm" in err
+        assert not out.exists()
+
+    def test_compact_kernels_reconstruct_a_signal_without_a_sup_norm(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="identity", w_list=[5], window=[-1, 1], grid_step=0.1)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_csv(out / "reconstruct_w5.csv")[1]
+        # The unit window shifts a linear signal by 1/(2w).
+        assert all(abs(float(row["reconstruction"]) - float(row["x"]) - 0.1) < 1e-9
+                   for row in rows)
 
     def test_unreachable_convolution_tolerance_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -489,6 +489,30 @@ class TestTruncation:
         rungs = [2.0 ** i for i in range(int(math.log2(cutoff)))]
         assert cuts == [0.0] + [c for r in rungs for c in (-r, r)]
 
+    @pytest.mark.parametrize("kernel", [K.bspline(1), K.bspline(3), K.window(-0.25, 0.5, 2.0)],
+                             ids=["bspline1", "bspline3", "window"])
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_a_compact_reach_is_the_support_with_all_of_tol(self, kernel, nu):
+        lo, hi, cuts, quad_tol, tail = K.integral_reach(kernel, 1e-7, nu, scale=50.0)
+        assert (lo, hi) == (kernel.support.lo, kernel.support.hi)
+        assert cuts == list(kernel.breakpoints) + ([0.0] if nu > 0 else [])
+        assert (quad_tol, tail) == (1e-7, 0.0)
+
+    @pytest.mark.parametrize("tol, nu, scale", [(1e-3, 0.0, 1.0), (1e-2, 0.5, 1.0),
+                                                (1e-4, 0.0, 3.5), (1e-4, 0.0, 0.0)])
+    def test_a_decaying_reach_gives_half_of_tol_to_its_tail(self, tol, nu, scale):
+        fejer = K.fejer()
+        lo, hi, cuts, quad_tol, tail = K.integral_reach(fejer, tol, nu, scale=scale)
+        cutoff, rungs = K.integral_cutoff(fejer, 0.5 * tol / max(scale, 1e-300), nu)
+        assert (lo, hi, cuts) == (-cutoff, cutoff, rungs)
+        assert quad_tol == 0.5 * tol
+        assert tail == K.integral_tail_bound(fejer.support, cutoff, nu)
+        assert tail * scale <= 0.5 * tol
+
+    def test_a_decaying_reach_beyond_the_cap_raises(self):
+        with pytest.raises(ValueError, match="beyond 67108864"):
+            K.integral_reach(K.fejer(), 1e-8, scale=2.0)
+
     def test_one_cap_bounds_radii_and_cutoffs(self):
         fejer = K.fejer()
         with pytest.raises(ValueError, match="beyond 67108864"):

@@ -746,19 +746,28 @@ class TestDecayingPaths:
         series = 0.125 * samples[-1] + 0.75 * samples[0] + 0.125 * samples[1]
         assert O.evaluate(spec, f, 0.0) == pytest.approx(series, abs=tol)
 
-    def test_missing_sup_norm_warns_with_decaying_kernel(self):
+    def test_missing_sup_norm_is_refused_with_decaying_kernel(self):
         f = S.builtin_signal("identity")
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-3)
-        with pytest.warns(UserWarning, match="not\\s+certified"):
+        with pytest.raises(ValueError, match="signal 'identity' declares no sup norm"):
             O.evaluate(spec, f, 0.0)
 
-    def test_missing_sup_norm_is_estimated_once_for_phi_and_psi(self):
+    @pytest.mark.parametrize("phi", [K.fejer(), K.bspline(3)], ids=["fejer-phi", "bspline3-phi"])
+    def test_missing_sup_norm_is_refused_for_a_decaying_psi(self, phi):
         f = S.builtin_signal("identity")
-        spec = O.OperatorSpec(K.fejer(), O.Convolution(K.fejer()), 5.0, series_tol=1e-3,
+        spec = O.OperatorSpec(phi, O.Convolution(K.fejer()), 5.0, series_tol=1e-3,
                               quad_tol=1e-3)
-        with pytest.warns(UserWarning, match="not\\s+certified") as caught:
+        with pytest.raises(ValueError, match="signal 'identity' declares no sup norm"):
             O.SeriesEvaluator(spec, f)
-        assert len(caught) == 1
+
+    def test_compact_kernels_need_no_sup_norm(self):
+        f = S.builtin_signal("identity")
+        for psi in (O.PointMass(), O.Window(0.0, 1.0, 1.0), O.Convolution(K.bspline(2))):
+            spec = O.OperatorSpec(K.bspline(2), psi, 4.0)
+            assert O.required_sup_norm(spec, f) is None
+            # A linear f is reproduced, shifted by the mean of psi: 1/(2w) for
+            # the unit window, 0 for the symmetric ones.
+            assert abs(O.evaluate(spec, f, 0.3) - 0.3) <= 0.125 + 1e-12
 
     def test_breakpoints_cover_smearing_zone(self):
         f = S.builtin_signal("box")
@@ -767,3 +776,54 @@ class TestDecayingPaths:
         assert -1.0 in cuts and 1.0 in cuts
         assert min(cuts) == pytest.approx(-1.5)
         assert max(cuts) == pytest.approx(1.5)
+
+
+class TestSeriesRowGuard:
+    """The rows of a decaying phi are checked against ``kernels._MAX_ROW_SHIFTS``
+    before any sample is computed; the caps are lowered, so no oversized row
+    is ever built."""
+
+    @staticmethod
+    def computed(monkeypatch):
+        ks = []
+        compute = O.SeriesEvaluator._compute_sample
+
+        def counting(evaluator, batch):
+            ks.extend(batch.tolist())
+            return compute(evaluator, batch)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample", counting)
+        return ks
+
+    def test_the_sup_norm_radius_of_a_signal_without_an_envelope(self, monkeypatch):
+        computed = self.computed(monkeypatch)
+        f = S.builtin_signal("constant", 1.0)
+        spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-4)
+        width = 2 * O.SeriesEvaluator(spec, f)._radius + 1
+        assert width == 8193
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", width - 1)
+        with pytest.raises(ValueError, match="8,193 shifts; at most 8,192"):
+            O.evaluate(spec, f, 0.3)
+        assert computed == []
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", width)
+        assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=1e-4)
+        assert len(computed) == width - 1
+
+    def test_the_widest_envelope_radius_of_a_request(self, monkeypatch):
+        computed = self.computed(monkeypatch)
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-4)
+        points = np.array([-40.0, 0.0, 0.3, 40.0])
+        radii = O.SeriesEvaluator(spec, f)._radii(points)
+        widest = 2 * int(radii.max()) + 1
+        assert int(radii.min()) < int(radii.max())
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", widest - 1)
+        with pytest.raises(ValueError, match=f"{widest:,} shifts"):
+            O.SeriesEvaluator(spec, f).evaluate(points)
+        assert computed == []
+        # Points whose rows are all narrower still pass.
+        narrow = points[radii < radii.max()]
+        assert O.SeriesEvaluator(spec, f).evaluate(narrow).shape == narrow.shape
+        assert computed
+        monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", widest)
+        assert O.SeriesEvaluator(spec, f).evaluate(points).shape == points.shape
