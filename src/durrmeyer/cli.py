@@ -452,7 +452,8 @@ def cmd_orlicz(exp: Experiment) -> int:
     if not exp.orlicz:
         raise ConfigError("the orlicz command needs at least one orlicz entry")
     tables = modular_inequality_cells([exp.spec(w) for w in exp.w_list], exp.signal,
-                                      exp.orlicz, exp.window)
+                                      exp.orlicz, exp.window,
+                                      modular_tol=exp.tolerances["modular_tol"])
     results = []
     for w, cells in zip(exp.w_list, tables):
         for (eta, lam), cmp in zip(exp.orlicz, cells):

@@ -20,7 +20,9 @@ none, or for a decaying psi, whose samples reach the whole line, it is the
 constant sup norm, and every point gets the sup-norm radius ``_radius``,
 which no per-point radius exceeds. An evaluation context stores each sample once, computed only when a
 requested point's stencil touches it, and sums the series for many points in
-vectorized blocks, one row width per radius.
+vectorized blocks, one row width per radius. For a compact phi it also tells
+a modular quadrature where the series kinks (``SeriesEvaluator.cuts``): at
+its lattice knots, and for a B-spline 2 series at its zero crossings.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import kernels as _k
 from .moments import continuous_algebraic_moment
-from .quadrature import check_tolerance, integrate
+from .quadrature import QuadratureError, check_tolerance, integrate
 from .signals import Signal, UniformGrid
 
 __all__ = [
@@ -55,6 +57,9 @@ __all__ = [
 
 _POU_VALIDATION_PROBES = 128
 _SAMPLE_MAX_CELLS = 40000  # quadrature cells per sample, for every psi
+# Most knots one ``SeriesEvaluator.cuts`` call may cut at, over all the cells
+# it is given: each becomes a quadrature cell, of about 130 bytes at peak.
+_MAX_CUTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,70 @@ class SeriesEvaluator:
         for b in base:
             cuts.update((b - margin, b, b + margin))
         return tuple(sorted(cuts))
+
+    def _knot_ranges(self, lo, hi):
+        """Per cell [lo, hi] (rows) and knot phase b (columns): the first
+        lattice index k with (k + b)/w above lo, and the number of knots
+        (k + b)/w strictly inside the cell. A rounded estimate of each end
+        index is moved onto the exact comparisons with the knots."""
+        w, b = self.spec.w, np.asarray(self.knots[1], dtype=float)
+        lo, hi = lo[:, None], hi[:, None]
+        first = np.floor(w * lo - b)
+        first += 1 - ((first + b) / w > lo) + ((first + 1 + b) / w <= lo)
+        last = np.ceil(w * hi - b)
+        last += ((last + b) / w < hi) - 1 - ((last - 1 + b) / w >= hi)
+        return first, np.maximum(last - first + 1, 0).astype(np.intp)
+
+    def knot_count(self, lo: float, hi: float) -> int:
+        """A bound on the lattice knots strictly inside (lo, hi): at most
+        floor(w (hi - lo)) + 1 of each phase."""
+        if self.knots is None:
+            return 0
+        return len(self.knots[1]) * (math.floor(self.spec.w * (hi - lo)) + 1)
+
+    def cuts(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
+        """Where a modular quadrature splits the cells [lo, hi]: at every
+        lattice knot (k + b)/w strictly inside a cell and, between
+        consecutive knots or cell ends where the series changes sign, at
+        the zero of the chord through them. A B-spline 2 series is linear
+        between its knots, so that zero is the series' own. Returns each
+        cut's cell index and point, by cell and then by point, as
+        :func:`~durrmeyer.quadrature.integrate` takes ``cuts``; each cell's
+        cuts depend on that cell alone. A decaying phi has no knots and
+        gives no cuts. Raises :class:`QuadratureError`, before allocating
+        them, for more than ``_MAX_CUTS`` knots over all the cells."""
+        if self.knots is None:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        first, count = self._knot_ranges(lo, hi)
+        total = int(count.sum())
+        if total > _MAX_CUTS:
+            raise QuadratureError(
+                f"modular quadrature would cut at {total:,} knots in one round; "
+                f"at most {_MAX_CUTS:,} are allowed")
+        phases = np.asarray(self.knots[1], dtype=float)
+        count = count.ravel()
+        # Runs of consecutive k, one per (cell, phase) in row-major order.
+        run = np.repeat(np.arange(count.size), count)
+        k = first.ravel()[run] + (np.arange(total) - (np.cumsum(count) - count)[run])
+        cell = run // phases.size
+        knots = (k + phases[run % phases.size]) / self.spec.w
+        # Each cell's ends and knots in order, and the series there.
+        ends = np.arange(lo.size)
+        cell = np.concatenate((ends, cell, ends))
+        x = np.concatenate((lo, knots, hi))
+        order = np.lexsort((x, cell))
+        cell, x = cell[order], x[order]
+        s = self.evaluate(x)
+        a, b, sa, sb = x[:-1], x[1:], s[:-1], s[1:]
+        cross = (cell[:-1] == cell[1:]) & (np.sign(sa) * np.sign(sb) < 0)
+        a, b, sa, sb = a[cross], b[cross], sa[cross], sb[cross]
+        zeros = a - sa * (b - a) / (sb - sa)
+        inside = (a < zeros) & (zeros < b)
+        interior = (lo[cell] < x) & (x < hi[cell])
+        cell = np.concatenate((cell[interior], cell[:-1][cross][inside]))
+        x = np.concatenate((x[interior], zeros[inside]))
+        order = np.lexsort((x, cell))
+        return cell[order], x[order]
 
     def sample(self, k: int) -> float:
         """The k-th sample, computed on first use."""

@@ -172,9 +172,9 @@ def phi_eval(eta: OrliczFunction, u):
 class Difference:
     """Pointwise difference ``f - g`` of two evaluables, with merged breakpoints.
 
-    It declares no ``knots``, even for a spline series ``f``: |f - g| also
-    kinks where it crosses zero, inside the knot cells, and cutting only at
-    the knots leaves those kinks to an error estimate that misses them."""
+    It declares no ``cuts``, even for a spline series ``f``: |f - g| also
+    kinks where it crosses zero, inside the knot cells, where f - g is not
+    a polynomial, so no chord locates those kinks."""
 
     def __init__(self, f, g):
         self._f = f
@@ -259,9 +259,11 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     gauge and lambda. The line integral is truncated to the window by
     design; mass outside it is the caller's responsibility. ``f`` may be a
     signal-like object (``evaluate`` plus ``breakpoints``, and optionally
-    ``knots``, the lattice of its kinks that :func:`integrate` splits cells
-    at, as a :class:`SeriesEvaluator` declares) or a :class:`GridFunction`,
-    which integrates exactly cell by cell.
+    ``cuts`` with ``knot_count``, as a :class:`SeriesEvaluator` declares
+    them: :func:`integrate` then cuts each picked cell at its knots and zero
+    crossings, and each copy's budget grows by its bound on the window's
+    knots) or a :class:`GridFunction`, which integrates exactly cell by
+    cell.
     """
     check_tolerance(tol)
     cells = list(cells)
@@ -296,10 +298,12 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
         return out
 
     n = len(cells)
+    cuts = getattr(f, "cuts", None)
+    # A cell cut at every knot keeps its 20,000 cells for refinement.
+    budget = _MAX_CELLS + (0 if cuts is None else f.knot_count(lo, hi))
     values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
                           breakpoints=tuple(getattr(f, "breakpoints", ())),
-                          max_cells=_MAX_CELLS, per_interval=True,
-                          knots=getattr(f, "knots", None))
+                          max_cells=budget, per_interval=True, cuts=cuts)
     values = [None if over else float(value) for value, over in zip(values, overflowed)]
     _refuse_nan(cells, values)
     return [None if value is None else max(0.0, value) for value in values]

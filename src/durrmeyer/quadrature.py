@@ -1,20 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature with explicit error accounting.
 
-Cells are bisected on the embedded-rule error estimate until the summed
+Cells are refined on the embedded-rule error estimate until the summed
 estimate meets an absolute tolerance, so every value returned carries the
 summed |Kronrod - Gauss| difference of its cells: an error estimate, not a
 bound. Interior breakpoints, shared by a batch of intervals or given one
 row per interval as QUADPACK's QAGP takes them per integral, seed the
 initial subdivision, which keeps piecewise integrands smooth on every
-cell; an integrand with kinks on a whole lattice (a spline
-series) names that lattice as ``knots``, and a cell picked for splitting is
-cut at its interior knot nearest its midpoint instead of at the midpoint
-itself. Many intervals are refined together, in rounds that evaluate all
-their new cells at once, in the manner of QUADPACK's QAG (Piessens et al.,
-1983). Each interval of such a batch may integrate its own function: with
-``per_interval=True`` the integrand receives its nodes one row per cell,
-beside each row's interval, so one call can serve many integrands that
-share nodes.
+cell. An integrand with kinks the caller can locate cell by cell (a spline
+series at its knots and zero crossings) names them with a ``cuts``
+callback: a cell picked for splitting is cut at every point it returns,
+and bisected at its midpoint when it returns none. Many intervals are
+refined together, in rounds that evaluate all their new cells at once, in
+the manner of QUADPACK's QAG (Piessens et al., 1983). Each interval of such
+a batch may integrate its own function: with ``per_interval=True`` the
+integrand receives its nodes one row per cell, beside each row's interval,
+so one call can serve many integrands that share nodes.
 """
 
 from __future__ import annotations
@@ -124,22 +124,26 @@ def _initial_cells(a, b, breakpoints):
     return ids, np.nonzero(cell)[0], lo[cell], hi[cell]
 
 
-def _split_points(lo, hi, knots):
-    """Where to split each cell [lo, hi]: its knot (k + p)/w strictly inside
-    it that lies nearest its midpoint, or the midpoint when it holds none.
-    ``knots`` is ``(w, phases)`` or None; each cut depends on its cell only."""
-    mid = 0.5 * (lo + hi)
-    if knots is None or not len(knots[1]):
-        return mid
-    w, phases = knots[0], np.asarray(knots[1], dtype=float)
-    # Per phase, the knot nearest the midpoint: no other knot of that phase
-    # lies inside the cell when this one does not.
-    near = (np.rint(w * mid[:, None] - phases) + phases) / w
-    gap = np.where((lo[:, None] < near) & (near < hi[:, None]),
-                   np.abs(near - mid[:, None]), np.inf)
-    best = gap.argmin(axis=1)
-    rows = np.arange(mid.size)
-    return np.where(np.isfinite(gap[rows, best]), near[rows, best], mid)
+def _split_points(lo, hi, cuts):
+    """Where to split each cell [lo, hi]: at every point ``cuts(lo, hi)``
+    returns for it, or at its midpoint when it returns none or ``cuts`` is
+    None. Returns the cells' indices and the points, by cell and then by
+    point, every point strictly inside its cell."""
+    if cuts is None:
+        return np.arange(lo.size), 0.5 * (lo + hi)
+    cell, at = cuts(lo, hi)
+    cell, at = np.asarray(cell, dtype=np.intp), np.asarray(at, dtype=float)
+    ordered = (np.diff(cell) > 0) | ((np.diff(cell) == 0) & (np.diff(at) > 0))
+    if not (ordered.all() and ((lo[cell] < at) & (at < hi[cell])).all()):
+        raise ValueError("cuts must lie strictly inside their cells, ordered by cell and point")
+    bare = np.bincount(cell, minlength=lo.size) == 0
+    if not bare.any():
+        return cell, at
+    # Cells with no cut are bisected; a stable sort keeps each cell's cuts in order.
+    cell = np.concatenate((cell, np.flatnonzero(bare)))
+    at = np.concatenate((at, 0.5 * (lo[bare] + hi[bare])))
+    order = np.argsort(cell, kind="stable")
+    return cell[order], at[order]
 
 
 def _by_interval_and_error(err, seg):
@@ -181,7 +185,7 @@ def check_tolerance(tol):
 
 
 def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False,
-              knots=None):
+              cuts=None):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     ``a`` and ``b`` are floats or equal-length arrays of interval ends.
@@ -205,12 +209,15 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     intervals with m cuts each then holds n x m of them), which lets each
     interval carry its own cuts and still equal its solo call.
 
-    ``knots=(w, phases)`` names the lattice {(k + p)/w : k integer, p in
-    phases} of the integrand's kinks, for instance the knots of a B-spline
-    series at scale w. A cell picked for splitting is then cut at its
-    interior knot nearest its midpoint, and bisected only when it holds
-    none. The cut depends on the cell alone, so an interval's result still
-    does not depend on the other intervals of its call.
+    ``cuts(lo, hi)`` locates the integrand's kinks inside the cells picked
+    for splitting, given as arrays of their edges: it returns a pair of
+    arrays, each cut's cell index into ``lo`` and its point, ordered by cell
+    and then by point, every point strictly inside its cell. A picked cell
+    is split at all of its cuts, and bisected at its midpoint when it has
+    none; without ``cuts`` every picked cell is bisected. A cell's cuts must
+    depend on the cell alone, so that an interval's result still does not
+    depend on the other intervals of its call. Cuts can make an interval
+    exceed ``max_cells`` by the cuts of one round.
 
     Returns ``(value, error_estimate)`` per interval, floats for float ends,
     with ``error_estimate <= tol``, except that an interval whose integrand
@@ -268,17 +275,20 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
         split = np.sort(picks[~narrow])
         if not split.size:
             continue
-        # Each split shifts the cells after it by one.
-        first = split + np.arange(split.size)
-        cut = _split_points(lo[split], hi[split], knots)
+        cell, cut = _split_points(lo[split], hi[split], cuts)
+        # A cell with m cuts becomes m + 1 cells. Each cut ends a new cell,
+        # which every earlier cut has shifted by one.
+        ends = split[cell] + np.arange(cell.size)
         reps = np.ones(lo.size, dtype=np.intp)
-        reps[split] = 2
+        reps[split] += np.bincount(cell, minlength=split.size)
         seg, lo, hi, value, err, frozen = (
             seg.repeat(reps), lo.repeat(reps), hi.repeat(reps),
             value.repeat(reps), err.repeat(reps), frozen.repeat(reps))
-        hi[first] = cut
-        lo[first + 1] = cut
-        kids = (first[:, None] + (0, 1)).ravel()
+        hi[ends] = cut
+        lo[ends + 1] = cut
+        # The new cells: left of each cut, and right of each cell's last cut.
+        last = np.append(cell[1:] != cell[:-1], True)
+        kids = np.sort(np.concatenate((ends, ends[last] + 1)))
         value[kids], err[kids] = _gk15(f, lo[kids], hi[kids],
                                        ids[seg[kids]] if per_interval else None)
 

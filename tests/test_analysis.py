@@ -270,7 +270,7 @@ class TestModularInequalityCells:
         )
         # The knot-exact value: 40-point Gauss-Legendre on every knot cell of
         # the piecewise linear series, split at its zero crossings.
-        assert cell.lhs == pytest.approx(27.603355290766427, abs=1e-8)
+        assert cell.lhs == pytest.approx(27.603355290766427, abs=1e-11)
         assert cell.holds
 
     def test_point_mass_is_refused(self):

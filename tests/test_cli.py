@@ -419,6 +419,45 @@ class TestOrliczCommand:
         write_config(cfg, psi={"kind": "pointmass"})
         assert main(["orlicz", "--config", str(cfg)]) == 2
 
+    def test_modulars_use_the_configured_modular_tol(self, tmp_path, monkeypatch):
+        tols = []
+
+        def recording(*args, tol, **kwargs):
+            tols.append(tol)
+            return integrate(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(X, "integrate", recording)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="piecewise_rational", phi={"family": "bspline", "n": 2},
+                     w_list=[5, 10], tolerances={"modular_tol": 1e-7})
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        assert tols == [1e-7] * 3
+        payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
+        assert payload["config_echo"]["tolerances"]["modular_tol"] == 1e-7
+
+    def test_large_exponential_modular_beside_a_power_one_is_computed(self, tmp_path):
+        # At 1e-9 this exponential cell's |K-G| estimate stuck at 4.3e-8 with
+        # 20,000 cells, and the command exited 4.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="box", phi={"family": "bspline", "n": 2}, w_list=[5],
+                     window=[-8, 8],
+                     orlicz=[{"variant": "exponential", "alpha": 1, "lambda": 20},
+                             {"variant": "power", "p": 2, "lambda": 1}])
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        rows = json.loads((tmp_path / "out" / "orlicz.json").read_text())["rows"]
+        # Knot-exact values: the series is linear on each knot cell.
+        assert rows[0]["lhs"] == pytest.approx(883000653.4258187, rel=1e-14)
+        assert rows[1]["lhs"] == pytest.approx(1.9333333333333333, rel=1e-14)
+        assert [row["holds"] for row in rows] == [True, True]
+
+    def test_knot_partition_over_the_cap_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(O, "_MAX_CUTS", 10)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal="piecewise_rational", phi={"family": "bspline", "n": 2},
+                     w_list=[5])
+        assert main(["orlicz", "--config", str(cfg)]) == 4
+        assert "at most 10 are allowed" in capsys.readouterr().err
+
     def test_overflow_marked_per_cell(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, signal="piecewise_rational",

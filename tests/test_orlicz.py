@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from durrmeyer import cli as C
 from durrmeyer import kernels as K
 from durrmeyer import operators as O
 from durrmeyer import orlicz as X
 from durrmeyer import signals as S
+from durrmeyer.quadrature import QuadratureError
 
 GAUGE_CATALOG = [
     X.PowerFunction(1),
@@ -300,19 +303,99 @@ class TestLatticeKnots:
         spec = O.OperatorSpec(K.fejer(), window, 5.0, series_tol=1e-3)
         assert O.SeriesEvaluator(spec, f).knots is None
 
-    def test_difference_declares_no_knots(self):
+    def test_difference_declares_no_cuts(self):
         f = S.builtin_signal("runge")
-        assert not hasattr(X.Difference(reconstruction("runge"), f), "knots")
+        assert not hasattr(X.Difference(reconstruction("runge"), f), "cuts")
 
-    # Window offsets of the orlicz_matrix benchmark at seeds 1 and 8.
-    @pytest.mark.parametrize("offset", [0.1343642441, 0.2267058594])
+    def test_every_cut_lies_strictly_inside_its_cell(self):
+        # Knot phases 0, 0.25 and 0.5: a B-spline 2 that declares two more
+        # breakpoints, between which it is still linear.
+        phi = dataclasses.replace(K.bspline(2), breakpoints=(-1.0, -0.75, 0.0, 0.5, 1.0))
+        w, phases = 7.0, (0.0, 0.25, 0.5)
+        f = O.SeriesEvaluator(O.OperatorSpec(phi, O.Window(0.0, 1.0, 1.0), w),
+                              S.builtin_signal("piecewise_rational"))
+        assert f.knots == (w, list(phases))
+        rng = np.random.default_rng(7)
+        knots = (np.arange(-100, 300)[:, None] + np.array(phases)).ravel() / w
+        lo = np.concatenate((rng.uniform(-10, 10, 3000),
+                             rng.choice(knots[:900], 1000),  # edges on a knot
+                             rng.choice(knots[:900], 1000) - 1e-9))  # a knot just inside
+        width = np.concatenate((10.0 ** rng.uniform(-12, 1, 3000),
+                                1.0 / w * rng.choice([0.25, 0.5, 1.0, 3.0], 1000),
+                                np.full(1000, 2e-9)))
+        hi = lo + width
+        cell, at = f.cuts(lo, hi)
+        assert np.all((lo[cell] < at) & (at < hi[cell]))
+        assert np.all((np.diff(cell) > 0) | ((np.diff(cell) == 0) & (np.diff(at) > 0)))
+        # Every knot inside a cell is one of its cuts ...
+        inside = (knots > lo[:, None]) & (knots < hi[:, None])
+        held, j = np.nonzero(inside)
+        pairs = set(zip(cell.tolist(), at.tolist()))
+        assert set(zip(held.tolist(), knots[j].tolist())) <= pairs
+        bound = np.array([f.knot_count(a, b) for a, b in zip(lo, hi)])
+        assert np.all(inside.sum(axis=1) <= bound)
+        assert np.all(bound <= inside.sum(axis=1) + 2 * len(phases))
+        # ... and every other cut is a zero of the series, which is linear
+        # on a cell that holds no knot: one zero where its ends differ in sign.
+        zero = ~np.isin(at, knots)
+        assert np.abs(f.evaluate(at[zero])).max() < 1e-12
+        bare = ~inside.any(axis=1)
+        sign_change = np.sign(f.evaluate(lo)) * np.sign(f.evaluate(hi)) < 0
+        cuts_per_cell = np.bincount(cell, minlength=lo.size)
+        assert np.array_equal(cuts_per_cell[bare], sign_change[bare].astype(int))
+        assert sign_change[bare].any() and not sign_change[bare].all()
+
+    def test_a_decaying_phi_gives_no_cuts(self):
+        spec = O.OperatorSpec(K.fejer(), O.Window(0.0, 1.0, 1.0), 5.0, series_tol=1e-3)
+        f = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
+        cell, at = f.cuts(np.array([-1.0, 0.3]), np.array([1.0, 2.0]))
+        assert cell.size == at.size == 0
+        assert f.knot_count(-1.0, 1.0) == 0
+
+    # Window offsets of the orlicz_matrix benchmark at seeds 1, 8 and 14.
+    @pytest.mark.parametrize("offset", [0.1343642441, 0.2267058594, 0.1068285377])
+    @pytest.mark.parametrize("name, lams", [("box", (0.25, 0.5, 1.0)),
+                                            ("piecewise_rational", (0.5,))])
     @pytest.mark.parametrize("w", [5.0, 10.0])
-    def test_modulars_meet_the_knot_exact_reference(self, offset, w):
-        f = reconstruction("piecewise_rational", w)
+    def test_modulars_meet_the_knot_exact_reference(self, offset, name, lams, w):
+        f = reconstruction(name, w)
         window = (-8.0 + offset, 8.0 + offset)
-        cells = [(eta, 0.5) for eta in MATRIX_GAUGES]
+        cells = [(eta, lam) for eta in MATRIX_GAUGES for lam in lams]
         for (eta, lam), value in zip(cells, X.modulars(cells, f, window, tol=1e-9)):
-            assert value == pytest.approx(knot_exact_modular(f, eta, lam, window), abs=1e-8)
+            assert value == pytest.approx(knot_exact_modular(f, eta, lam, window), abs=1e-12)
+
+    @pytest.mark.parametrize("w", [5.0, 10.0])
+    def test_rational_series_modulars_take_at_most_three_rounds(self, monkeypatch, w):
+        # Bisecting toward the series' zero crossing took 14 rounds at w = 5.
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            def integrand(*x):
+                calls.append(1)
+                return f(*x)
+            return integrate(integrand, *args, **kwargs)
+
+        integrate = X.integrate
+        monkeypatch.setattr(X, "integrate", counting)
+        window = (-8.0 + 0.1068285377, 8.0 + 0.1068285377)
+        cells = [(eta, 0.5) for eta in MATRIX_GAUGES]
+        tol = C._DEFAULT_TOLERANCES["modular_tol"]  # as the orlicz command runs them
+        X.modulars(cells, reconstruction("piecewise_rational", w), window, tol=tol)
+        assert len(calls) <= 3
+
+    def test_a_knot_partition_over_the_cap_is_refused_before_evaluation(self, monkeypatch):
+        f = reconstruction("piecewise_rational", 10.0)
+        assert f.knot_count(-8.0, 8.0) == 161  # 159 inside, bounded by 160 + 1
+        monkeypatch.setattr(O, "_MAX_CUTS", 300)
+        # One copy's 159 knots fit; two copies' 318 do not.
+        X.modulars([(X.PowerFunction(2), 0.5)], f, (-8, 8), tol=1e-9)
+
+        def evaluate(x):
+            raise AssertionError("the series was evaluated")
+
+        monkeypatch.setattr(f, "evaluate", evaluate)
+        with pytest.raises(QuadratureError, match="cut at 318 knots in one round; at most 300 are allowed"):
+            f.cuts(np.array([-8.0, -8.0]), np.array([8.0, 8.0]))
 
 
 class NanHole:

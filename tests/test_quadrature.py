@@ -224,8 +224,19 @@ def triangle_wave(x):
     return np.abs(np.mod(3.0 * x, 2.0) - 1.0)
 
 
-class TestKnots:
-    KNOTS = (3.0, (0.0,))
+def lattice_cuts(w):
+    """A ``cuts`` callback: every lattice point k/w strictly inside each cell."""
+
+    def cuts(lo, hi):
+        points = np.arange(np.floor(w * lo.min()), np.ceil(w * hi.max()) + 1) / w
+        cell, j = np.nonzero((lo[:, None] < points) & (points < hi[:, None]))
+        return cell, points[j]
+
+    return cuts
+
+
+class TestCuts:
+    CUTS = staticmethod(lattice_cuts(3.0))
 
     @staticmethod
     def f(x):
@@ -234,51 +245,44 @@ class TestKnots:
     def test_each_interval_equals_its_solo_call_bitwise(self):
         A, B = TestIntervalArrays.A, TestIntervalArrays.B
         values, errors = integrate(self.f, A, B, tol=1e-12, breakpoints=(0.3,),
-                                   knots=self.KNOTS)
+                                   cuts=self.CUTS)
         assert np.all(errors <= 1e-12)
         for a, b, value, err in zip(A, B, values, errors):
             assert integrate(self.f, float(a), float(b), tol=1e-12, breakpoints=(0.3,),
-                             knots=self.KNOTS) == (value, err)
+                             cuts=self.CUTS) == (value, err)
 
     def test_lattice_kinks_cost_fewer_nodes(self):
         # 3x runs over [0.15, 29.85]: 28 whole teeth of mean 1/2 on [1, 29]
         # and two end pieces of 0.85**2 / 2 each.
         exact = (14.0 + 0.85**2) / 3.0
         results = {}
-        for knots in (None, self.KNOTS):
+        for cuts in (None, self.CUTS):
             seen = []
 
             def counting(x):
                 seen.append(x.size)
                 return triangle_wave(x)
 
-            value, _ = integrate(counting, 0.05, 9.95, tol=1e-12, knots=knots)
-            results[knots] = value, sum(seen)
-        value, nodes = results[self.KNOTS]
+            value, _ = integrate(counting, 0.05, 9.95, tol=1e-12, cuts=cuts)
+            results[cuts] = value, sum(seen)
+        value, nodes = results[self.CUTS]
         assert value == pytest.approx(exact, abs=1e-14)
         assert nodes < results[None][1]
         # Bisection cuts no kink exactly: it needs many more nodes, and its
         # error estimate misses some kinks.
         assert results[None][0] == pytest.approx(exact, abs=1e-10)
 
-    def test_every_cut_lies_strictly_inside_its_cell(self):
-        rng = np.random.default_rng(7)
-        w, phases = 7.0, (0.0, 0.25, 0.5)
-        knots = (np.arange(-100, 200)[:, None] + np.array(phases)).ravel() / w
-        lo = np.concatenate((rng.uniform(-10, 10, 3000),
-                             rng.choice(knots, 1000),  # edges on a knot
-                             rng.choice(knots, 1000) - 1e-9))  # a knot just inside
-        width = np.concatenate((10.0 ** rng.uniform(-12, 1, 3000),
-                                1.0 / w * rng.choice([0.25, 0.5, 1.0, 3.0], 1000),
-                                np.full(1000, 2e-9)))
-        hi = lo + width
-        cut = Q._split_points(lo, hi, (w, phases))
-        assert np.all((lo < cut) & (cut < hi))
-        inside = ((knots > lo[:, None]) & (knots < hi[:, None])).any(axis=1)
-        mid = 0.5 * (lo + hi)
-        assert np.array_equal(cut[~inside], mid[~inside])
-        assert np.isin(cut[inside], knots).all()
-        # The nearest knot to the midpoint among those inside.
-        gaps = np.where((knots > lo[:, None]) & (knots < hi[:, None]),
-                        np.abs(knots - mid[:, None]), np.inf).min(axis=1)
-        assert np.allclose(np.abs(cut - mid)[inside], gaps[inside], rtol=0, atol=1e-12)
+    def test_a_cell_without_cuts_is_bisected(self):
+        lo, hi = np.array([0.1, 0.4, 1.0]), np.array([0.2, 1.1, 1.3])
+        cell, at = Q._split_points(lo, hi, self.CUTS)
+        assert cell.tolist() == [0, 1, 1, 2]
+        assert at.tolist() == [0.5 * (0.1 + 0.2), 2 / 3, 1.0, 0.5 * (1.0 + 1.3)]
+        assert [x.tolist() for x in Q._split_points(lo, hi, None)] == [
+            [0, 1, 2], (0.5 * (lo + hi)).tolist()]
+
+    @pytest.mark.parametrize("cell, at", [([0], [0.0]), ([0], [1.0]), ([0, 0], [0.6, 0.3]),
+                                          ([1, 0], [0.5, 0.5])])
+    def test_a_cut_on_an_edge_or_out_of_order_raises(self, cell, at):
+        with pytest.raises(ValueError, match="strictly inside"):
+            integrate(lambda x: np.abs(x - 0.3), np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                      tol=1e-12, cuts=lambda lo, hi: (np.array(cell), np.array(at)))
