@@ -46,11 +46,10 @@ _DEFAULT_TOLERANCES = {
 }
 
 # Kernel-check probe policy: compact kernels get the dense probe set, decaying
-# kernels a coarser one with a 10^4 lattice radius and loose moment tolerance.
+# kernels a coarser one with a 10^4 lattice radius.
 _CHECK_COMPACT_PROBES = 1000
 _CHECK_DECAYING_PROBES = 100
 _CHECK_DECAYING_RADIUS = 10_000
-_CHECK_DECAYING_TOL = 1e-4
 _POISSON_RANGE = range(-3, 4)
 # The constructor of each kind of descriptor; it is called with the
 # descriptor's other keys, so its signature decides which keys are read.
@@ -320,16 +319,14 @@ def _moment_cells(result_or_error):
 def cmd_kernel_check(exp: Experiment) -> int:
     rows = []
     divergent = False
+    moment_tol = exp.tolerances["quad_tol"]
     for role, kernel in _check_kernels(exp):
-        compact = isinstance(kernel.support, _k.CompactSupport)
-        if compact:
+        if isinstance(kernel.support, _k.CompactSupport):
             probes = np.arange(_CHECK_COMPACT_PROBES) / _CHECK_COMPACT_PROBES
             radius = _k.compact_lattice_radius(kernel.support)
-            moment_tol = exp.tolerances["quad_tol"]
         else:
             probes = np.arange(_CHECK_DECAYING_PROBES) / _CHECK_DECAYING_PROBES
             radius = _CHECK_DECAYING_RADIUS
-            moment_tol = _CHECK_DECAYING_TOL
         residual = _k.partition_of_unity_residual(kernel, probes, radius)
 
         if kernel.fourier is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -131,26 +131,28 @@ def _as_same_shape(values, arg):
     return float(values) if arr.ndim == 0 else values
 
 
-def sinc(v):
-    """Normalized sinc sin(pi v)/(pi v) with exact zeros at nonzero integers.
-
-    The argument is reduced to the nearest integer before the sine is taken,
-    and a short series replaces the quotient for |v| < 1e-6.
-    """
-    arr = np.asarray(v, dtype=float)
-    nearest = np.round(arr)
-    half = nearest / 2.0
-    numer = np.sin(np.pi * (arr - nearest))
-    numer = np.where(np.floor(half) != half, -numer, numer)
+def _reduced_sinc(arr):
+    """sin(pi (v - round(v))) / (pi v), which is (-1)**round(v) sinc(v), for
+    a float array: the argument is reduced to the nearest integer before the
+    sine is taken, and a short series replaces the quotient for |v| < 1e-6."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(numer / (np.pi * arr))
+        out = np.asarray(np.sin(np.pi * (arr - np.round(arr))) / (np.pi * arr))
     # The series runs on the small subset only: on large arguments its
     # powers would overflow.
     small = np.abs(arr) < 1e-6
     if small.any():
         x = np.pi * arr[small]
         out[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
-    return _as_same_shape(out, v)
+    return out
+
+
+def sinc(v):
+    """Normalized sinc sin(pi v)/(pi v) with exact zeros at nonzero integers,
+    from :func:`_reduced_sinc` with the sign of an odd nearest integer."""
+    arr = np.asarray(v, dtype=float)
+    half = np.round(arr) / 2.0
+    out = _reduced_sinc(arr)
+    return _as_same_shape(np.where(np.floor(half) != half, -out, out), v)
 
 
 def _snap_to_integer(u):
@@ -240,15 +242,8 @@ def fejer() -> Kernel:
 
     def evaluate(t):
         # sinc(t/2)**2 / 2 without sinc's parity sign flip, which the square
-        # undoes; the same reduction and small-argument series, the same bits.
-        h = np.asarray(t, dtype=float) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(np.sin(np.pi * (h - np.round(h))) / (np.pi * h))
-        small = np.abs(h) < 1e-6
-        if small.any():
-            x = np.pi * h[small]
-            out[small] = 1.0 - x * x / 6.0 + x**4 / 120.0
-        return _as_same_shape(0.5 * out**2, t)
+        # undoes: the same bits.
+        return _as_same_shape(0.5 * _reduced_sinc(np.asarray(t, dtype=float) / 2.0) ** 2, t)
 
     def rows(x, ks):
         ks = np.asarray(ks)

@@ -12,24 +12,26 @@ doubling ladder at which
 
     psi.mass * lattice_tail_bound(r) / 2 * (E(x + (r+lo)/w) + E((r-hi)/w - x))
 
-meets ``series_tol``, with lo/hi the reach of psi (0 for a point mass), E
-evaluated at max(0, .) and capped at the sup norm. Each term is a one-sided
-lattice tail times the envelope at the nearest omitted sample on that side,
-so the bound is certified. E is the signal's declared decay envelope; with
-none, or for a decaying psi, whose samples reach the whole line, it is the
-constant sup norm, and every point gets the sup-norm radius ``_radius``,
-which no per-point radius exceeds. An evaluation context stores each sample once, computed only when a
-requested point's stencil touches it, and sums the series for many points in
-vectorized blocks, one row width per radius. For a compact phi it also tells
-a modular quadrature where the series kinks (``SeriesEvaluator.cuts``): at
-its lattice knots, and for a B-spline 2 series at its zero crossings.
+meets ``series_tol``, with lo/hi the reach of psi (0 for a point mass; the
+integral cutoff -+C for a decaying psi, whose computed samples integrate over
+it alone), E evaluated at max(0, .). E is the signal's declared decay
+envelope capped at its sup norm, or the sup norm where it declares none.
+Each term is a one-sided lattice tail times the envelope at the nearest
+omitted sample on that side, so the bound is certified. No per-point radius
+exceeds the sup-norm radius ``_radius``; a point that needs a radius beyond
+the ladder's cap is refused. An evaluation context stores each sample
+once, computed only when a requested point's stencil touches it, and sums
+the series for many points in vectorized blocks, one row width per radius.
+For a compact phi it also tells a modular quadrature where the series kinks
+(``SeriesEvaluator.cuts``): at its lattice knots, and for a B-spline 2
+series at its zero crossings.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -209,22 +211,19 @@ class SeriesEvaluator:
         psi = spec.psi
         sup = required_sup_norm(spec, signal)
         # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
-        # each sample at (k + c)/w, the samples' quadrature tolerance and the
-        # tail beyond the reach: a point mass has none of them.
-        self._psi_ends, tail = (0.0, 0.0), 0.0
+        # each sample at (k + c)/w and the samples' quadrature tolerance: a
+        # point mass has none of them.
+        self._psi_ends = (0.0, 0.0)
         if not isinstance(psi, PointMass):
             self._psi_kernel = psi.kernel
-            lo, hi, cuts, self._sample_tol, tail = _k.integral_reach(
+            lo, hi, cuts, self._sample_tol, _ = _k.integral_reach(
                 psi.kernel, spec.quad_tol, scale=1.0 if sup is None else sup)
             self._psi_ends, self._psi_cuts = (lo, hi), np.array(cuts)
         self.knots = None
         if isinstance(self._support, _k.DecayingSupport):
-            # Every functional keeps |sample| <= mass * max |f| over psi's
-            # reach: with no envelope, or a psi with a tail that reaches
-            # everywhere, the bound below takes the constant envelope sup,
-            # and every point gets the sup-norm radius.
-            constant = signal.envelope is None or tail > 0
-            if constant:
+            # A computed sample integrates over psi's reach alone, so
+            # |sample| <= mass * max |f| there: the envelope capped at sup.
+            if signal.envelope is None:
                 self._envelope = lambda r: np.full(np.shape(r), sup)
             else:
                 self._envelope = lambda r: np.minimum(
@@ -235,29 +234,25 @@ class SeriesEvaluator:
                 self._radius, _ = _k.lattice_radius(
                     self._support, spec.series_tol / max(psi.mass * sup, 1e-300))
             except ValueError:
-                # With an envelope only a point that needs a radius beyond
-                # the cap raises, in ``_radii``.
-                if constant:
-                    raise
-                self._radius = None
+                self._radius = None  # ``_radii`` refuses the points that need more
         else:
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
-            # The series is smooth between the knots (k + b)/w, b a breakpoint
-            # of a compact phi: the lattice its modular quadrature cuts at.
-            self.knots = (spec.w, sorted({b % 1.0 for b in spec.phi.breakpoints}))
+            # The series is smooth between the knots (k + b)/w, b a phase in
+            # ``knots`` of a compact phi's breakpoints: the lattice its
+            # modular quadrature cuts at.
+            self.knots = np.array(sorted({b % 1.0 for b in spec.phi.breakpoints}))
 
     @property
     def breakpoints(self) -> tuple:
-        """Signal breakpoints plus the edges of each zone the operator can
-        smear them into; integrating across these cuts keeps the narrow
-        reconstruction-error bumps visible to adaptive quadrature."""
+        """Signal breakpoints and, for a compact phi, the edges of the zone
+        it smears each one into, phi's support plus psi's reach wide: cuts
+        that help adaptive quadrature find the narrow reconstruction-error
+        bumps there. A decaying phi smears over no fixed zone, and keeps the
+        signal's breakpoints alone."""
         base = tuple(self.signal.breakpoints)
-        if not base:
-            return ()
-        if isinstance(self._support, _k.CompactSupport):
-            phi_extent = max(abs(self._support.lo), abs(self._support.hi))
-        else:
-            phi_extent = float(self._radius or self._rungs[-1][0])
+        if not base or isinstance(self._support, _k.DecayingSupport):
+            return base
+        phi_extent = max(abs(self._support.lo), abs(self._support.hi))
         margin = (phi_extent + max(map(abs, self._psi_ends))) / self.spec.w
         cuts = set()
         for b in base:
@@ -269,7 +264,7 @@ class SeriesEvaluator:
         lattice index k with (k + b)/w above lo, and the number of knots
         (k + b)/w strictly inside the cell. A rounded estimate of each end
         index is moved onto the exact comparisons with the knots."""
-        w, b = self.spec.w, np.asarray(self.knots[1], dtype=float)
+        w, b = self.spec.w, self.knots
         lo, hi = lo[:, None], hi[:, None]
         first = np.floor(w * lo - b)
         first += 1 - ((first + b) / w > lo) + ((first + 1 + b) / w <= lo)
@@ -282,7 +277,7 @@ class SeriesEvaluator:
         floor(w (hi - lo)) + 1 of each phase."""
         if self.knots is None:
             return 0
-        return len(self.knots[1]) * (math.floor(self.spec.w * (hi - lo)) + 1)
+        return self.knots.size * (math.floor(self.spec.w * (hi - lo)) + 1)
 
     def cuts(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """Where a modular quadrature splits the cells [lo, hi]: at every
@@ -303,7 +298,7 @@ class SeriesEvaluator:
             raise QuadratureError(
                 f"modular quadrature would cut at {total:,} knots in one round; "
                 f"at most {_MAX_CUTS:,} are allowed")
-        phases = np.asarray(self.knots[1], dtype=float)
+        phases = self.knots
         count = count.ravel()
         # Runs of consecutive k, one per (cell, phase) in row-major order.
         run = np.repeat(np.arange(count.size), count)

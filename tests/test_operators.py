@@ -585,11 +585,15 @@ def fejer_lattice_sum(name, psi, w, x, radius):
     return float(np.sum(0.5 * np.sinc(0.5 * (wx - ks)) ** 2 * samples))
 
 
-def envelope_radius(f, psi, w, x, tol):
+def envelope_radius(f, psi, w, x, tol, reach=None):
     """The certified per-point radius, restated: the first doubling of 4 at
     which the Fejer one-sided lattice tails times the capped envelope at the
-    nearest omitted sample on each side meet tol."""
-    lo, hi = (0.0, 0.0) if isinstance(psi, O.PointMass) else (psi.lo, psi.hi)
+    nearest omitted sample on each side meet tol. ``reach`` is psi's (lo, hi)
+    in t = w u - k: a window's ends, or 0 for a point mass, by default."""
+    if reach is not None:
+        lo, hi = reach
+    else:
+        lo, hi = (0.0, 0.0) if isinstance(psi, O.PointMass) else (psi.lo, psi.hi)
     def cap(r):
         return min(float(f.envelope(max(0.0, r))), f.sup_norm)
 
@@ -686,10 +690,14 @@ class TestCertifiedTruncation:
         assert max(radii[0]) == 64
 
     def test_a_point_beyond_the_cap_raises_the_radius_error(self):
+        # Past the cap ``_radius`` is None for every signal, and only a point
+        # that needs more is refused: every point without an envelope.
         f = S.builtin_signal("box")
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-9)
+        bare = O.SeriesEvaluator(spec, dataclasses.replace(f, envelope=None))
+        assert bare._radius is None
         with pytest.raises(ValueError, match="beyond 67108864"):
-            O.SeriesEvaluator(spec, dataclasses.replace(f, envelope=None))
+            bare.at(0.3)
         evaluator = O.SeriesEvaluator(spec, f)
         assert evaluator._radius is None
         assert evaluator.at(0.3) == pytest.approx(direct_point_sampling_sum(K.fejer(), f, 5.0, 0.3, 8),
@@ -697,17 +705,41 @@ class TestCertifiedTruncation:
         with pytest.raises(ValueError, match="beyond 67108864"):
             evaluator.at(1e8)
 
-    @pytest.mark.parametrize("f, psi, quad_tol", [
-        (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass(), 1e-10),
-        (S.builtin_signal("runge"), O.Convolution(K.fejer()), 1e-3),
+    @pytest.mark.parametrize("f, psi, quad_tol, expected", [
+        (dataclasses.replace(S.builtin_signal("runge"), envelope=None), O.PointMass(), 1e-10,
+         [4096] * 6),
+        # C = 1024: the nearest omitted sample's reach starts at (r - C)/w.
+        (S.builtin_signal("runge"), O.Convolution(K.fejer()), 1e-3, [2048] * 6),
     ], ids=["no-envelope", "convolution"])
-    def test_without_a_usable_envelope_every_point_takes_the_sup_norm_radius(self, f, psi,
-                                                                             quad_tol):
+    def test_no_radius_exceeds_the_sup_norm_radius(self, f, psi, quad_tol, expected):
         spec = O.OperatorSpec(K.fejer(), psi, 5.0, series_tol=1e-4, quad_tol=quad_tol)
         evaluator = O.SeriesEvaluator(spec, f)
-        radii = evaluator._radii(np.array([-50.0, -0.3, 0.0, 0.2, 3.0, 50.0]))
+        nodes = [-50.0, -0.3, 0.0, 0.2, 3.0, 50.0]
+        radii = evaluator._radii(np.array(nodes))
         assert evaluator._radius == 4096
-        assert radii.tolist() == [evaluator._radius] * 6
+        assert radii.tolist() == expected
+        if f.envelope is not None:
+            assert evaluator._psi_ends == (-1024.0, 1024.0)
+            assert expected == [envelope_radius(f, psi, 5.0, x, 1e-4, reach=evaluator._psi_ends)
+                                for x in nodes]
+
+    def test_a_decaying_convolution_within_series_tol_of_the_sup_norm_radius(self):
+        # Fejer phi and psi at quad_tol 1e-2 (C = 128): the reach-bound radii
+        # need 543 samples where the sup-norm radius needs 8,223, and the two
+        # series differ by at most the omitted terms, which the bound keeps
+        # within series_tol.
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(K.fejer(), O.Convolution(K.fejer()), 5.0, series_tol=1e-4,
+                              quad_tol=1e-2)
+        nodes = np.array([-3.0, -0.3, 0.0, 0.2, 3.0])
+        evaluator = O.SeriesEvaluator(spec, f)
+        reference = O.SeriesEvaluator(spec, dataclasses.replace(f, envelope=None))
+        values, full = evaluator.evaluate(nodes), reference.evaluate(nodes)
+        assert evaluator._radii(nodes).tolist() == [256] * 5
+        assert reference._radii(nodes).tolist() == [4096] * 5
+        assert np.count_nonzero(evaluator._known) == 543
+        assert np.count_nonzero(reference._known) == 8223
+        assert np.all(np.abs(values - full) <= spec.series_tol)
 
 
 class TestDecayingPaths:
@@ -776,6 +808,13 @@ class TestDecayingPaths:
         assert -1.0 in cuts and 1.0 in cuts
         assert min(cuts) == pytest.approx(-1.5)
         assert max(cuts) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("psi", [O.PointMass(), O.Window(0.0, 1.0, 1.0)],
+                             ids=["point", "window"])
+    def test_a_decaying_phi_keeps_the_signal_breakpoints(self, psi):
+        f = S.builtin_signal("box")
+        spec = O.OperatorSpec(K.fejer(), psi, 2560.0, series_tol=1e-4)
+        assert O.SeriesEvaluator(spec, f).breakpoints == tuple(f.breakpoints) == (-1.0, 1.0)
 
 
 class TestSeriesRowGuard:
