@@ -61,8 +61,6 @@ from .orlicz import (
     modular,
     modular_distance,
     modulars,
-    orlicz_function,
-    phi_eval,
 )
 from .quadrature import QuadratureError, integrate
 from .signals import (

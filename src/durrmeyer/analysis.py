@@ -30,6 +30,7 @@ from .operators import (
     Window,
 )
 from .orlicz import Difference, ModularOverflowError, OrliczFunction, modulars
+from .quadrature import ROUNDING_FLOOR
 from .signals import UNIFORM, Signal, UniformGrid, modulus_of_continuity, sup_error
 
 __all__ = [
@@ -277,7 +278,9 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     quadrature per scale serve every cell, so each sample is computed once
     and each node evaluated once per round. The result holds, per scale, one
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
-    cell whose gauge overflows; the other cells are unaffected.
+    cell whose gauge overflows; the other cells are unaffected. A cell holds
+    when lhs is at most rhs plus ``tolerance_pad``, or plus the quadrature's
+    rounding floor (50 eps of rhs) where that is larger.
     """
     first = _shared_spec(specs)
     phi, psi = first.phi, first.psi
@@ -304,7 +307,8 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
             if lhs is None:
                 results.append("overflow")
             else:
-                margin = rhs + tolerance_pad - lhs
+                # Both sides are quadratures, each known only to its rounding floor.
+                margin = rhs + max(tolerance_pad, ROUNDING_FLOOR * abs(rhs)) - lhs
                 results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
         tables.append(results)
     return tables

@@ -214,14 +214,16 @@ class Experiment:
         self.grid_step = _finite(raw.get("grid_step", 0.01), "grid_step")
         if self.grid_step <= 0:
             raise ConfigError("grid_step must be positive")
-        # The point count of UniformGrid.from_window, checked before any
-        # command allocates the grid.
-        span = (self.window[1] - self.window[0]) / self.grid_step
-        count = round(span) + 1 if math.isfinite(span) else math.inf
-        if count > _MAX_GRID_POINTS:
+        # The grid's point count is checked before any command allocates it.
+        try:
+            self._grid = _s.UniformGrid.from_window(self.window[0], self.window[1],
+                                                    self.grid_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self._grid.count > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"window {list(self.window)} at grid_step {self.grid_step:g} asks for "
-                f"{count:,} grid points; at most {_MAX_GRID_POINTS:,} are allowed")
+                f"{self._grid.count:,} grid points; at most {_MAX_GRID_POINTS:,} are allowed")
         self.orlicz = _resolve_orlicz(raw.get("orlicz", []))
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):
@@ -258,7 +260,7 @@ class Experiment:
         return spec
 
     def grid(self) -> _s.UniformGrid:
-        return _s.UniformGrid.from_window(self.window[0], self.window[1], self.grid_step)
+        return self._grid
 
     def echo(self) -> dict:
         return {

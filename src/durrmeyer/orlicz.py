@@ -26,7 +26,6 @@ from typing import Union
 import numpy as np
 
 from .quadrature import check_tolerance, integrate
-from .signals import GridFunction
 
 __all__ = [
     "ModularOverflowError",
@@ -36,8 +35,6 @@ __all__ = [
     "ExponentialFunction",
     "OrliczFunction",
     "GAUGES",
-    "orlicz_function",
-    "phi_eval",
     "Difference",
     "modulars",
     "modular",
@@ -153,22 +150,6 @@ GAUGES = {"power": PowerFunction, "zygmund": ZygmundFunction,
           "exponential": ExponentialFunction}
 
 
-def orlicz_function(variant: str, **params) -> OrliczFunction:
-    """The gauge of ``GAUGES[variant]`` built from ``params``; the class's
-    signature refuses a missing parameter or one it does not read."""
-    if variant not in GAUGES:
-        raise ValueError(f"unknown gauge variant {variant!r}")
-    return GAUGES[variant](**params)
-
-
-def phi_eval(eta: OrliczFunction, u):
-    """Evaluate the gauge at nonnegative arguments."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("gauge arguments must be nonnegative")
-    return eta(u)
-
-
 class Difference:
     """Pointwise difference ``f - g`` of two evaluables, with merged breakpoints.
 
@@ -231,17 +212,6 @@ def _gauge(eta, lam, size):
     return out
 
 
-def _grid_modular(eta, f: GridFunction, lam, lo, hi):
-    # Piecewise-constant cells integrate exactly: width times gauge value.
-    step = f.grid.step
-    starts = f.grid.points()
-    lefts = np.maximum(starts, lo)
-    rights = np.minimum(starts + step, hi)
-    widths = np.maximum(rights - lefts, 0.0)
-    gauged = _gauge(eta, lam, np.abs(f.values))
-    return float(np.dot(widths, gauged))
-
-
 def modulars(cells, f, window, tol: float = 1e-8) -> list:
     """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
     integral over the window of eta(lam |f|), or ``None`` for a cell whose
@@ -249,7 +219,8 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     working precision).
 
     One adaptive quadrature integrates every cell over its own copy of the
-    window, each to ``tol`` with its own 20,000-cell budget, so each value
+    window, each to ``tol`` (or to its rounding floor, 50 eps of its value,
+    where that is larger) with its own 20,000-cell budget, so each value
     equals the one-cell call bit for bit. In each round ``f`` is evaluated
     once per distinct quadrature cell (the copies start from the same
     cells, and equal cells share one evaluation), and each gauge sees only
@@ -257,30 +228,20 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     others unaffected. A cell whose integral is NaN (``f`` is not a number
     somewhere in the window) raises :class:`ArithmeticError` naming its
     gauge and lambda. The line integral is truncated to the window by
-    design; mass outside it is the caller's responsibility. ``f`` may be a
-    signal-like object (``evaluate`` plus ``breakpoints``, and optionally
-    ``cuts`` with ``knot_count``, as a :class:`SeriesEvaluator` declares
-    them: :func:`integrate` then cuts each picked cell at its knots and zero
+    design; mass outside it is the caller's responsibility. ``f`` is
+    signal-like: ``evaluate`` plus ``breakpoints`` (a
+    :class:`~durrmeyer.signals.GridFunction` declares its cell edges, so each
+    constant cell integrates to rounding), and optionally ``cuts`` with
+    ``knot_count``, as a :class:`SeriesEvaluator` declares them:
+    :func:`integrate` then cuts each picked cell at its knots and zero
     crossings, and each copy's budget grows by its bound on the window's
-    knots) or a :class:`GridFunction`, which integrates exactly cell by
-    cell.
+    knots.
     """
     check_tolerance(tol)
     cells = list(cells)
     if any(lam <= 0 for _, lam in cells):
         raise ValueError("modular scaling lambda must be positive")
     lo, hi = _window_ends(window)
-
-    if isinstance(f, GridFunction):
-        values = []
-        for eta, lam in cells:
-            try:
-                values.append(_grid_modular(eta, f, lam, lo, hi))
-            except ModularOverflowError:
-                values.append(None)
-        _refuse_nan(cells, values)
-        return values
-
     overflowed = np.zeros(len(cells), dtype=bool)
 
     def integrand(x, interval):
@@ -387,7 +348,7 @@ def luxemburg_norm(eta: OrliczFunction, f, window, tol: float = 1e-9) -> float:
         # not a number or infinite fails as it would at any scaling.
         scale = 1.0
 
-    quad_tol = max(min(tol * 1e-2, 1e-8), 1e-13)
+    quad_tol = min(tol * 1e-2, 1e-8)
 
     def modular_at(scales):
         # None where the modular overflows: it is infinite.

@@ -1,10 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature with explicit error accounting.
 
 Cells are refined on the embedded-rule error estimate until the summed
-estimate meets an absolute tolerance, so every value returned carries the
-summed |Kronrod - Gauss| difference of its cells: an error estimate, not a
-bound. Interior breakpoints, shared by a batch of intervals or given one
-row per interval as QUADPACK's QAGP takes them per integral, seed the
+estimate meets an absolute tolerance or, for an integral so large that its
+rounding level is above the tolerance, 50 eps of its own magnitude, where
+QUADPACK also stops (Piessens et al., 1983). Every value returned carries
+the summed |Kronrod - Gauss| difference of its cells: an error estimate,
+not a bound. Interior breakpoints, shared by a batch of intervals or given
+one row per interval as QUADPACK's QAGP takes them per integral, seed the
 initial subdivision, which keeps piecewise integrands smooth on every
 cell. An integrand with kinks the caller can locate cell by cell (a spline
 series at its knots and zero crossings) names them with a ``cuts``
@@ -20,10 +22,16 @@ so one call can serve many integrands that share nodes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-__all__ = ["QuadratureError", "integrate"]
+__all__ = ["QuadratureError", "integrate", "ROUNDING_FLOOR"]
+
+# No interval is refined below this multiple of its own magnitude, the
+# rounding level of a sum of GK15 cells (QUADPACK's 50 eps). A Python float,
+# so that comparisons with it give Python bools.
+ROUNDING_FLOOR = 50 * sys.float_info.epsilon
 
 # Width below which a cell is no longer split; its estimate is then a floor.
 _MIN_REL_WIDTH = 1e-14
@@ -34,8 +42,9 @@ _EXCESS_UNIT = 1 << 30
 
 
 class QuadratureError(RuntimeError):
-    """The summed |Kronrod - Gauss| error estimate stays above the requested
-    tolerance within the given budget."""
+    """The summed |Kronrod - Gauss| error estimate stays above both the
+    requested tolerance and the integral's rounding floor within the given
+    budget."""
 
 
 def _gauss_kronrod_rule():
@@ -186,15 +195,17 @@ def check_tolerance(tol):
 
 def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=False,
               cuts=None):
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
+    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``, or to
+    ``ROUNDING_FLOOR`` (50 eps) times the integral's magnitude where that is
+    larger.
 
     ``a`` and ``b`` are floats or equal-length arrays of interval ends.
     Each round runs one GK15 pass over the new cells of every interval still
-    over its tolerance, calling ``f`` on the nodes of many cells at once,
-    then splits in each such interval the largest-error cells that cover
-    its excess. An interval's result does not depend on the other
-    intervals of its call. ``f`` must accept a 1-d ndarray of nodes and
-    return same-shape values.
+    over its goal, max(tol, 50 eps |value|), calling ``f`` on the nodes of
+    many cells at once, then splits in each such interval the largest-error
+    cells that cover its excess over that goal. An interval's result does
+    not depend on the other intervals of its call. ``f`` must accept a 1-d
+    ndarray of nodes and return same-shape values.
 
     With ``per_interval=True`` each interval may integrate its own function:
     ``f`` is called as ``f(x, interval)``, where ``x`` holds the nodes as one
@@ -220,11 +231,12 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     exceed ``max_cells`` by the cuts of one round.
 
     Returns ``(value, error_estimate)`` per interval, floats for float ends,
-    with ``error_estimate <= tol``, except that an interval whose integrand
-    gives NaN (or an infinite value) ends with a NaN estimate and takes no
-    further rounds, leaving the other intervals unaffected. Raises
-    :class:`QuadratureError` when an interval's ``max_cells`` budget runs
-    out, or its cells become too narrow to split, first.
+    with ``error_estimate <= max(tol, 50 eps |value|)``, except that an
+    interval whose integrand gives NaN (or an infinite value) ends with a
+    NaN estimate and takes no further rounds, leaving the other intervals
+    unaffected. Raises :class:`QuadratureError` when an interval's
+    ``max_cells`` budget runs out, or its cells become too narrow to split,
+    before it meets that goal.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -247,16 +259,19 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     frozen = np.zeros(lo.size, dtype=bool)  # cells too narrow to split
     while ids.size:
         total = np.bincount(seg, weights=err)
-        # A NaN estimate ends refinement, as an estimate within tolerance does.
-        done = ~(total > tol)
+        sums = np.bincount(seg, weights=value)
+        # Per interval, so a batch still equals its solo calls bit for bit.
+        goal = np.maximum(tol, ROUNDING_FLOOR * np.abs(sums))
+        # A NaN estimate ends refinement, as an estimate within the goal does.
+        done = ~(total > goal)
         if done.any():
-            values[ids[done]] = np.bincount(seg, weights=value)[done]
+            values[ids[done]] = sums[done]
             errors[ids[done]] = total[done]
             if done.all():
                 break
             keep = ~done[seg]
             seg = (np.cumsum(~done) - 1)[seg[keep]]
-            ids, total = ids[~done], total[~done]
+            ids, total, goal = ids[~done], total[~done], goal[~done]
             lo, hi, value, err, frozen = lo[keep], hi[keep], value[keep], err[keep], frozen[keep]
         count = np.bincount(seg)
         candidates = np.flatnonzero(~frozen)
@@ -264,12 +279,12 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
         if stuck.any():
             i = int(np.flatnonzero(stuck)[0])
             raise QuadratureError(
-                f"tolerance {tol:g} unreachable on "
+                f"tolerance {goal[i]:g} unreachable on "
                 f"[{a[ids[i]]:g}, {b[ids[i]]:g}]: |K-G| error estimate {total[i]:g} "
                 f"with {count[i]} cells"
             )
         picks = candidates[_bisection_picks(err[candidates], seg[candidates], count,
-                                            total - tol, max_cells)]
+                                            total - goal, max_cells)]
         narrow = hi[picks] - lo[picks] < min_width[ids[seg[picks]]]
         frozen[picks[narrow]] = True
         split = np.sort(picks[~narrow])

@@ -105,11 +105,11 @@ class UniformGrid:
     def from_window(cls, lo: float, hi: float, step: float) -> "UniformGrid":
         if hi <= lo:
             raise ValueError("grid window is empty")
-        return cls(float(lo), float(step), int(round((hi - lo) / step)) + 1)
-
-    @property
-    def stop(self) -> float:
-        return self.start + self.step * (self.count - 1)
+        span = (hi - lo) / step
+        if not math.isfinite(span):
+            raise ValueError(f"grid window [{lo:g}, {hi:g}] at step {step:g} "
+                             "has no finite point count")
+        return cls(float(lo), float(step), int(round(span)) + 1)
 
     def points(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -120,18 +120,22 @@ class GridFunction:
     """Samples on a uniform grid read back as a piecewise-constant signal.
 
     Cell i covers [start + i*step, start + (i+1)*step); outside the grid the
-    function is zero. Modular integrals of such functions are exact sums.
+    function is zero. Its breakpoints are the cell edges, so quadrature
+    integrates each constant cell to rounding.
     """
 
     grid: UniformGrid
     values: np.ndarray
-    breakpoints: tuple = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.count,):
             raise ValueError("one value per grid point is required")
         object.__setattr__(self, "values", vals)
+
+    @property
+    def breakpoints(self) -> tuple:
+        return tuple((self.grid.start + self.grid.step * np.arange(self.grid.count + 1)).tolist())
 
     def evaluate(self, x):
         arr = np.asarray(x, dtype=float)

@@ -273,6 +273,20 @@ class TestModularInequalityCells:
         assert cell.lhs == pytest.approx(27.603355290766427, abs=1e-11)
         assert cell.holds
 
+    @pytest.mark.parametrize("c", [1.0, 1e3, 3e3, 1e5, 1e6, 1e8, 1e9])
+    def test_large_constant_holds_to_rounding(self, c):
+        # The series reproduces a constant, so lhs = rhs up to rounding; for
+        # large c that rounding exceeds the 1e-8 pad, and the verdict reads
+        # the quadrature's rounding floor instead.
+        cells = [(X.PowerFunction(p), lam) for p in (1, 2, 3) for lam in (0.25, 0.5, 1.0)]
+        tables = A.modular_inequality_cells(
+            specs(K.bspline(2), O.Window(0.0, 1.0, 1.0), [5.0, 7.0, 10.0]),
+            S.builtin_signal("constant", c), cells, (-1.3, 1.7))
+        for table in tables:
+            for cell in table:
+                assert cell.holds is True
+                assert cell.lhs == pytest.approx(cell.rhs, rel=1e-14)
+
     def test_point_mass_is_refused(self):
         with pytest.raises(TypeError):
             A.modular_inequality_cells(specs(K.bspline(2), O.PointMass(), [5.0]),

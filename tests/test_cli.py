@@ -92,6 +92,10 @@ class TestConfigHandling:
         {"orlicz": [{"variant": "power", "p": 2, "alpha": 1}]},
         {"orlicz": [{"variant": "zygmund", "alpha": 1, "beta": 1, "p": 2}]},
         {"orlicz": [{"variant": "exponential", "alpha": 1, "lamda": 2}]},
+        {"orlicz": [{"variant": "mystery", "p": 2}]},
+        # Grids whose point count is not a finite number.
+        {"grid_step": 1e-320},
+        {"window": [-1e308, 1e308]},
         # Unknown root and signal keys, a boolean gauge parameter, and an
         # object where a number belongs.
         {"grid_stp": 0.5},
@@ -276,6 +280,25 @@ class TestReconstruct:
         _, rows = read_csv(tmp_path / "out" / "reconstruct_w5.csv")
         assert all(abs(float(r["reconstruction"]) - 1.0) <= 1e-10 for r in rows)
 
+    def test_large_literal_scales_the_unit_reconstruction(self, tmp_path):
+        # Samples of 1e9 round above quad_tol 1e-10, so their quadrature
+        # must stop at its rounding floor.
+        reconstructions = {}
+        for value in (1.0, 1e9):
+            cfg = tmp_path / "cfg.json"
+            out = tmp_path / f"out{value:g}"
+            write_config(cfg, signal={"piecewise": [[-1, 1, value]]},
+                         psi={"kind": "general", "kernel": {"family": "bspline", "n": 2}},
+                         w_list=[5, 40], window=[-2, 2], grid_step=0.05, orlicz=[])
+            assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+            reconstructions[value] = [
+                np.array([float(r["reconstruction"])
+                          for r in read_csv(out / f"reconstruct_w{w}.csv")[1]])
+                for w in (5, 40)]
+        for unit, large in zip(reconstructions[1.0], reconstructions[1e9]):
+            assert np.allclose(large, 1e9 * unit, rtol=1e-15, atol=0)
+
     def test_box_reconstruction_respects_sup_bound(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, signal="box", phi={"family": "bspline", "n": 2},
@@ -434,6 +457,18 @@ class TestOrliczCommand:
         assert tols == [1e-7] * 3
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert payload["config_echo"]["tolerances"]["modular_tol"] == 1e-7
+
+    def test_large_constant_is_computed(self, tmp_path):
+        # Its modular 2e10 rounds at about 4e-6, above modular_tol 1e-6, so
+        # its quadrature must stop at its rounding floor.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, signal={"name": "constant", "value": 1e5},
+                     phi={"family": "bspline", "n": 2}, w_list=[5], window=[-1, 1])
+        assert main(["orlicz", "--config", str(cfg)]) == 0
+        _, [row] = read_csv(tmp_path / "out" / "orlicz.csv")
+        assert row["holds"] == "true"
+        assert float(row["lhs"]) == pytest.approx(2e10, rel=1e-15)
+        assert float(row["rhs"]) == pytest.approx(2e10, rel=1e-15)
 
     def test_large_exponential_modular_beside_a_power_one_is_computed(self, tmp_path):
         # At 1e-9 this exponential cell's |K-G| estimate stuck at 4.3e-8 with

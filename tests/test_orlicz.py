@@ -37,17 +37,9 @@ def pnorm_oracle(f, p, window):
 
 class TestGaugeFunctions:
     def test_reference_values(self):
-        assert X.phi_eval(X.PowerFunction(2), 3.0) == 9.0
-        assert X.phi_eval(X.ZygmundFunction(1, 1), 0.0) == 0.0
-        assert X.phi_eval(X.ExponentialFunction(1), 1.0) == pytest.approx(
-            math.e - 1.0, rel=1e-15
-        )
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            X.phi_eval(X.PowerFunction(2), -1.0)
-        with pytest.raises(ValueError):
-            X.phi_eval(X.PowerFunction(2), np.array([0.5, -0.5]))
+        assert X.PowerFunction(2)(3.0) == 9.0
+        assert X.ZygmundFunction(1, 1)(0.0) == 0.0
+        assert X.ExponentialFunction(1)(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -122,6 +114,26 @@ class TestModular:
         g = S.GridFunction(grid, values)
         result = X.modular(X.ExponentialFunction(1), g, 1.0, (-1, 2))
         assert result == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_large_constant_is_exact_to_rounding(self, k):
+        # From k = 4 on (a modular of 1e8) its rounding level exceeds the
+        # tolerance, and the quadrature stops at that level.
+        f = S.builtin_signal("constant", 10.0**k)
+        value = X.modular(X.PowerFunction(2), f, 1.0, (0, 1), tol=1e-8)
+        assert value == pytest.approx(10.0 ** (2 * k), rel=1e-15)
+
+    def test_grid_function_matches_its_exact_sum(self):
+        # Each constant cell between the declared edges integrates to
+        # rounding: width times gauge value, summed exactly.
+        grid = S.UniformGrid(-0.5, 1e-3, 1000)
+        values = np.random.default_rng(3).uniform(-2.0, 2.0, grid.count)
+        g = S.GridFunction(grid, values)
+        gauges = [X.PowerFunction(2), X.ZygmundFunction(1, 1), X.ExponentialFunction(1)]
+        results = X.modulars([(eta, 1.0) for eta in gauges], g, (-0.5, 0.5))
+        for eta, value in zip(gauges, results):
+            exact = math.fsum(grid.step * eta(np.abs(values)))
+            assert value == pytest.approx(exact, rel=1e-14)
 
     def test_monotone_in_lambda(self):
         f = S.builtin_signal("runge")
@@ -629,11 +641,10 @@ class TestLuxemburgNorm:
 
 
 def test_factory_round_trip():
-    assert X.orlicz_function("power", p=2).label == "power(2)"
-    assert X.orlicz_function("zygmund", alpha=1, beta=1).label == "zygmund(1,1)"
-    assert X.orlicz_function("exponential", alpha=1).label == "exponential(1)"
-    with pytest.raises(ValueError):
-        X.orlicz_function("mystery")
+    assert X.GAUGES["power"](p=2).label == "power(2)"
+    assert X.GAUGES["zygmund"](alpha=1, beta=1).label == "zygmund(1,1)"
+    assert X.GAUGES["exponential"](alpha=1).label == "exponential(1)"
+    assert "mystery" not in X.GAUGES
 
 
 @pytest.mark.parametrize("variant, params", [
@@ -644,4 +655,4 @@ def test_factory_round_trip():
 ])
 def test_factory_refuses_parameters_its_gauge_does_not_take(variant, params):
     with pytest.raises(TypeError):
-        X.orlicz_function(variant, **params)
+        X.GAUGES[variant](**params)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from durrmeyer import quadrature as Q
@@ -286,3 +288,67 @@ class TestCuts:
         with pytest.raises(ValueError, match="strictly inside"):
             integrate(lambda x: np.abs(x - 0.3), np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                       tol=1e-12, cuts=lambda lo, hi: (np.array(cell), np.array(at)))
+
+
+class TestRoundingFloor:
+    # An interval is done once its error estimate is within the tolerance
+    # or within 50 eps of its own magnitude, whichever is larger.
+    EPS = np.finfo(float).eps
+
+    def test_large_integral_stops_at_its_rounding_level(self):
+        value, err = integrate(lambda x: 1e12 * np.exp(x), 0.0, 4.0, tol=1e-10)
+        exact = 1e12 * math.expm1(4.0)
+        assert value == pytest.approx(exact, rel=4 * self.EPS)
+        assert err <= 50 * self.EPS * value
+
+    def test_unreachable_message_names_the_floor(self):
+        # The integral is 2e20 and its running value near it: the goal is
+        # 50 eps of that, about 2.2e6.
+        singular = lambda x: 1e20 / np.sqrt(np.abs(x))
+        with pytest.raises(QuadratureError, match=r"tolerance 2\.2\d*e\+06 unreachable"):
+            integrate(singular, 0.0, 1.0, tol=1e-13, max_cells=64)
+
+    def test_each_interval_takes_its_own_floor(self):
+        # One integral of order 1e13 and one of 1e15 beside O(1) and small
+        # ones: the large ones stop at their rounding floors, the others
+        # keep the tolerance, and every interval equals its solo call.
+        scale = np.array([1.0, 1e12, 1.0, 1e-3, 1e15])
+        a = np.array([-4.0, -4.0, 0.0, -1.0, -2.0])
+        b = np.array([4.0, 4.0, 0.5, 1.0, 3.0])
+
+        def f(x):
+            return 1.0 / (1.0 + 25.0 * x * x) + np.abs(x - 0.3)
+
+        values, errors = integrate(lambda x, interval: scale[interval][:, None] * f(x),
+                                   a, b, tol=1e-12, per_interval=True)
+        assert np.all(errors <= np.maximum(1e-12, 50 * self.EPS * np.abs(values)))
+        assert errors[1] > 1e-12 and errors[4] > 1e-12
+        for j in range(scale.size):
+            assert integrate(lambda x: scale[j] * f(x), a[j], b[j], tol=1e-12) == (
+                values[j], errors[j])
+        assert values[1] == pytest.approx(1e12 * values[0], rel=100 * self.EPS)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(-6, 12), lo=st.floats(-2.0, 1.0), width=st.floats(0.01, 3.0),
+           shape=st.sampled_from(["smooth", "kink"]), curve=st.floats(0.0, 3.0),
+           slope=st.floats(-2.0, 2.0))
+    def test_scaling_the_integrand_scales_its_integral(self, k, lo, width, shape, curve,
+                                                       slope):
+        # Positive integrands that GK15 resolves to rounding: a smooth one,
+        # and a kink at a breakpoint.
+        hi, c = lo + width, 10.0**k
+        kink = lo + 0.3 * width
+        if shape == "smooth":
+            def f(x):
+                return (1.0 + curve * x * x) * np.exp(slope * x)
+        else:
+            def f(x):
+                return 0.1 + curve * np.abs(x - kink) + slope * slope * x * x
+
+        try:
+            value, _ = integrate(f, lo, hi, tol=1e-10, breakpoints=(kink,))
+        except QuadratureError:
+            return
+        scaled, err = integrate(lambda x: c * f(x), lo, hi, tol=1e-10, breakpoints=(kink,))
+        assert scaled == pytest.approx(c * value, rel=100 * self.EPS)
+        assert err <= max(1e-10, 50 * self.EPS * abs(scaled))

@@ -172,6 +172,12 @@ class TestIndicatorsAndGrids:
         with pytest.raises(ValueError):
             S.UniformGrid(0.0, -0.1, 5)
 
+    @pytest.mark.parametrize("lo, hi, step", [(0, 1, 1e-320), (0, math.inf, 0.1),
+                                              (-1e308, 1e308, 1.0)])
+    def test_uniform_grid_without_a_finite_count_is_refused(self, lo, hi, step):
+        with pytest.raises(ValueError, match="no finite point count"):
+            S.UniformGrid.from_window(lo, hi, step)
+
     def test_grid_function_cells(self):
         grid = S.UniformGrid(0.0, 0.5, 4)
         g = S.GridFunction(grid, [1.0, 2.0, 3.0, 4.0])
@@ -183,6 +189,7 @@ class TestIndicatorsAndGrids:
         assert g.evaluate(-0.1) == 0.0
         with pytest.raises(ValueError):
             S.GridFunction(grid, [1.0, 2.0])
+        assert g.breakpoints == (0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 class TestModulusOfContinuity:
