@@ -12,10 +12,8 @@ from .analysis import (
     BoundConstant,
     ConvergenceReport,
     ConvergenceRow,
-    DegenerateFitError,
     ModularComparison,
     convergence_study,
-    empirical_lipschitz_order,
     quantitative_constant,
     verify_modular_inequality,
     verify_quantitative_bound,
@@ -43,13 +41,9 @@ from .operators import (
     Convolution,
     OperatorSpec,
     PointMass,
-    ReductionKind,
     SeriesEvaluator,
     Window,
-    evaluate,
     evaluate_grid,
-    generalized_sample,
-    reduce_special_case,
 )
 from .orlicz import (
     ExponentialFunction,
@@ -64,7 +58,6 @@ from .orlicz import (
 )
 from .quadrature import QuadratureError, integrate
 from .signals import (
-    GridFunction,
     ModulusEstimate,
     Signal,
     UniformGrid,

@@ -13,8 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import kernels as _k
 from .moments import (
     MomentResult,
@@ -31,10 +29,9 @@ from .operators import (
 )
 from .orlicz import Difference, ModularOverflowError, OrliczFunction, modulars
 from .quadrature import ROUNDING_FLOOR
-from .signals import UNIFORM, Signal, UniformGrid, modulus_of_continuity, sup_error
+from .signals import UNIFORM, Signal, UniformGrid, sup_error
 
 __all__ = [
-    "DegenerateFitError",
     "BoundConstant",
     "BoundCheck",
     "ModularComparison",
@@ -47,12 +44,7 @@ __all__ = [
     "convergence_study",
     "modular_inequality_cells",
     "verify_modular_inequality",
-    "empirical_lipschitz_order",
 ]
-
-
-class DegenerateFitError(ValueError):
-    """The data cannot support an order fit (flat or vanishing errors)."""
 
 
 @dataclass(frozen=True)
@@ -328,20 +320,3 @@ def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
     if result == "overflow":
         raise ModularOverflowError(f"the modular of {eta.label} at lambda={lam:g} overflows")
     return result
-
-
-def empirical_lipschitz_order(f: Signal, deltas: Sequence[float], window,
-                              resolution: int = 32) -> float:
-    """Least-squares slope of log-modulus against log-delta.
-
-    Estimates the Hoelder exponent from grid moduli; flat signals have no
-    fit and raise :class:`DegenerateFitError`.
-    """
-    ds = [float(d) for d in deltas]
-    if len(ds) < 2:
-        raise ValueError("need at least two deltas for a fit")
-    estimates = [modulus_of_continuity(f, d, window, resolution).grid_lower for d in ds]
-    if any(e <= 0.0 for e in estimates):
-        raise DegenerateFitError("modulus estimates vanish; no order to fit")
-    slope = np.polyfit(np.log(ds), np.log(estimates), 1)[0]
-    return float(slope)

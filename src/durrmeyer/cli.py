@@ -374,7 +374,8 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
     if at is not None:
         values = {}
         for w in exp.w_list:
-            values[f"w={w:g}"] = _o.evaluate(exp.spec(w), exp.signal, at)
+            value = _o.SeriesEvaluator(exp.spec(w), exp.signal).on_grid(np.array([at]))[0]
+            values[f"w={w:g}"] = float(value)
         exp.out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(exp.out_dir / "reconstruct.json", {
             "config_echo": exp.echo(),

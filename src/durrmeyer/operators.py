@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -47,13 +46,9 @@ __all__ = [
     "Window",
     "Convolution",
     "SampleFunctional",
-    "ReductionKind",
     "OperatorSpec",
     "SeriesEvaluator",
-    "generalized_sample",
-    "evaluate",
     "evaluate_grid",
-    "reduce_special_case",
     "required_sup_norm",
 ]
 
@@ -124,12 +119,6 @@ class Convolution:
 SampleFunctional = Union[PointMass, Window, Convolution]
 
 
-class ReductionKind(Enum):
-    GENERALIZED = "generalized"
-    KANTOROVICH = "kantorovich"
-    GENERAL_DURRMEYER = "general-durrmeyer"
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """A fully configured operator: kernel, sample functional, scale, and
@@ -170,15 +159,6 @@ class OperatorSpec:
             )
 
 
-def reduce_special_case(spec: OperatorSpec) -> ReductionKind:
-    """Classify the operator family the sample functional reduces to."""
-    if isinstance(spec.psi, PointMass):
-        return ReductionKind.GENERALIZED
-    if isinstance(spec.psi, Window) and (spec.psi.lo, spec.psi.hi, spec.psi.weight) == (0.0, 1.0, 1.0):
-        return ReductionKind.KANTOROVICH
-    return ReductionKind.GENERAL_DURRMEYER
-
-
 def required_sup_norm(spec: OperatorSpec, signal: Signal):
     """The declared sup norm of ``signal`` where ``spec`` truncates a decaying
     phi or psi with it, None where both are compact. A signal that declares
@@ -196,9 +176,9 @@ class SeriesEvaluator:
 
     Samples live in a dense array indexed by ``k - k0`` beside a mask of the
     computed ones; a request computes only the indices its points' stencils
-    touch. The store lives on the instance, so repeated module-level
-    ``evaluate`` calls stay cache-free while a grid pass or a
-    convergence-study cell shares samples across its own points.
+    touch. The store lives on the instance, so a fresh evaluator starts
+    cache-free while a grid pass or a convergence-study cell shares samples
+    across its own points.
     """
 
     def __init__(self, spec: OperatorSpec, signal: Signal):
@@ -476,17 +456,6 @@ class SeriesEvaluator:
 
     def on_grid(self, points: np.ndarray) -> np.ndarray:
         return self._assemble(np.asarray(points, dtype=float).ravel())
-
-
-def generalized_sample(spec: OperatorSpec, f: Signal, k: int) -> float:
-    """The k-th generalized sample: w times the integral of the scaled
-    sample kernel against the signal (a point value for point masses)."""
-    return float(SeriesEvaluator(spec, f)._compute_sample(np.array([int(k)]))[0])
-
-
-def evaluate(spec: OperatorSpec, f: Signal, x: float) -> float:
-    """Operator value at one point (no cross-call sample cache)."""
-    return SeriesEvaluator(spec, f).at(float(x))
 
 
 def evaluate_grid(spec: OperatorSpec, f: Signal, grid: UniformGrid) -> np.ndarray:

@@ -230,9 +230,9 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     gauge and lambda. The line integral is truncated to the window by
     design; mass outside it is the caller's responsibility. ``f`` is
     signal-like: ``evaluate`` plus ``breakpoints`` (a
-    :class:`~durrmeyer.signals.GridFunction` declares its cell edges, so each
-    constant cell integrates to rounding), and optionally ``cuts`` with
-    ``knot_count``, as a :class:`SeriesEvaluator` declares them:
+    :func:`~durrmeyer.signals.piecewise_constant` signal declares its cell
+    edges, so each constant cell integrates to rounding), and optionally
+    ``cuts`` with ``knot_count``, as a :class:`SeriesEvaluator` declares them:
     :func:`integrate` then cuts each picked cell at its knots and zero
     crossings, and each copy's budget grows by its bound on the window's
     knots.

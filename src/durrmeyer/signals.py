@@ -25,7 +25,6 @@ __all__ = [
     "BOUNDED_ONLY",
     "Signal",
     "UniformGrid",
-    "GridFunction",
     "ModulusEstimate",
     "builtin_signal",
     "indicator",
@@ -87,6 +86,11 @@ class Signal:
         )
 
 
+def _check_step(step: float) -> None:
+    if not 0 < step < math.inf:
+        raise ValueError(f"grid step must be finite and positive, got {step!r}")
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Equispaced evaluation grid: start + step * i for i < count."""
@@ -96,13 +100,15 @@ class UniformGrid:
     count: int
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        if not math.isfinite(self.start):
+            raise ValueError("grid start must be finite")
+        _check_step(self.step)
         if self.count < 1:
             raise ValueError("grid needs at least one point")
 
     @classmethod
     def from_window(cls, lo: float, hi: float, step: float) -> "UniformGrid":
+        _check_step(step)
         if hi <= lo:
             raise ValueError("grid window is empty")
         span = (hi - lo) / step
@@ -113,39 +119,6 @@ class UniformGrid:
 
     def points(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples on a uniform grid read back as a piecewise-constant signal.
-
-    Cell i covers [start + i*step, start + (i+1)*step); outside the grid the
-    function is zero. Its breakpoints are the cell edges, so quadrature
-    integrates each constant cell to rounding.
-    """
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.count,):
-            raise ValueError("one value per grid point is required")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def breakpoints(self) -> tuple:
-        return tuple((self.grid.start + self.grid.step * np.arange(self.grid.count + 1)).tolist())
-
-    def evaluate(self, x):
-        arr = np.asarray(x, dtype=float)
-        idx = np.floor((arr - self.grid.start) / self.grid.step).astype(int)
-        inside = (idx >= 0) & (idx < self.grid.count)
-        out = np.where(inside, self.values[np.clip(idx, 0, self.grid.count - 1)], 0.0)
-        return float(out) if arr.ndim == 0 else out
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
 
 def _piecewise(conditions_values):
@@ -309,8 +282,8 @@ def modulus_of_continuity(f: Signal, delta: float, window, resolution: int = 32)
     multiple below delta, so the estimate is a lower bound up to grid
     resolution.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     lo, hi = float(window[0]), float(window[1])

@@ -128,6 +128,14 @@ class TestConvergenceStudy:
                 [10.0, 5.0], (-2, 2), 0.05,
             )
 
+    @pytest.mark.parametrize("grid_step", [0.0, math.inf])
+    def test_grid_step_must_be_finite_and_positive(self, grid_step):
+        with pytest.raises(ValueError, match="grid step must be finite and positive"):
+            A.convergence_study(
+                K.bspline(2), O.PointMass(), S.builtin_signal("runge"),
+                [5.0, 10.0], (-1, 1), grid_step,
+            )
+
     def test_report_serialization(self):
         report = A.convergence_study(
             K.bspline(2), O.PointMass(), S.builtin_signal("runge"),
@@ -291,31 +299,3 @@ class TestModularInequalityCells:
         with pytest.raises(TypeError):
             A.modular_inequality_cells(specs(K.bspline(2), O.PointMass(), [5.0]),
                                        S.builtin_signal("box"), self.CELLS, (-8, 8))
-
-
-class TestEmpiricalOrder:
-    def test_identity_has_order_one(self):
-        alpha = A.empirical_lipschitz_order(
-            S.builtin_signal("identity"), [0.02, 0.04, 0.08, 0.16], (-1, 1)
-        )
-        assert alpha == pytest.approx(1.0, abs=0.02)
-
-    def test_square_root_cusp_has_order_half(self):
-        # omega(delta) = sqrt(delta) on a window containing the cusp.
-        f = S.Signal(
-            name="sqrt-cusp",
-            evaluate=lambda x: np.sqrt(np.abs(x)),
-            continuity=S.UNIFORM,
-        )
-        alpha = A.empirical_lipschitz_order(f, [0.02, 0.04, 0.08, 0.16], (-1, 1))
-        assert alpha == pytest.approx(0.5, abs=0.05)
-
-    def test_constant_is_degenerate(self):
-        with pytest.raises(A.DegenerateFitError):
-            A.empirical_lipschitz_order(
-                S.builtin_signal("constant", 2.0), [0.05, 0.1, 0.2], (-1, 1)
-            )
-
-    def test_needs_two_deltas(self):
-        with pytest.raises(ValueError):
-            A.empirical_lipschitz_order(S.builtin_signal("identity"), [0.1], (-1, 1))

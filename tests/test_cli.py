@@ -317,6 +317,26 @@ class TestReconstruct:
         assert payload["signal"] == pytest.approx(0.8)
         assert set(payload["reconstruction"]) == {"w=5", "w=10"}
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"phi": {"family": "fejer"}, "tolerances": {"series_tol": 1e-4}},
+    ], ids=["bspline3", "fejer"])
+    def test_single_point_equals_the_grid_pass_bitwise(self, tmp_path, overrides):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, window=[-2, 2], orlicz=[], **overrides)
+        assert main(["reconstruct", "--config", str(cfg)]) == 0
+        grid = {w: read_csv(tmp_path / "out" / f"reconstruct_w{w}.csv")[1] for w in (5, 10)}
+        for target in (0.5, -1.37, 0.0):
+            index = min(range(len(grid[5])), key=lambda i: abs(float(grid[5][i]["x"]) - target))
+            x = grid[5][index]["x"]  # printed with %.17g, so it reads back exactly
+            assert main(["reconstruct", "--config", str(cfg), "--at", x]) == 0
+            payload = json.loads((tmp_path / "out" / "reconstruct.json").read_text())
+            assert payload["x"] == float(x)
+            for w in (5, 10):
+                assert grid[w][index]["x"] == x
+                expected = float(grid[w][index]["reconstruction"])
+                assert payload["reconstruction"][f"w={w}"] == expected
+
     def test_single_point_must_be_finite(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)

@@ -13,6 +13,16 @@ from durrmeyer import signals as S
 from durrmeyer.quadrature import integrate
 
 
+def one_sample(spec, f, k):
+    """The k-th sample, computed by a fresh evaluator."""
+    return float(O.SeriesEvaluator(spec, f)._compute_sample(np.array([k]))[0])
+
+
+def value_at(spec, f, x):
+    """The series at one point, summed by a fresh evaluator."""
+    return float(O.SeriesEvaluator(spec, f).on_grid(np.array([x]))[0])
+
+
 def direct_point_sampling_sum(phi, f, w, x, radius=None):
     """Independent lattice sum of f(k/w) phi(w x - k)."""
     wx = w * x
@@ -124,21 +134,6 @@ class TestFunctionals:
         with pytest.warns(UserWarning, match="unit mass"):
             O.Convolution(K.window(0, 1, 2))
 
-    def test_reduction_classification(self):
-        phi = K.bspline(2)
-        assert O.reduce_special_case(
-            O.OperatorSpec(phi, O.PointMass(), 5.0)
-        ) is O.ReductionKind.GENERALIZED
-        assert O.reduce_special_case(
-            O.OperatorSpec(phi, O.Window(0.0, 1.0, 1.0), 5.0)
-        ) is O.ReductionKind.KANTOROVICH
-        assert O.reduce_special_case(
-            O.OperatorSpec(phi, O.Window(-1.0, 1.0, 0.5), 5.0)
-        ) is O.ReductionKind.GENERAL_DURRMEYER
-        assert O.reduce_special_case(
-            O.OperatorSpec(phi, O.Convolution(K.fejer()), 5.0)
-        ) is O.ReductionKind.GENERAL_DURRMEYER
-
 
 class TestSpecValidation:
     def test_scale_and_tolerances(self):
@@ -201,17 +196,17 @@ class TestSpecValidation:
 class TestGeneralizedSamples:
     def test_point_mass_reads_lattice_value(self):
         spec = O.OperatorSpec(K.bspline(2), O.PointMass(), 2.0)
-        assert O.generalized_sample(spec, S.builtin_signal("identity"), 3) == 1.5
+        assert one_sample(spec, S.builtin_signal("identity"), 3) == 1.5
 
     def test_window_mean_of_constant(self):
         spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), 7.0)
         f = S.builtin_signal("constant", 5.0)
-        assert O.generalized_sample(spec, f, 4) == pytest.approx(5.0, abs=1e-12)
+        assert one_sample(spec, f, 4) == pytest.approx(5.0, abs=1e-12)
 
     def test_window_mean_of_identity(self):
         spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), 1.0)
         f = S.builtin_signal("identity")
-        assert O.generalized_sample(spec, f, 0) == pytest.approx(0.5, abs=1e-13)
+        assert one_sample(spec, f, 0) == pytest.approx(0.5, abs=1e-13)
 
     def test_convolution_window_kernel_matches_window_functional(self):
         f = S.builtin_signal("runge")
@@ -223,10 +218,10 @@ class TestGeneralizedSamples:
         # At matched tolerances the window is its kernel, bit for bit.
         spec_matched = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w, quad_tol=1e-12)
         for k in (-3, 0, 2, 7):
-            assert O.generalized_sample(spec_conv, f, k) == pytest.approx(
-                O.generalized_sample(spec_window, f, k), abs=1e-11
+            assert one_sample(spec_conv, f, k) == pytest.approx(
+                one_sample(spec_window, f, k), abs=1e-11
             )
-            assert O.generalized_sample(spec_conv, f, k) == O.generalized_sample(spec_matched, f, k)
+            assert one_sample(spec_conv, f, k) == one_sample(spec_matched, f, k)
 
     @pytest.mark.parametrize("w", [5.0, 80.0])
     def test_hat_convolution_of_runge_matches_closed_form(self, w):
@@ -240,15 +235,14 @@ class TestGeneralizedSamples:
                 math.log1p(c * c) - math.log1p(a * a))
             falling = (1 + k) * (math.atan(b) - math.atan(c)) - (w / 2) * (
                 math.log1p(b * b) - math.log1p(c * c))
-            assert O.generalized_sample(spec, f, k) == pytest.approx(w * (rising + falling),
-                                                                     abs=tol)
+            assert one_sample(spec, f, k) == pytest.approx(w * (rising + falling), abs=tol)
 
     def test_window_splits_at_signal_breakpoints(self):
         f = S.builtin_signal("box")
         spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), 2.0)
         # k=1 covers [0.5, 1.0); k=2 covers [1.0, 1.5) where f drops to 0.
-        assert O.generalized_sample(spec, f, 1) == pytest.approx(1.0, abs=1e-13)
-        assert O.generalized_sample(spec, f, 2) == pytest.approx(0.0, abs=1e-13)
+        assert one_sample(spec, f, 1) == pytest.approx(1.0, abs=1e-13)
+        assert one_sample(spec, f, 2) == pytest.approx(0.0, abs=1e-13)
 
 
 class TestEvaluate:
@@ -259,22 +253,22 @@ class TestEvaluate:
             for psi in (O.PointMass(), O.Window(0.0, 1.0, 1.0), O.Window(-1.0, 1.0, 0.5)):
                 spec = O.OperatorSpec(phi, psi, 5.0)
                 for x in (-2.3, 0.0, 1.7):
-                    assert O.evaluate(spec, f, x) == pytest.approx(c, abs=1e-10)
+                    assert value_at(spec, f, x) == pytest.approx(c, abs=1e-10)
 
     def test_order2_point_sampling_reproduces_identity(self):
         spec = O.OperatorSpec(K.bspline(2), O.PointMass(), 7.0)
         f = S.builtin_signal("identity")
         for x in np.linspace(-3, 3, 25):
-            assert O.evaluate(spec, f, float(x)) == pytest.approx(float(x), abs=1e-12)
+            assert value_at(spec, f, float(x)) == pytest.approx(float(x), abs=1e-12)
 
     def test_order2_unit_window_shifts_identity_by_half_step(self):
         f = S.builtin_signal("identity")
         spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), 4.0)
-        assert O.evaluate(spec, f, 1.0) == pytest.approx(1.125, abs=1e-12)
+        assert value_at(spec, f, 1.0) == pytest.approx(1.125, abs=1e-12)
         for w in (5.0, 10.0):
             spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w)
             for x in (-1.2, 0.0, 2.5):
-                assert O.evaluate(spec, f, x) - x == pytest.approx(1 / (2 * w), abs=1e-10)
+                assert value_at(spec, f, x) - x == pytest.approx(1 / (2 * w), abs=1e-10)
 
     def test_point_mass_matches_direct_sum_to_1e14(self):
         f = S.builtin_signal("runge")
@@ -312,8 +306,8 @@ class TestEvaluate:
         spec = O.OperatorSpec(*spec_args)
         budget = 2 * (spec.series_tol + spec.quad_tol)
         for x in (-1.5, 0.0, 0.3, 2.0):
-            lhs = O.evaluate(spec, combo, x)
-            rhs = a * O.evaluate(spec, f, x) + b * O.evaluate(spec, g, x)
+            lhs = value_at(spec, combo, x)
+            rhs = a * value_at(spec, f, x) + b * value_at(spec, g, x)
             assert lhs == pytest.approx(rhs, abs=budget + 1e-12)
 
     def test_bounded_by_moment_product(self):
@@ -337,7 +331,7 @@ class TestGridEvaluation:
         f = S.builtin_signal("runge")
         spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 5.0)
         grid = S.UniformGrid(0.3, 1.0, 1)
-        assert O.evaluate_grid(spec, f, grid)[0] == O.evaluate(spec, f, 0.3)
+        assert O.evaluate_grid(spec, f, grid)[0] == value_at(spec, f, 0.3)
 
     def test_grid_matches_pointwise_everywhere(self):
         f = S.builtin_signal("runge")
@@ -505,7 +499,7 @@ class TestGridEvaluation:
         known = np.flatnonzero(evaluator._known) + evaluator._k0
         assert known.size > 30
         for k in known[::stride].tolist():
-            assert evaluator.sample(k) == O.generalized_sample(spec, f, k)
+            assert evaluator.sample(k) == one_sample(spec, f, k)
             if isinstance(psi.kernel.support, K.DecayingSupport):
                 assert evaluator.sample(k) == pytest.approx(t_coordinate_sample(spec, f, k),
                                                             rel=0, abs=1e-12)
@@ -746,14 +740,14 @@ class TestDecayingPaths:
     def test_fejer_reconstruction_kernel_reproduces_constants_loosely(self):
         f = S.builtin_signal("constant", 1.0)
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-4)
-        assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=5e-4)
+        assert value_at(spec, f, 0.3) == pytest.approx(1.0, abs=5e-4)
 
     def test_fejer_sample_kernel_reproduces_constants_loosely(self):
         f = S.builtin_signal("constant", 1.0)
         spec = O.OperatorSpec(
             K.bspline(2), O.Convolution(K.fejer()), 5.0, quad_tol=1e-3
         )
-        assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=5e-3)
+        assert value_at(spec, f, 0.3) == pytest.approx(1.0, abs=5e-3)
 
     def test_decaying_convolution_samples_keep_the_kernel_peak(self):
         # Integrated over [-2^20, 2^20] in one piece, GK15 read these
@@ -774,15 +768,15 @@ class TestDecayingPaths:
             # than 1e-8.
             samples[k] = math.fsum(quad(integrand, a, a + 1.0, args=(k,), epsabs=1e-14)[0]
                                    for a in range(-1024, 1024))
-            assert O.generalized_sample(spec, f, k) == pytest.approx(samples[k], abs=tol)
+            assert one_sample(spec, f, k) == pytest.approx(samples[k], abs=tol)
         series = 0.125 * samples[-1] + 0.75 * samples[0] + 0.125 * samples[1]
-        assert O.evaluate(spec, f, 0.0) == pytest.approx(series, abs=tol)
+        assert value_at(spec, f, 0.0) == pytest.approx(series, abs=tol)
 
     def test_missing_sup_norm_is_refused_with_decaying_kernel(self):
         f = S.builtin_signal("identity")
         spec = O.OperatorSpec(K.fejer(), O.PointMass(), 5.0, series_tol=1e-3)
         with pytest.raises(ValueError, match="signal 'identity' declares no sup norm"):
-            O.evaluate(spec, f, 0.0)
+            value_at(spec, f, 0.0)
 
     @pytest.mark.parametrize("phi", [K.fejer(), K.bspline(3)], ids=["fejer-phi", "bspline3-phi"])
     def test_missing_sup_norm_is_refused_for_a_decaying_psi(self, phi):
@@ -799,7 +793,7 @@ class TestDecayingPaths:
             assert O.required_sup_norm(spec, f) is None
             # A linear f is reproduced, shifted by the mean of psi: 1/(2w) for
             # the unit window, 0 for the symmetric ones.
-            assert abs(O.evaluate(spec, f, 0.3) - 0.3) <= 0.125 + 1e-12
+            assert abs(value_at(spec, f, 0.3) - 0.3) <= 0.125 + 1e-12
 
     def test_breakpoints_cover_smearing_zone(self):
         f = S.builtin_signal("box")
@@ -842,10 +836,10 @@ class TestSeriesRowGuard:
         assert width == 8193
         monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", width - 1)
         with pytest.raises(ValueError, match="8,193 shifts; at most 8,192"):
-            O.evaluate(spec, f, 0.3)
+            value_at(spec, f, 0.3)
         assert computed == []
         monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", width)
-        assert O.evaluate(spec, f, 0.3) == pytest.approx(1.0, abs=1e-4)
+        assert value_at(spec, f, 0.3) == pytest.approx(1.0, abs=1e-4)
         assert len(computed) == width - 1
 
     def test_the_widest_envelope_radius_of_a_request(self, monkeypatch):

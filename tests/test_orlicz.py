@@ -24,6 +24,13 @@ GAUGE_CATALOG = [
 ]
 
 
+def grid_cells(grid, values):
+    """Value i on the grid's cell [start + i*step, start + (i+1)*step), zero
+    outside: a piecewise-constant signal whose breakpoints are the edges."""
+    edges = grid.start + grid.step * np.arange(grid.count + 1)
+    return S.piecewise_constant(zip(edges[:-1], edges[1:], values), name="grid-cells")
+
+
 def pnorm_oracle(f, p, window):
     """Independent window-truncated p-norm via piecewise quadrature."""
     cuts = [b for b in f.breakpoints if window[0] < b < window[1]]
@@ -111,7 +118,7 @@ class TestModular:
     def test_grid_function_is_exact(self):
         grid = S.UniformGrid.from_window(-1, 2, 0.25)
         values = [1.0 if 0.0 <= x < 1.0 else 0.0 for x in grid.points()]
-        g = S.GridFunction(grid, values)
+        g = grid_cells(grid, values)
         result = X.modular(X.ExponentialFunction(1), g, 1.0, (-1, 2))
         assert result == pytest.approx(math.e - 1.0, rel=1e-15)
 
@@ -128,7 +135,7 @@ class TestModular:
         # rounding: width times gauge value, summed exactly.
         grid = S.UniformGrid(-0.5, 1e-3, 1000)
         values = np.random.default_rng(3).uniform(-2.0, 2.0, grid.count)
-        g = S.GridFunction(grid, values)
+        g = grid_cells(grid, values)
         gauges = [X.PowerFunction(2), X.ZygmundFunction(1, 1), X.ExponentialFunction(1)]
         results = X.modulars([(eta, 1.0) for eta in gauges], g, (-0.5, 0.5))
         for eta, value in zip(gauges, results):
@@ -155,7 +162,7 @@ class TestModular:
     def test_tolerance_must_be_finite_and_positive(self, tol, grid):
         f = Counting(S.builtin_signal("runge"))
         if grid:
-            f = S.GridFunction(S.UniformGrid(-1.0, 0.5, 5), np.ones(5))
+            f = grid_cells(S.UniformGrid(-1.0, 0.5, 5), np.ones(5))
         with pytest.raises(ValueError, match="tolerance"):
             X.modulars([(X.PowerFunction(2), 1.0)], f, (-1, 1), tol=tol)
         assert grid or f.calls == []
@@ -247,7 +254,7 @@ class TestModulars:
 
     def test_grid_function_cells(self):
         grid = S.UniformGrid.from_window(-1, 2, 0.25)
-        g = S.GridFunction(grid, [1.0 if 0.0 <= x < 1.0 else 0.0 for x in grid.points()])
+        g = grid_cells(grid, [1.0 if 0.0 <= x < 1.0 else 0.0 for x in grid.points()])
         values = X.modulars([(X.ExponentialFunction(1), 1.0), (X.ExponentialFunction(1), 800.0)],
                             g, (-1, 2))
         assert values[0] == pytest.approx(math.e - 1.0, rel=1e-15)
@@ -277,7 +284,7 @@ class TestModulars:
 
     def test_grid_function_infinite_cell_overflows(self):
         grid = S.UniformGrid.from_window(0, 1, 0.25)
-        g = S.GridFunction(grid, np.full(grid.count, 1e200))
+        g = grid_cells(grid, np.full(grid.count, 1e200))
         values = X.modulars([(X.PowerFunction(2), 1.0), (X.PowerFunction(1), 1.0)], g, (0, 1))
         assert values == [None, pytest.approx(1e200, rel=1e-15)]
 
@@ -456,9 +463,11 @@ class TestNotANumber:
             with pytest.raises(X.NormBracketError):
                 X.luxemburg_norm(eta, InfSpike(), (0, 1))
 
-    def test_grid_function_raises(self):
-        grid = S.UniformGrid.from_window(0, 1, 0.25)
-        g = S.GridFunction(grid, [1.0, np.nan, 1.0, 1.0, 1.0])
+    def test_nan_cell_raises(self):
+        # NaN on the grid cell [0.25, 0.5), 1 elsewhere; piecewise_constant
+        # refuses a NaN value, so this is a plain signal with the same edges.
+        g = S.Signal("nan-cell", lambda x: np.where((x >= 0.25) & (x < 0.5), np.nan, 1.0),
+                     breakpoints=(0.0, 0.25, 0.5, 0.75, 1.0, 1.25))
         with pytest.raises(ArithmeticError, match="NaN"):
             X.modulars([(X.PowerFunction(2), 1.0)], g, (0, 1))
 

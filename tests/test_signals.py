@@ -178,18 +178,17 @@ class TestIndicatorsAndGrids:
         with pytest.raises(ValueError, match="no finite point count"):
             S.UniformGrid.from_window(lo, hi, step)
 
-    def test_grid_function_cells(self):
-        grid = S.UniformGrid(0.0, 0.5, 4)
-        g = S.GridFunction(grid, [1.0, 2.0, 3.0, 4.0])
-        assert g.evaluate(0.0) == 1.0
-        assert g.evaluate(0.49) == 1.0
-        assert g.evaluate(0.5) == 2.0
-        assert g.evaluate(1.99) == 4.0
-        assert g.evaluate(2.5) == 0.0
-        assert g.evaluate(-0.1) == 0.0
-        with pytest.raises(ValueError):
-            S.GridFunction(grid, [1.0, 2.0])
-        assert g.breakpoints == (0.0, 0.5, 1.0, 1.5, 2.0)
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+    def test_uniform_grid_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="grid step must be finite and positive"):
+            S.UniformGrid.from_window(-1, 1, step)
+        with pytest.raises(ValueError, match="grid step must be finite and positive"):
+            S.UniformGrid(0.0, step, 5)
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_uniform_grid_start_must_be_finite(self, start):
+        with pytest.raises(ValueError, match="grid start must be finite"):
+            S.UniformGrid(start, 0.1, 5)
 
 
 class TestModulusOfContinuity:
@@ -244,6 +243,11 @@ class TestModulusOfContinuity:
             S.modulus_of_continuity(f, 0.1, (1, -1))
         with pytest.raises(ValueError):
             S.modulus_of_continuity(f, 0.1, (-1, 1), resolution=1)
+
+    @pytest.mark.parametrize("delta", [-0.1, math.inf, math.nan])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            S.modulus_of_continuity(S.builtin_signal("runge"), delta, (-1, 1))
 
 
 class TestSupError:
