@@ -398,7 +398,9 @@ def integral_reach(kernel: Kernel, tol: float, weight_power: float = 0.0,
     the kernel against a function bounded by ``scale``, to ``tol``: a compact
     kernel's support and breakpoints (and 0 for weight_power > 0) with all of
     tol and no tail, or +-``integral_cutoff`` of a decaying kernel, whose tail
-    takes half of tol over ``scale`` and its quadrature the other half."""
+    takes half of tol over ``scale`` and its quadrature the other half. A
+    compact kernel's cuts may include its support's ends, where a cut makes
+    no cell; only those strictly inside (lo, hi) split the integral."""
     support = kernel.support
     if isinstance(support, CompactSupport):
         cuts = [*kernel.breakpoints, *([0.0] if weight_power > 0 else [])]

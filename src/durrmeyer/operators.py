@@ -4,11 +4,13 @@ sample functional.
 The operator at scale w reads a generalized sample w * integral of
 psi(w u - k) f(u) du for each lattice index k (a point value for a point
 mass; a window is its kernel) and recombines the samples with shifted copies
-of the reconstruction kernel. The samples a request is missing share one
-batched quadrature for every psi, each cut at its own breakpoints. Truncation
-of the lattice sum is certified from the kernel's support metadata. For a
-decaying kernel each point x gets its own radius: the first rung r of the
-doubling ladder at which
+of the reconstruction kernel. A compact kernel reads exactly the samples it
+weights, the k with w x - k in its support. The samples a request is missing
+share one batched quadrature per ``_SAMPLE_CHUNK`` of them for every psi,
+each cut at its own breakpoints inside psi's reach: a window's sample starts
+as one uncut cell. Truncation of the lattice sum is certified from the
+kernel's support metadata. For a decaying kernel each point x gets its own
+radius: the first rung r of the doubling ladder at which
 
     psi.mass * lattice_tail_bound(r) / 2 * (E(x + (r+lo)/w) + E((r-hi)/w - x))
 
@@ -54,6 +56,10 @@ __all__ = [
 
 _POU_VALIDATION_PROBES = 128
 _SAMPLE_MAX_CELLS = 40000  # quadrature cells per sample, for every psi
+# Samples per quadrature call, whose cells are held at once: this bounds a
+# fill's memory. No fill of the perfbench workloads (1,803 samples at most)
+# is split.
+_SAMPLE_CHUNK = 2048
 # Most knots one ``SeriesEvaluator.cuts`` call may cut at, over all the cells
 # it is given: each becomes a quadrature cell, of about 130 bytes at peak.
 _MAX_CUTS = 1 << 18
@@ -190,15 +196,16 @@ class SeriesEvaluator:
         self._support = spec.phi.support
         psi = spec.psi
         sup = required_sup_norm(spec, signal)
-        # The reach (lo, hi) of psi in t = w u - k, the cuts c that split
-        # each sample at (k + c)/w and the samples' quadrature tolerance: a
-        # point mass has none of them.
+        # The reach (lo, hi) of psi in t = w u - k, the cuts c strictly
+        # inside it that split each sample at (k + c)/w (a window has none)
+        # and the samples' quadrature tolerance: a point mass has none of them.
         self._psi_ends = (0.0, 0.0)
         if not isinstance(psi, PointMass):
             self._psi_kernel = psi.kernel
             lo, hi, cuts, self._sample_tol, _ = _k.integral_reach(
                 psi.kernel, spec.quad_tol, scale=1.0 if sup is None else sup)
-            self._psi_ends, self._psi_cuts = (lo, hi), np.array(cuts)
+            self._psi_ends = (lo, hi)
+            self._psi_cuts = np.array([c for c in cuts if lo < c < hi])
         self.knots = None
         if isinstance(self._support, _k.DecayingSupport):
             # A computed sample integrates over psi's reach alone, so
@@ -216,7 +223,7 @@ class SeriesEvaluator:
             except ValueError:
                 self._radius = None  # ``_radii`` refuses the points that need more
         else:
-            self._width = int(math.floor(self._support.hi - self._support.lo)) + 3
+            self._width = int(math.floor(self._support.hi - self._support.lo)) + 1
             # The series is smooth between the knots (k + b)/w, b a phase in
             # ``knots`` of a compact phi's breakpoints: the lattice its
             # modular quadrature cuts at.
@@ -312,12 +319,21 @@ class SeriesEvaluator:
     def _compute_sample(self, ks: np.ndarray) -> np.ndarray:
         """The samples at the lattice indices ``ks``, each independent of the
         others: point values for a point mass, and for every other psi one
-        batched quadrature in u over [(k+lo)/w, (k+hi)/w], each sample cut
-        at the signal's breakpoints and at its own (k + c)/w."""
-        spec, f = self.spec, self.signal
-        w = spec.w
-        if isinstance(spec.psi, PointMass):
-            return np.asarray(f.evaluate(ks / w), dtype=float)
+        batched quadrature in u over [(k+lo)/w, (k+hi)/w] per
+        ``_SAMPLE_CHUNK`` samples, each sample cut at the signal's
+        breakpoints and at its own (k + c)/w for the cuts c inside psi's
+        reach."""
+        if isinstance(self.spec.psi, PointMass):
+            return np.asarray(self.signal.evaluate(ks / self.spec.w), dtype=float)
+        values = np.empty(ks.size)
+        for start in range(0, ks.size, _SAMPLE_CHUNK):
+            chunk = slice(start, start + _SAMPLE_CHUNK)
+            values[chunk] = self._integrate_samples(ks[chunk])
+        return values
+
+    def _integrate_samples(self, ks: np.ndarray) -> np.ndarray:
+        """One batched quadrature of the samples at ``ks``, for a psi with a kernel."""
+        f, w = self.signal, self.spec.w
         kernel, (lo, hi) = self._psi_kernel, self._psi_ends
 
         def weighted(u, interval):
@@ -358,13 +374,25 @@ class SeriesEvaluator:
     def _stencils(self, points: np.ndarray) -> tuple:
         """First and last lattice index of each point's stencil, and the
         points grouped by the length of their rows in ``_assemble``: a list
-        of (width, index) pairs. A stencil holds width or width - 1
-        indices: floor(hi - lo) + 3 or one fewer for a compact phi on
-        [lo, hi], and 2r + 1 (w x an integer) or 2r for a decaying one."""
+        of (width, index) pairs. A compact phi on [lo, hi] reads exactly
+        the k with lo <= w x - k <= hi, compared as ``Kernel.shifted``
+        rounds w x - k, so no term it weights is lost: floor(hi - lo) + 1
+        indices or one fewer. A phi narrower than 1 thus reads none at some
+        points, whose first index is then one past the last. A decaying phi
+        reads 2r + 1 (w x an integer) or 2r. A stencil holds width or
+        width - 1 indices."""
         wx = self.spec.w * points
         if isinstance(self._support, _k.CompactSupport):
-            lo = np.ceil(wx - self._support.hi) - 1
-            hi = np.floor(wx - self._support.lo) + 1
+            # Each end's rounded estimate moves by one where it lies off the
+            # support, or where its outer neighbour still lies on it, judged
+            # by the w x - k that ``Kernel.shifted`` evaluates.
+            s_lo, s_hi = self._support.lo, self._support.hi
+            lo = np.ceil(wx - s_hi)
+            lo += wx - lo > s_hi
+            lo -= wx - (lo - 1) <= s_hi
+            hi = np.floor(wx - s_lo)
+            hi -= wx - hi < s_lo
+            hi += wx - (hi + 1) >= s_lo
             groups = [(self._width, slice(None))]
         else:
             radii = self._radii(points)
@@ -398,7 +426,9 @@ class SeriesEvaluator:
     def _fill(self, lo: np.ndarray, hi: np.ndarray):
         """Compute, in one batch, each sample not yet known in the union of
         the index intervals [lo, hi]."""
-        first, last = int(lo.min()), int(hi.max())
+        # An empty stencil (hi = lo - 1, for a phi narrower than 1) reads
+        # the sample at its hi in ``_assemble``, so the store covers it.
+        first, last = int(min(lo.min(), hi.min())), int(hi.max())
         self._grow(first, last)
         # Difference array: +1 where an interval opens, -1 just past its end.
         n = last - first + 2

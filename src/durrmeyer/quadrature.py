@@ -116,11 +116,14 @@ def _initial_cells(a, b, breakpoints):
     cut at the distinct breakpoints strictly inside it, taken from the one
     row shared by all intervals or from the interval's own row. Returns the
     intervals' indices and, per cell in order, its interval's position
-    among them and its edges."""
+    among them and its edges. Without breakpoints each interval is its one
+    first cell, and nothing is sorted."""
     cuts = np.asarray(breakpoints, dtype=float)
     if cuts.ndim == 2 and cuts.shape[0] != a.size:
         raise ValueError(f"{cuts.shape[0]} breakpoint rows for {a.size} intervals")
     ids = np.flatnonzero(a != b)
+    if not cuts.size:
+        return ids, np.arange(ids.size), a[ids], b[ids]
     a, b = a[ids, None], b[ids, None]
     if cuts.ndim == 2:
         cuts = cuts[ids]

@@ -64,3 +64,24 @@ def test_fejer_residual_at_the_check_radius_peaks_below_one_mib():
         K.partition_of_unity_residual(K.fejer(), probes, 10_000)))
     assert 0.0 < result[-1] < 1e-4
     assert peak < _MIB
+
+
+def test_a_chunked_sample_fill_peaks_below_one_mib(monkeypatch):
+    # 243 samples of a Fejer psi: one quadrature call holds all their
+    # cells at once, about 3.7 MiB traced, and 16-sample chunks about
+    # 0.4 MiB. A sample does not depend on its batch, so the chunks move
+    # no bit.
+    spec = O.OperatorSpec(K.bspline(3), O.Convolution(K.fejer()), 40.0, quad_tol=1e-4)
+    points = S.UniformGrid.from_window(-3, 3, 0.01).points()
+    fills = {}
+    for chunk in (O._SAMPLE_CHUNK, 16):
+        monkeypatch.setattr(O, "_SAMPLE_CHUNK", chunk)
+        evaluators = [O.SeriesEvaluator(spec, S.builtin_signal("runge")) for _ in range(2)]
+        filled = evaluators[0]  # the one the traced call fills
+        peak = traced_peak(lambda: evaluators.pop().prefill(points))
+        fills[chunk] = peak, filled._values[filled._known]
+    (whole, samples), (chunked, chunked_samples) = fills.values()
+    assert samples.size == 243
+    assert chunked_samples.tobytes() == samples.tobytes()
+    assert whole > 2 * _MIB
+    assert chunked < _MIB

@@ -364,7 +364,7 @@ class TestGridEvaluation:
         union = set()
         for x in grid.points():
             wx = w * float(x)
-            union.update(range(math.ceil(wx - 1.5) - 1, math.floor(wx + 1.5) + 2))
+            union.update(range(math.ceil(wx - 1.5), math.floor(wx + 1.5) + 1))
         # The stencils are sparse in their index range, so computing the
         # whole range would be seen.
         assert len(union) < 0.2 * (max(union) - min(union))
@@ -480,6 +480,48 @@ class TestGridEvaluation:
             assert np.all((lengths[group] == width) | (lengths[group] == width - 1))
         assert {width - 1 for width, _ in groups} <= set(lengths.tolist())
 
+    @pytest.mark.parametrize("phi", [
+        *[K.bspline(n) for n in range(1, 7)], K.window(0, 1, 1), K.window(-0.25, 0.5, 2),
+    ], ids=lambda phi: phi.name)
+    @pytest.mark.parametrize("w", [5.0, 5120.0])
+    def test_exact_compact_stencils_lose_no_term(self, phi, w):
+        # The reference sums each point's terms over a stencil padded by
+        # one index on each side, as rows of floor(hi - lo) + 3 were once
+        # summed. Every padded index outside the exact stencil weighs 0.
+        # Rows under 8 wide are summed in order, so dropping a zero term
+        # moves no bit; bspline5 and bspline6 had 8- and 9-wide padded
+        # rows, which numpy sums pairwise, so they get 4 ulp.
+        f = S.builtin_signal("runge")
+        # window(-0.25, 0.5, 2) covers 3/4 of each period: its shifts sum to 2 or 0.
+        spec = O.OperatorSpec(phi, O.Window(0.0, 1.0, 1.0), w, pou_threshold=1.0)
+        lo, hi = phi.support.lo, phi.support.hi
+        # Lattice and knot positions w x near -3, 0, 13 and +-1e6, and one
+        # ulp to each side of them.
+        phases = sorted({0.0, *phi.breakpoints})
+        positions = [m + b for m in (-1_000_000, -3, 0, 13, 999_999) for b in phases]
+        points = np.array(positions) / w
+        points = np.concatenate([points, np.nextafter(points, np.inf),
+                                 np.nextafter(points, -np.inf)])
+        values = O.SeriesEvaluator(spec, f).on_grid(points)
+        first, last, _ = O.SeriesEvaluator(spec, f)._stencils(points)
+        padded_width = math.floor(hi - lo) + 3
+        eps = np.finfo(float).eps
+        for x, a, b, value in zip(points, first, last, values):
+            wx = w * float(x)
+            ks = np.arange(math.ceil(wx - hi) - 1, math.floor(wx - lo) + 2)
+            weights = phi.shifted(np.array([wx]), ks)[0]
+            exact = (a <= ks) & (ks <= b)
+            assert np.all(weights[~exact] == 0.0), x
+            t = wx - ks
+            assert np.array_equal(exact, (lo <= t) & (t <= hi)), x
+            reference = np.sum(weights * O.SeriesEvaluator(spec, f)._compute_sample(ks))
+            if padded_width < 8:
+                assert value == reference, x
+            else:
+                assert abs(value - reference) <= 4 * eps * abs(reference), x
+            # Alone, a point whose stencil is empty still reads a stored index.
+            assert value_at(spec, f, float(x)) == value, x
+
     @pytest.mark.parametrize("phi, psi, tol, quad_tol, signal, stride", [
         (K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e-9, 1e-10, "piecewise_rational", 1),
         (K.bspline(2), O.Window(-0.5, 0.25, 2.0), 1e-9, 1e-10, "box", 1),
@@ -521,8 +563,8 @@ class TestGridEvaluation:
         spec = O.OperatorSpec(K.bspline(3), psi, 5.0, quad_tol=quad_tol)
         evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
         evaluator.prefill(np.linspace(-1.0, 1.0, 11))
-        assert np.count_nonzero(evaluator._known) == 15
-        assert calls == ([] if isinstance(psi, O.PointMass) else [15])
+        assert np.count_nonzero(evaluator._known) == 13
+        assert calls == ([] if isinstance(psi, O.PointMass) else [13])
 
     def test_long_fejer_stencil_evaluate_equals_per_node_at_bitwise(self):
         # sup_norm 50 at series_tol 1e-4 gives a radius of 262,144: without
