@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -38,12 +39,11 @@ from .quadrature import QuadratureError
 
 __all__ = ["ConfigError", "main"]
 
-_DEFAULT_TOLERANCES = {
-    "series_tol": 1e-9,
-    "quad_tol": 1e-10,
-    "modular_tol": 1e-6,
-    "pou_threshold": 1e-3,
-}
+# The operator's tolerances are the fields that OperatorSpec gives a default;
+# modular_tol is the modular quadratures' own.
+_SPEC_TOLERANCES = {field.name: field.default for field in dataclasses.fields(_o.OperatorSpec)
+                    if field.default is not dataclasses.MISSING}
+_DEFAULT_TOLERANCES = {**_SPEC_TOLERANCES, "modular_tol": 1e-6}
 
 # Kernel-check probe policy: compact kernels get the dense probe set, decaying
 # kernels a coarser one with a 10^4 lattice radius.
@@ -160,8 +160,6 @@ def _resolve_signal(desc) -> _s.Signal:
         if "piecewise" in desc:
             return _s.piecewise_constant([[_finite(cell, "each piecewise cell") for cell in row]
                                           for row in desc["piecewise"]])
-        if "value" in desc and desc["name"] != "constant":
-            raise ConfigError(f"only the constant signal takes a value, not {desc['name']!r}")
         value = _finite(desc["value"], "value") if "value" in desc else None
         return _s.builtin_signal(desc["name"], value)
     except (TypeError, ValueError) as exc:
@@ -209,32 +207,26 @@ class Experiment:
         if not isinstance(window, list) or len(window) != 2:
             raise ConfigError("window must be [lo, hi] with lo < hi")
         self.window = (_finite(window[0], "window[0]"), _finite(window[1], "window[1]"))
-        if self.window[1] <= self.window[0]:
-            raise ConfigError("window must be [lo, hi] with lo < hi")
         self.grid_step = _finite(raw.get("grid_step", 0.01), "grid_step")
-        if self.grid_step <= 0:
-            raise ConfigError("grid_step must be positive")
-        # The grid's point count is checked before any command allocates it.
+        # The grid refuses an empty window and a step that is not positive;
+        # its point count is checked before any command allocates it.
         try:
-            self._grid = _s.UniformGrid.from_window(self.window[0], self.window[1],
-                                                    self.grid_step)
+            self.grid = _s.UniformGrid.from_window(self.window[0], self.window[1], self.grid_step)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self._grid.count > _MAX_GRID_POINTS:
+        if self.grid.count > _MAX_GRID_POINTS:
             raise ConfigError(
                 f"window {list(self.window)} at grid_step {self.grid_step:g} asks for "
-                f"{self._grid.count:,} grid points; at most {_MAX_GRID_POINTS:,} are allowed")
+                f"{self.grid.count:,} grid points; at most {_MAX_GRID_POINTS:,} are allowed")
         self.orlicz = _resolve_orlicz(raw.get("orlicz", []))
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):
             raise ConfigError("tolerances must be an object")
         _refuse_unknown(given, set(_DEFAULT_TOLERANCES), "tolerances")
-        tolerances = dict(_DEFAULT_TOLERANCES)
         for key, val in given.items():
             if _finite(val, f"tolerances.{key}") <= 0:
                 raise ConfigError(f"tolerances.{key} must be positive")
-            tolerances[key] = val
-        self.tolerances = tolerances
+        self.tolerances = {**_DEFAULT_TOLERANCES, **given}
         output = raw.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError(f"output must be an object, got {output!r}")
@@ -248,19 +240,12 @@ class Experiment:
         # w and the tolerances are checked above: only phi can fail the spec,
         # and a decaying kernel a signal that declares no sup norm.
         try:
-            spec = _o.OperatorSpec(
-                self.phi, self.psi, w,
-                series_tol=self.tolerances["series_tol"],
-                quad_tol=self.tolerances["quad_tol"],
-                pou_threshold=self.tolerances["pou_threshold"],
-            )
+            spec = _o.OperatorSpec(self.phi, self.psi, w,
+                                   **{key: self.tolerances[key] for key in _SPEC_TOLERANCES})
             _o.required_sup_norm(spec, self.signal)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return spec
-
-    def grid(self) -> _s.UniformGrid:
-        return self._grid
 
     def echo(self) -> dict:
         return {
@@ -305,24 +290,20 @@ def _load_experiment(args) -> Experiment:
     return exp
 
 
-def _check_kernels(exp: Experiment):
-    kernels = [("phi", exp.phi)]
-    if isinstance(exp.psi, (_o.Window, _o.Convolution)):
-        kernels.append(("psi", exp.psi.kernel))
-    return kernels
-
-
-def _moment_cells(result_or_error):
-    if isinstance(result_or_error, str):
-        return result_or_error, ""
-    return result_or_error.value, result_or_error.certified_error
-
-
 def cmd_kernel_check(exp: Experiment) -> int:
+    kernels = [("phi", exp.phi)]
+    if not isinstance(exp.psi, _o.PointMass):
+        kernels.append(("psi", exp.psi.kernel))
+    # (moment, order, tolerance) of the columns M0, M1, Mt0, Mt1 and mt1.
+    moment_tol = exp.tolerances["quad_tol"]
+    moments = [(discrete_absolute_moment, 0, moment_tol),
+               (discrete_absolute_moment, 1, moment_tol),
+               (continuous_absolute_moment, 0, 1e-9),
+               (continuous_absolute_moment, 1, 1e-9),
+               (continuous_algebraic_moment, 1, 1e-9)]
     rows = []
     divergent = False
-    moment_tol = exp.tolerances["quad_tol"]
-    for role, kernel in _check_kernels(exp):
+    for role, kernel in kernels:
         if isinstance(kernel.support, _k.CompactSupport):
             probes = np.arange(_CHECK_COMPACT_PROBES) / _CHECK_COMPACT_PROBES
             radius = _k.compact_lattice_radius(kernel.support)
@@ -339,23 +320,14 @@ def cmd_kernel_check(exp: Experiment) -> int:
         else:
             poisson = ""
 
-        cells = {}
-        for label, compute in (
-            ("M0", lambda: discrete_absolute_moment(kernel, 0, tol=moment_tol)),
-            ("M1", lambda: discrete_absolute_moment(kernel, 1, tol=moment_tol)),
-            ("Mt0", lambda: continuous_absolute_moment(kernel, 0, tol=1e-9)),
-            ("Mt1", lambda: continuous_absolute_moment(kernel, 1, tol=1e-9)),
-            ("mt1", lambda: continuous_algebraic_moment(kernel, 1, tol=1e-9)),
-        ):
-            try:
-                cells[label] = compute()
-            except DivergentMomentError:
-                cells[label] = "divergent"
-                divergent = True
-
         row = [kernel.name, role, residual, radius, poisson]
-        for label in ("M0", "M1", "Mt0", "Mt1", "mt1"):
-            row.extend(_moment_cells(cells[label]))
+        for moment, order, tol in moments:
+            try:
+                result = moment(kernel, order, tol=tol)
+                row += [result.value, result.certified_error]
+            except DivergentMomentError:
+                row += ["divergent", ""]
+                divergent = True
         rows.append(row)
 
     header = ["kernel", "role", "pou_residual", "pou_radius", "poisson_deviation",
@@ -385,13 +357,12 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
         })
         return 0
 
-    grid = exp.grid()
-    points = grid.points()
+    points = exp.grid.points()
     exact = np.asarray(exp.signal.evaluate(points), dtype=float)
     files = []
     for w in exp.w_list:
         # Every scale's spec refuses what the first one refuses, before any output.
-        recon = _o.evaluate_grid(exp.spec(w), exp.signal, grid)
+        recon = _o.evaluate_grid(exp.spec(w), exp.signal, exp.grid)
         exp.out_dir.mkdir(parents=True, exist_ok=True)
         name = f"reconstruct_w{w:g}.csv"
         _write_csv(exp.out_dir / name, ["x", "signal", "reconstruction"],
@@ -436,11 +407,7 @@ def cmd_converge(exp: Experiment) -> int:
     _write_json(exp.out_dir / "converge.json", {
         "config_echo": exp.echo(),
         "reports": [report.to_dict() for report in reports],
-        "quantitative_bound": [
-            {"w": c.w, "sup_error": c.sup_error, "bound": c.bound,
-             "margin": c.margin, "holds": c.holds}
-            for c in checks
-        ],
+        "quantitative_bound": [dataclasses.asdict(check) for check in checks],
     })
     return 0
 
@@ -506,18 +473,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Built per call, so a command rebound here (by a profiler's wrapper) is
+    # the one run.
+    commands = {
+        "kernel-check": cmd_kernel_check,
+        "reconstruct": lambda exp: cmd_reconstruct(
+            exp, None if args.at is None else _finite(args.at, "--at")),
+        "converge": cmd_converge,
+        "orlicz": cmd_orlicz,
+    }
     try:
-        exp = _load_experiment(args)
-        if args.command == "kernel-check":
-            return cmd_kernel_check(exp)
-        if args.command == "reconstruct":
-            at = None if args.at is None else _finite(args.at, "--at")
-            return cmd_reconstruct(exp, at)
-        if args.command == "converge":
-            return cmd_converge(exp)
-        if args.command == "orlicz":
-            return cmd_orlicz(exp)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](_load_experiment(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

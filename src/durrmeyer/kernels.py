@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -95,18 +95,22 @@ class Kernel:
 
     ``rows``, where given, computes :meth:`shifted` for the kernel in place
     of ``evaluate`` on the differences.
+
+    Two kernels are equal when their name and metadata are: the callables
+    are not compared, so ``bspline(3) == bspline(3)`` though each call makes
+    new ones.
     """
 
     name: str
-    evaluate: Callable
+    evaluate: Callable = field(compare=False)
     support: SupportDescriptor
     l1_norm: float
     nonnegative: bool = False
     symmetric: bool = False
     partition_of_unity: bool = False
     breakpoints: tuple = ()
-    fourier: Optional[Callable] = None
-    rows: Optional[Callable] = None
+    fourier: Optional[Callable] = field(default=None, compare=False)
+    rows: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.l1_norm > 0:

@@ -63,6 +63,9 @@ _SAMPLE_CHUNK = 2048
 # Most knots one ``SeriesEvaluator.cuts`` call may cut at, over all the cells
 # it is given: each becomes a quadrature cell, of about 130 bytes at peak.
 _MAX_CUTS = 1 << 18
+# Most lattice indices the sample store may span: the store and a fill's
+# difference array take about 23 bytes per index, so about 100 MB.
+_MAX_SPAN = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,8 @@ class SeriesEvaluator:
     computed ones; a request computes only the indices its points' stencils
     touch. The store lives on the instance, so a fresh evaluator starts
     cache-free while a grid pass or a convergence-study cell shares samples
-    across its own points.
+    across its own points. Its memory follows the span of indices it covers,
+    which is capped at ``_MAX_SPAN``.
     """
 
     def __init__(self, spec: OperatorSpec, signal: Signal):
@@ -408,7 +412,9 @@ class SeriesEvaluator:
         return np.arange(lo[0], hi[0] + 1)
 
     def _grow(self, first: int, last: int):
-        """Extend the store to cover the indices first..last."""
+        """Extend the store to cover the indices first..last. Raises
+        ``ValueError``, before allocating, when the grown store would span
+        more than ``_MAX_SPAN`` indices."""
         k0, size = self._k0, self._values.size
         if size:
             if k0 <= first and last < k0 + size:
@@ -417,8 +423,12 @@ class SeriesEvaluator:
             # copies the store only a logarithmic number of times.
             first = min(first, k0 - size) if first < k0 else k0
             last = max(last, k0 + 2 * size - 1) if last >= k0 + size else k0 + size - 1
-        values = np.full(last - first + 1, np.nan)
-        known = np.zeros(last - first + 1, dtype=bool)
+        span = last - first + 1
+        if span > _MAX_SPAN:
+            raise ValueError(f"the sample store would span {span:,} lattice indices; "
+                             f"at most {_MAX_SPAN:,} are allowed")
+        values = np.full(span, np.nan)
+        known = np.zeros(span, dtype=bool)
         values[k0 - first:k0 - first + size] = self._values
         known[k0 - first:k0 - first + size] = self._known
         self._k0, self._values, self._known = first, values, known

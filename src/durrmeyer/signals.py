@@ -153,7 +153,11 @@ def builtin_signal(which: str, value: Optional[float] = None) -> Signal:
     ``piecewise_rational``: rational tails around two interior steps.
     ``constant``: requires ``value``.
     ``identity``: x itself (unbounded, Lipschitz 1).
+
+    A ``value`` beside any other signal is refused, not ignored.
     """
+    if value is not None and which != "constant":
+        raise ValueError(f"only the constant signal takes a value, not {which!r}")
     if which == "runge":
         def evaluate(x):
             arr = np.asarray(x, dtype=float)

@@ -187,6 +187,26 @@ class TestSpecLists:
             with pytest.raises(ValueError, match="differ only in the scale"):
                 A.modular_inequality_cells(spec_list, f, [(X.PowerFunction(1), 1.0)], (-2, 2))
 
+    def test_a_kernel_built_once_per_scale_is_the_same_kernel(self):
+        # Each factory call makes new callables; kernels compare by name and
+        # metadata, so such specs still differ only in w.
+        f, cells = S.builtin_signal("runge"), [(X.PowerFunction(1), 1.0)]
+        assert K.bspline(3) == K.bspline(3) and K.fejer() == K.fejer()
+        assert K.bspline(3) != K.bspline(2)
+        window = O.Window(0.0, 1.0, 1.0)
+        rebuilt = [O.OperatorSpec(K.bspline(3), window, w) for w in (5.0, 10.0)]
+        [report] = A.convergence_studies(rebuilt, f, (-1, 1), 0.1, [(1.0, [])])
+        assert [row.w for row in report.rows] == [5.0, 10.0]
+        convolutions = [O.OperatorSpec(K.bspline(3), O.Convolution(K.window(0, 1)), w)
+                        for w in (5.0, 10.0)]
+        assert len(A.modular_inequality_cells(convolutions, f, cells, (-1, 1))) == 2
+        mixed = [O.OperatorSpec(K.bspline(3), window, 5.0),
+                 O.OperatorSpec(K.bspline(2), window, 10.0)]
+        with pytest.raises(ValueError, match="differ only in the scale"):
+            A.convergence_studies(mixed, f, (-1, 1), 0.1, [(1.0, [])])
+        with pytest.raises(ValueError, match="differ only in the scale"):
+            A.modular_inequality_cells(mixed, f, cells, (-1, 1))
+
     def test_an_empty_spec_list_is_refused(self):
         f = S.builtin_signal("runge")
         with pytest.raises(ValueError):

@@ -67,6 +67,8 @@ class TestConfigHandling:
         {"window": [0, math.inf]},
         {"tolerances": {"series_tol": True}},
         {"tolerances": {"series_tolerance": 1e-6}},
+        {"tolerances": {"series_tol": 0}},
+        {"tolerances": {"modular_tol": -1}},
         {"phi": {"family": "bspline", "n": 2.7}},
         {"psi": {"kind": "window", "lo": 0, "hi": math.inf}},
         {"psi": {"kind": "window", "lo": -math.inf, "hi": 1}},
@@ -175,6 +177,20 @@ class TestConfigHandling:
         write_config(cfg)
         assert main(["converge", "--config", str(cfg), "--window", "oops"]) == 2
 
+    @pytest.mark.parametrize("command, overrides, flags", [
+        ("converge", {}, ["--w", "5,x"]),
+        ("converge", {}, ["--window=a,b"]),
+        ("orlicz", {"orlicz": []}, []),
+    ], ids=["w-flag", "window-flag", "no-gauges"])
+    def test_each_refusal_exits_2_and_writes_nothing(self, tmp_path, capsys, command,
+                                                     overrides, flags):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "flag"
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["kernel-check", "reconstruct", "converge", "orlicz"])
     def test_oversized_grid_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                     command):
@@ -230,6 +246,25 @@ class TestConfigHandling:
         monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", 8_193)
         assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(read_csv(out / "reconstruct_w5.csv")[1]) == 5
+
+    def test_a_sample_store_beyond_the_cap_exits_4_before_any_output(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # At w = 1000 the 13 points of [-3, 3] read samples over about 6,000
+        # lattice indices, here beyond a lowered cap.
+        computed = []
+        monkeypatch.setattr(O.SeriesEvaluator, "_compute_sample",
+                            lambda evaluator, ks: computed.append(ks) or np.ones(ks.size))
+        monkeypatch.setattr(O, "_MAX_SPAN", 1_000)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, w_list=[1000], grid_step=0.5)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "evaluation failed" in err and "lattice indices; at most 1,000" in err
+        assert not out.exists() and computed == []
+        monkeypatch.setattr(O, "_MAX_SPAN", 10_000)
+        assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_csv(out / "reconstruct_w1000.csv")[1]) == 13
 
     def test_grid_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 13)

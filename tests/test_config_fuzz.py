@@ -1,7 +1,12 @@
-"""Property test of configuration resolution: every descriptor, however
+"""Property tests of the command surface: every descriptor, however
 malformed, either resolves into an :class:`~durrmeyer.cli.Experiment` or is
 refused with :class:`~durrmeyer.cli.ConfigError` (exit 2), never with any
-other exception."""
+other exception; and every command on a tiny configuration exits 0, 2, 3 or
+4, with no exception escaping ``main``."""
+
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,3 +83,85 @@ def test_every_config_resolves_or_is_a_config_error():
 
     resolves_or_refuses()
     assert outcomes == {"resolved", "refused"}
+
+
+# Tiny configurations for the four commands: grids of at most 20 points,
+# scales up to 40, and a decaying psi only beside a compact phi and at
+# quad_tol and series_tol 1e-3, so that an example takes milliseconds. Most
+# parts are valid; a few lie just past a boundary (order 0, an empty window,
+# a p or alpha below 1). Each choice lists its valid values first, which
+# hypothesis draws most often.
+kernels = st.one_of(
+    st.builds(lambda n: {"family": "bspline", "n": n}, st.sampled_from([3, 1, 2, 4, 0])),
+    st.just({"family": "fejer"}),
+    st.sampled_from([(-0.5, 1, 1), (0, 1, 1), (-1, 2, 0.5), (0, 0.5, 2), (0, 0, 1)]).map(
+        lambda w: {"family": "window", "lo": w[0], "hi": w[0] + w[1], "weight": w[2]}),
+)
+psis = st.one_of(
+    st.builds(lambda lo, width: {"kind": "window", "lo": lo, "hi": lo + width},
+              st.sampled_from([-0.5, 0]), st.sampled_from([1, 0.5, 0])),
+    kernels.map(lambda kernel: {"kind": "general", "kernel": kernel}),
+    st.just({"kind": "pointmass"}),
+)
+gauges = st.one_of(
+    st.builds(lambda p: {"variant": "power", "p": p}, st.sampled_from([2, 1, 3, 0.5])),
+    st.just({"variant": "zygmund", "alpha": 1, "beta": 1}),
+    st.builds(lambda a: {"variant": "exponential", "alpha": a}, st.sampled_from([1, 2, 0.1])),
+).flatmap(lambda gauge: st.sampled_from([0.5, 1, 2]).map(lambda lam: {**gauge, "lambda": lam}))
+
+
+def decays(kernel):
+    return kernel.get("family") == "fejer"
+
+
+@st.composite
+def command_configs(draw):
+    phi = draw(kernels)
+    psi = draw(psis.filter(lambda psi: not (decays(phi) and decays(psi.get("kernel", {})))))
+    decaying = decays(psi.get("kernel", {}))
+    lo = draw(st.sampled_from([-3.0, -1.0, -0.25, 0.5]))
+    width = draw(st.sampled_from([2.0, 1.0, 0.5, 0.0]))
+    config = {
+        "phi": phi,
+        "psi": psi,
+        "signal": draw(st.one_of(
+            st.sampled_from(["runge", "box", "piecewise_rational", "identity"]),
+            st.builds(lambda v: {"name": "constant", "value": v}, st.sampled_from([0, 1, -3])))),
+        "w_list": sorted(draw(st.sets(st.sampled_from([0.5, 1, 2.5, 5, 10, 40]),
+                                      min_size=1, max_size=3))),
+        "window": [lo, lo + width],
+        "grid_step": max(width, 1.0) / draw(st.integers(1, 19)),
+        "orlicz": draw(st.lists(gauges, min_size=1, max_size=2) | st.just([])),
+        "tolerances": {
+            "series_tol": draw(st.sampled_from([1e-3] if decaying else [1e-3, 1e-4])),
+            "quad_tol": draw(st.sampled_from([1e-3] if decaying else [1e-3, 1e-6, 1e-9])),
+            "modular_tol": draw(st.sampled_from([1e-3, 1e-6])),
+        },
+    }
+    command = draw(st.sampled_from(["orlicz", "converge", "reconstruct", "kernel-check"]))
+    flags = []
+    if command == "reconstruct" and draw(st.booleans()):
+        flags = ["--at", repr(draw(st.sampled_from([-0.3, 0.0, 1.0])))]
+    return command, config, flags
+
+
+def test_every_command_exits_with_a_documented_code():
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(command_configs())
+    def exits_with_a_code(case):
+        command, config, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            code = cli.main([command, "--config", str(path), *flags,
+                             "--out", str(Path(tmp) / "out")])
+        assert code in {0, 2, 3, 4}
+        outcomes.add((command, code))
+
+    exits_with_a_code()
+    # Each command ran to the end at least once, and a refusal was seen.
+    assert {command for command, code in outcomes if code == 0} == {
+        "kernel-check", "reconstruct", "converge", "orlicz"}
+    assert 2 in {code for _, code in outcomes}

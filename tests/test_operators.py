@@ -902,3 +902,43 @@ class TestSeriesRowGuard:
         assert computed
         monkeypatch.setattr(K, "_MAX_ROW_SHIFTS", widest)
         assert O.SeriesEvaluator(spec, f).evaluate(points).shape == points.shape
+
+
+class TestSampleStoreGuard:
+    """The span of the sample store is checked against ``_MAX_SPAN`` before
+    it grows; the cap is lowered, so no oversized store is ever built."""
+
+    def test_a_request_beyond_the_cap_computes_nothing(self, monkeypatch):
+        computed = TestSeriesRowGuard.computed(monkeypatch)
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 1000.0)
+        points = np.linspace(-3.0, 3.0, 13)
+        lo, hi, _ = O.SeriesEvaluator(spec, f)._stencils(points)
+        span = int(hi.max()) - int(min(lo.min(), hi.min())) + 1
+        assert span > 6000
+        cap = O._MAX_SPAN
+        monkeypatch.setattr(O, "_MAX_SPAN", span - 1)
+        evaluator = O.SeriesEvaluator(spec, f)
+        with pytest.raises(ValueError, match=f"span {span:,} lattice indices; "
+                                             f"at most {span - 1:,} are allowed"):
+            evaluator.on_grid(points)
+        assert computed == [] and evaluator._values.size == 0
+        monkeypatch.setattr(O, "_MAX_SPAN", span)
+        values = evaluator.on_grid(points)
+        assert evaluator._values.size == span
+        monkeypatch.setattr(O, "_MAX_SPAN", cap)
+        assert values.tobytes() == O.SeriesEvaluator(spec, f).on_grid(points).tobytes()
+
+    def test_the_geometric_growth_counts(self, monkeypatch):
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 5.0)
+        monkeypatch.setattr(O, "_MAX_SPAN", 64)
+        evaluator = O.SeriesEvaluator(spec, f)
+        evaluator.sample(0)
+        evaluator.sample(39)
+        assert evaluator._values.size == 40
+        # Indices 0..40 would fit, but the store grows to twice its size.
+        with pytest.raises(ValueError, match="span 80 lattice indices; at most 64"):
+            evaluator.sample(40)
+        assert evaluator._values.size == 40
+        assert evaluator.sample(39) == one_sample(spec, f, 39)

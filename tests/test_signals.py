@@ -59,6 +59,11 @@ class TestCatalog:
         with pytest.raises(ValueError):
             S.builtin_signal("no-such-signal")
 
+    @pytest.mark.parametrize("name", ["runge", "box", "piecewise_rational", "identity"])
+    def test_only_the_constant_takes_a_value(self, name):
+        with pytest.raises(ValueError, match="only the constant signal takes a value"):
+            S.builtin_signal(name, 3.0)
+
     def test_vectorized_evaluation(self):
         for name in ("runge", "box", "piecewise_rational", "identity"):
             f = S.builtin_signal(name)
