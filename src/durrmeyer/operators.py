@@ -112,7 +112,7 @@ class Convolution:
             warnings.warn(
                 f"convolution kernel {self.kernel.name!r} has signed mass "
                 f"{mass.value:.6g}; the convergence theory assumes unit mass",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass-generated __init__
             )
 
     @property
@@ -221,11 +221,9 @@ class SeriesEvaluator:
                     np.asarray(signal.envelope(r), dtype=float), sup)
             self._rungs = [(r, _k.lattice_tail_bound(self._support, r))
                            for r in _k.radius_ladder(self._support)]
-            try:
-                self._radius, _ = _k.lattice_radius(
-                    self._support, spec.series_tol / max(psi.mass * sup, 1e-300))
-            except ValueError:
-                self._radius = None  # ``_radii`` refuses the points that need more
+            # The sup-norm radius, or None: ``_radii`` refuses the points that need more.
+            cap = spec.series_tol / max(psi.mass * sup, 1e-300)
+            self._radius = next((r for r, tail in self._rungs if tail <= cap), None)
         else:
             self._width = int(math.floor(self._support.hi - self._support.lo)) + 1
             # The series is smooth between the knots (k + b)/w, b a phase in
@@ -411,35 +409,28 @@ class SeriesEvaluator:
         lo, hi, _ = self._stencils(np.array([float(x)]))
         return np.arange(lo[0], hi[0] + 1)
 
-    def _grow(self, first: int, last: int):
-        """Extend the store to cover the indices first..last. Raises
-        ``ValueError``, before allocating, when the grown store would span
-        more than ``_MAX_SPAN`` indices."""
-        k0, size = self._k0, self._values.size
-        if size:
-            if k0 <= first and last < k0 + size:
-                return
-            # Grow at least geometrically, so a sweep of small requests
-            # copies the store only a logarithmic number of times.
-            first = min(first, k0 - size) if first < k0 else k0
-            last = max(last, k0 + 2 * size - 1) if last >= k0 + size else k0 + size - 1
-        span = last - first + 1
-        if span > _MAX_SPAN:
-            raise ValueError(f"the sample store would span {span:,} lattice indices; "
-                             f"at most {_MAX_SPAN:,} are allowed")
-        values = np.full(span, np.nan)
-        known = np.zeros(span, dtype=bool)
-        values[k0 - first:k0 - first + size] = self._values
-        known[k0 - first:k0 - first + size] = self._known
-        self._k0, self._values, self._known = first, values, known
-
     def _fill(self, lo: np.ndarray, hi: np.ndarray):
         """Compute, in one batch, each sample not yet known in the union of
-        the index intervals [lo, hi]."""
+        the index intervals [lo, hi], of which there may be none. The store
+        first grows to exactly the union of its span and theirs; it raises
+        ``ValueError``, before allocating, when that union would span more
+        than ``_MAX_SPAN`` indices."""
+        if not lo.size:
+            return
         # An empty stencil (hi = lo - 1, for a phi narrower than 1) reads
         # the sample at its hi in ``_assemble``, so the store covers it.
         first, last = int(min(lo.min(), hi.min())), int(hi.max())
-        self._grow(first, last)
+        k0, size = self._k0, self._values.size
+        new_k0, end = (min(first, k0), max(last + 1, k0 + size)) if size else (first, last + 1)
+        span = end - new_k0
+        if span > size:
+            if span > _MAX_SPAN:
+                raise ValueError(f"the sample store would span {span:,} lattice indices; "
+                                 f"at most {_MAX_SPAN:,} are allowed")
+            kept = slice(k0 - new_k0, k0 - new_k0 + size)
+            values, known = np.full(span, np.nan), np.zeros(span, dtype=bool)
+            values[kept], known[kept] = self._values, self._known
+            self._k0, self._values, self._known = new_k0, values, known
         # Difference array: +1 where an interval opens, -1 just past its end.
         n = last - first + 2
         depth = np.cumsum(np.bincount(lo - first, minlength=n)
@@ -457,8 +448,6 @@ class SeriesEvaluator:
     def _assemble(self, points: np.ndarray) -> np.ndarray:
         """Series values at a 1-d array of points, one row block at a time."""
         out = np.empty(points.size)
-        if not points.size:
-            return out
         lo, hi, groups = self._stencils(points)
         self._fill(lo, hi)
         # A row's length is a function of its point alone, so a point's sum

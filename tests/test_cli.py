@@ -158,6 +158,9 @@ class TestConfigHandling:
         assert main(["converge", "--config", str(cfg), "--w", "5",
                      "--out", str(tmp_path / "flag")]) == 2
         assert "config error" in capsys.readouterr().err
+        # Built directly, as the benchmark does, an Experiment refuses it too.
+        with pytest.raises(cli.ConfigError, match="root must be a JSON object"):
+            cli.Experiment([])
 
     def test_flag_overrides_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -81,6 +81,7 @@ class TestSinc:
 class TestBSpline:
     def test_reference_values(self):
         assert K.bspline(3).evaluate(0.0) == 0.75
+        assert K.bspline(3)(0.0) == 0.75
         assert K.bspline(2).evaluate(0.5) == 0.5
         assert K.bspline(3).evaluate(1.5) == 0.0
 
@@ -439,6 +440,11 @@ class TestFourier:
 
 
 class TestSupportDescriptors:
+    @pytest.mark.parametrize("l1_norm", [0.0, -1.0, math.nan])
+    def test_a_kernel_needs_a_positive_l1_norm(self, l1_norm):
+        with pytest.raises(ValueError, match="l1 norm must be positive"):
+            dataclasses.replace(K.bspline(3), l1_norm=l1_norm)
+
     def test_compact_validation(self):
         with pytest.raises(ValueError):
             K.CompactSupport(1.0, 1.0)
@@ -465,6 +471,14 @@ class TestSupportDescriptors:
             K.lattice_tail_bound(f.support, 10, weight_power=1.0)
         with pytest.raises(ValueError):
             K.integral_tail_bound(f.support, 10.0, weight_power=1.5)
+
+    def test_tail_bounds_reject_a_start_inside_the_decay_radius(self):
+        support = K.DecayingSupport(2.0, 1.0, 3.0)
+        with pytest.raises(ValueError, match="past the decay radius"):
+            K.lattice_tail_bound(support, 2)
+        with pytest.raises(ValueError, match="past the decay radius"):
+            K.integral_tail_bound(support, 2.5)
+        assert K.lattice_tail_bound(support, 3) > 0 and K.integral_tail_bound(support, 3.0) > 0
 
 
 class TestTruncation:

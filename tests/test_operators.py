@@ -131,8 +131,10 @@ class TestFunctionals:
         assert repr(O.PointMass()) == "PointMass()"
 
     def test_convolution_warns_on_non_unit_mass(self):
-        with pytest.warns(UserWarning, match="unit mass"):
+        with pytest.warns(UserWarning, match="unit mass") as record:
             O.Convolution(K.window(0, 1, 2))
+        # The warning names the line that built the functional.
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestSpecValidation:
@@ -327,6 +329,17 @@ class TestEvaluate:
 
 
 class TestGridEvaluation:
+    @pytest.mark.parametrize("phi, psi", [(K.bspline(3), O.Window(0.0, 1.0, 1.0)),
+                                          (K.fejer(), O.PointMass())],
+                             ids=["compact", "decaying"])
+    def test_no_points_read_no_samples(self, phi, psi):
+        evaluator = O.SeriesEvaluator(O.OperatorSpec(phi, psi, 5.0, series_tol=1e-4),
+                                      S.builtin_signal("runge"))
+        none = np.array([])
+        evaluator.prefill(none)
+        assert evaluator.on_grid(none).shape == evaluator.evaluate(none).shape == (0,)
+        assert evaluator._values.size == 0
+
     def test_singleton_grid_matches_pointwise(self):
         f = S.builtin_signal("runge")
         spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 5.0)
@@ -929,16 +942,16 @@ class TestSampleStoreGuard:
         monkeypatch.setattr(O, "_MAX_SPAN", cap)
         assert values.tobytes() == O.SeriesEvaluator(spec, f).on_grid(points).tobytes()
 
-    def test_the_geometric_growth_counts(self, monkeypatch):
+    def test_the_cap_counts_the_union_of_store_and_request(self, monkeypatch):
         f = S.builtin_signal("runge")
         spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 5.0)
         monkeypatch.setattr(O, "_MAX_SPAN", 64)
         evaluator = O.SeriesEvaluator(spec, f)
-        evaluator.sample(0)
-        evaluator.sample(39)
-        assert evaluator._values.size == 40
-        # Indices 0..40 would fit, but the store grows to twice its size.
-        with pytest.raises(ValueError, match="span 80 lattice indices; at most 64"):
-            evaluator.sample(40)
-        assert evaluator._values.size == 40
+        for k in (0, 39, 63):
+            evaluator.sample(k)
+        # The store grows to exactly indices 0..63, not past them.
+        assert evaluator._values.size == 64
+        with pytest.raises(ValueError, match="span 65 lattice indices; at most 64"):
+            evaluator.sample(64)
+        assert evaluator._values.size == 64
         assert evaluator.sample(39) == one_sample(spec, f, 39)

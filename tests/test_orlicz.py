@@ -627,6 +627,18 @@ class TestLuxemburgNorm:
         norm = X.luxemburg_norm(X.PowerFunction(2), f, (-1, 3), tol=1e-17)
         assert norm == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    def test_sectioning_stops_when_no_float_lies_between_the_ends(self):
+        # The exponential gauge declares no degree, so its bracket is
+        # sectioned. On the indicator of [0, 2) the modular is 2 (e^(1/s) - 1).
+        f = S.indicator(0, 2)
+        norm = X.luxemburg_norm(X.ExponentialFunction(1), f, (-1, 3), tol=1e-17)
+        assert norm == pytest.approx(1.0 / math.log(1.5), rel=1e-12)
+
+    def test_a_function_seen_only_by_a_probe_has_norm_zero(self):
+        # Nonzero at the probe 1/256 of the window alone: no quadrature node sees it.
+        spike = S.Signal("spike", lambda x: np.where(np.asarray(x) == 1 / 256, 1.0, 0.0))
+        assert X.luxemburg_norm(X.PowerFunction(2), spike, (0.0, 1.0)) == 0.0
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         f = Counting(S.builtin_signal("box"))

@@ -55,6 +55,8 @@ def test_degenerate_and_invalid_intervals():
         integrate(np.sin, np.nan, 1.0)
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, 1.0, tol=0.0)
+    with pytest.raises(ValueError, match="same-shape values"):
+        integrate(lambda x: x[:-1], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
@@ -96,6 +98,12 @@ class TestIntervalArrays:
             single = integrate(self.f, float(a), float(b), tol=1e-12, breakpoints=(0.3,))
             assert isinstance(single[0], float) and isinstance(single[1], float)
             assert (single[0], single[1]) == (value, err)
+
+    def test_a_float_end_beside_an_array_of_ends_is_broadcast(self):
+        values, errors = integrate(self.f, -1.0, self.B, tol=1e-12, breakpoints=(0.3,))
+        assert values.shape == errors.shape == self.B.shape
+        for b, value, err in zip(self.B, values, errors):
+            assert integrate(self.f, -1.0, float(b), tol=1e-12, breakpoints=(0.3,)) == (value, err)
 
     def test_values_match_independent_quadrature(self):
         values, _ = integrate(self.f, self.A, self.B, tol=1e-12, breakpoints=(0.3,))

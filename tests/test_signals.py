@@ -18,6 +18,7 @@ class TestCatalog:
     def test_runge_values_and_metadata(self):
         f = S.builtin_signal("runge")
         assert f.evaluate(0.0) == 1.0
+        assert f(0.0) == 1.0
         assert f.evaluate(1.0) == 0.5
         assert f.evaluate(-1.0) == 0.5
         assert f.continuity == S.UNIFORM
@@ -97,6 +98,16 @@ class TestCatalog:
             S.Signal("bad", lambda x: x, breakpoints=(1.0, -1.0))
         with pytest.raises(ValueError):
             S.Signal("bad", lambda x: x, sup_norm=-1.0)
+        with pytest.raises(ValueError, match="Lipschitz constant must be nonnegative"):
+            S.Signal("bad", lambda x: x, lipschitz_constant=-1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: S.builtin_signal("constant", math.inf),
+        lambda: S.piecewise_constant([(0, 1, math.nan)]),
+    ], ids=["constant", "piecewise"])
+    def test_a_signal_value_must_be_finite(self, build):
+        with pytest.raises(ValueError, match="finite value"):
+            build()
 
     def test_lipschitz_signal_must_be_uniformly_continuous(self):
         with pytest.raises(ValueError, match="uniformly continuous"):
@@ -190,6 +201,11 @@ class TestIndicatorsAndGrids:
         with pytest.raises(ValueError, match="grid step must be finite and positive"):
             S.UniformGrid(0.0, step, 5)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_uniform_grid_needs_a_point(self, count):
+        with pytest.raises(ValueError, match="at least one point"):
+            S.UniformGrid(0.0, 0.1, count)
+
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
     def test_uniform_grid_start_must_be_finite(self, start):
         with pytest.raises(ValueError, match="grid start must be finite"):
@@ -248,6 +264,18 @@ class TestModulusOfContinuity:
             S.modulus_of_continuity(f, 0.1, (1, -1))
         with pytest.raises(ValueError):
             S.modulus_of_continuity(f, 0.1, (-1, 1), resolution=1)
+
+    def test_a_pair_grid_over_the_cap_is_refused_before_evaluation(self):
+        calls = []
+        runge = S.builtin_signal("runge")
+        f = S.Signal("counted", lambda x: calls.append(x) or runge.evaluate(x))
+        with pytest.raises(ValueError, match="pair grid too fine"):
+            S.modulus_of_continuity(f, 1e-9, (0, 1))
+        assert calls == []
+
+    def test_a_window_narrower_than_the_stride_has_one_point(self):
+        est = S.modulus_of_continuity(S.builtin_signal("runge"), 1.0, (0, 0.01))
+        assert est.grid_lower == 0.0
 
     @pytest.mark.parametrize("delta", [-0.1, math.inf, math.nan])
     def test_delta_must_be_finite_and_positive(self, delta):
