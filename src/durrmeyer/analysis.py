@@ -270,9 +270,10 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     quadrature per scale serve every cell, so each sample is computed once
     and each node evaluated once per round. The result holds, per scale, one
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
-    cell whose gauge overflows; the other cells are unaffected. A cell holds
-    when lhs is at most rhs plus ``tolerance_pad``, or plus the quadrature's
-    rounding floor (50 eps of rhs) where that is larger.
+    cell whose modular or majorant is infinite; the other cells are
+    unaffected. A cell holds when lhs is at most rhs plus ``tolerance_pad``,
+    or plus the quadrature's rounding floor (50 eps of rhs) where that is
+    larger.
     """
     first = _shared_spec(specs)
     phi, psi = first.phi, first.psi
@@ -286,7 +287,8 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
         m0_phi.value * t0_psi.value
     )
     scaled = [(eta, lam * m0_phi.value * t0_psi.value) for eta, lam in cells]
-    majorants = [None if value is None else ratio * value
+    # A majorant past the float range overflows as an infinite modular does.
+    majorants = [None if value is None or math.isinf(ratio * value) else ratio * value
                  for value in modulars(scaled, f, window, tol=modular_tol)]
     live = [cell for cell, rhs in zip(cells, majorants) if rhs is not None]
 
@@ -312,7 +314,8 @@ def verify_modular_inequality(phi: _k.Kernel, psi_kernel: _k.Kernel, f: Signal,
                               tolerance_pad: float = 1e-8) -> ModularComparison:
     """One cell at one scale of :func:`modular_inequality_cells`, sampling
     through a convolution with ``psi_kernel`` at the default ``quad_tol``; an
-    overflowing gauge raises :class:`~durrmeyer.orlicz.ModularOverflowError`."""
+    infinite modular or majorant raises
+    :class:`~durrmeyer.orlicz.ModularOverflowError`."""
     spec = OperatorSpec(phi, Convolution(psi_kernel), float(w))
     [[result]] = modular_inequality_cells(
         [spec], f, [(eta, lam)], window, modular_tol=modular_tol, tolerance_pad=tolerance_pad,

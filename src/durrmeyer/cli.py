@@ -3,7 +3,10 @@ JSON file, run checks and studies, and emit CSV/JSON artifacts.
 
 Output is locale-independent (dot decimals, newline-terminated rows, 17
 significant digits) and byte-identical across runs; the resolved
-configuration is echoed into every JSON report for provenance.
+configuration is echoed into every JSON report for provenance. Every JSON
+report is strict JSON: one that would hold a non-finite number exits 4, and
+``kernel-check``, ``converge`` and ``orlicz`` write it before their CSV, so
+they then leave no file.
 
 Exit codes: 0 ok, 2 configuration error, 3 mathematical precondition
 failure (divergent moment, non-bracketable norm), 4 runtime evaluation
@@ -34,7 +37,7 @@ from .moments import (
     continuous_algebraic_moment,
     discrete_absolute_moment,
 )
-from .orlicz import GAUGES, ModularOverflowError, NormBracketError
+from .orlicz import GAUGES, NormBracketError
 from .quadrature import QuadratureError
 
 __all__ = ["ConfigError", "main"]
@@ -99,7 +102,9 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    """Write ``payload`` as strict JSON: a non-finite number raises
+    ``ValueError`` before anything is written."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="ascii", newline="\n")
 
 
@@ -334,11 +339,11 @@ def cmd_kernel_check(exp: Experiment) -> int:
               "M0", "M0_err", "M1", "M1_err", "Mt0", "Mt0_err",
               "Mt1", "Mt1_err", "mt1", "mt1_err"]
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(exp.out_dir / "kernel_check.csv", header, rows)
     _write_json(exp.out_dir / "kernel_check.json", {
         "config_echo": exp.echo(),
         "rows": [dict(zip(header, row)) for row in rows],
     })
+    _write_csv(exp.out_dir / "kernel_check.csv", header, rows)
     return 3 if divergent else 0
 
 
@@ -403,12 +408,12 @@ def cmd_converge(exp: Experiment) -> int:
         rows.append([w, "" if sup is None else sup, "" if eoc is None else eoc, *bound, *modulars])
 
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(exp.out_dir / "converge.csv", header, rows)
     _write_json(exp.out_dir / "converge.json", {
         "config_echo": exp.echo(),
         "reports": [report.to_dict() for report in reports],
         "quantitative_bound": [dataclasses.asdict(check) for check in checks],
     })
+    _write_csv(exp.out_dir / "converge.csv", header, rows)
     return 0
 
 
@@ -433,11 +438,11 @@ def cmd_orlicz(exp: Experiment) -> int:
     header = ["w", "gauge", "lambda", "lhs", "rhs", "ratio", "holds"]
     rows = [["" if cell[key] is None else cell[key] for key in header] for cell in results]
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(exp.out_dir / "orlicz.csv", header, rows)
     _write_json(exp.out_dir / "orlicz.json", {
         "config_echo": exp.echo(),
         "rows": results,
     })
+    _write_csv(exp.out_dir / "orlicz.csv", header, rows)
     return 0
 
 
@@ -490,7 +495,7 @@ def main(argv=None) -> int:
     except (DivergentMomentError, NormBracketError) as exc:
         print(f"mathematical precondition failed: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, ModularOverflowError, ValueError, ArithmeticError) as exc:
+    except (QuadratureError, ValueError, ArithmeticError) as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 4
 

@@ -106,7 +106,6 @@ class Kernel:
     support: SupportDescriptor
     l1_norm: float
     nonnegative: bool = False
-    symmetric: bool = False
     partition_of_unity: bool = False
     breakpoints: tuple = ()
     fourier: Optional[Callable] = field(default=None, compare=False)
@@ -221,9 +220,6 @@ def bspline(n: int) -> Kernel:
         support=CompactSupport(-half, half),
         l1_norm=1.0,
         nonnegative=True,
-        # The order-1 spline is a half-open indicator (exact partition of
-        # unity at every point), which breaks pointwise symmetry at +-1/2.
-        symmetric=(n > 1),
         partition_of_unity=True,
         breakpoints=tuple(-half + j for j in range(n + 1)),
         fourier=fourier,
@@ -279,7 +275,6 @@ def fejer() -> Kernel:
         support=DecayingSupport(exponent=2.0, coefficient=coeff, radius=1.0),
         l1_norm=1.0,
         nonnegative=True,
-        symmetric=True,
         partition_of_unity=True,
         fourier=fourier,
         rows=rows,
@@ -318,7 +313,6 @@ def window(lo: float, hi: float, weight: float = 1.0) -> Kernel:
         support=CompactSupport(lo, hi),
         l1_norm=mass,
         nonnegative=True,
-        symmetric=(lo == -hi),
         partition_of_unity=bool(integer_width and mass == 1.0),
         breakpoints=(lo, hi),
     )

@@ -382,8 +382,14 @@ class SeriesEvaluator:
         indices or one fewer. A phi narrower than 1 thus reads none at some
         points, whose first index is then one past the last. A decaying phi
         reads 2r + 1 (w x an integer) or 2r. A stencil holds width or
-        width - 1 indices."""
-        wx = self.spec.w * points
+        width - 1 indices. A point that is not finite, or whose |w x| is
+        2^52 or more, is refused before any sample: from 2^53 on,
+        neighbouring lattice indices are no longer distinct floats."""
+        w = self.spec.w
+        if not (np.abs(points) < 2.0**52 / w).all():
+            raise ValueError(f"at w = {w:g} the lattice indexes only finite points "
+                             "with |w x| below 2^52")
+        wx = w * points
         if isinstance(self._support, _k.CompactSupport):
             # Each end's rounded estimate moves by one where it lies off the
             # support, or where its outer neighbour still lies on it, judged

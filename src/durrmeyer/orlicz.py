@@ -4,17 +4,18 @@ A gauge eta vanishes at zero, is positive and convex on the positive axis,
 and turns |f| into the modular integral of eta(lambda |f|) over a window.
 The power and logarithm-weighted families double under scaling (so modular
 and norm convergence agree); the exponential family does not, which is why
-modular statements there hold only for small enough lambda. Each gauge
-declares this as ``delta2``. A gauge also declares ``homogeneity``: the
-degree p with eta(s u) = s**p eta(u) for every s > 0 (p for the power
-family), or ``None``. :func:`luxemburg_norm` trusts the declaration, so a
-user gauge may make it too; a homogeneous modular gives the norm in closed
-form, and for any other gauge the modular at one scaling brackets it.
+modular statements there hold only for small enough lambda. A gauge
+declares ``homogeneity``: the degree p with eta(s u) = s**p eta(u) for
+every s > 0 (p for the power family), or ``None``. :func:`luxemburg_norm`
+trusts the declaration, so a user gauge may make it too; a homogeneous
+modular gives the norm in closed form, and for any other gauge the modular
+at one scaling brackets it.
 
 The modulars that one computation needs of one function, whatever their
 gauges and scalings, are one batched adaptive quadrature
 (:func:`modulars`), which evaluates the function once per distinct node
-in each round.
+in each round. A modular overflows exactly when its integral is infinite
+at working precision; it then reads ``None``, whatever the gauge.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "modular_distance",
 ]
 
-_EXP_ARG_CAP = 700.0
 _NORM_SCALE_CAP = 1e9
 _MAX_CELLS = 20000  # quadrature cells per modular
 # Each k-section step of a Luxemburg norm cuts its bracket into this many equal
@@ -51,8 +51,8 @@ _NORM_SECTIONS = 9
 
 
 class ModularOverflowError(OverflowError):
-    """The modular integrand overflows: the integral is infinite at working
-    precision for this scaling."""
+    """The modular's integral is infinite at working precision for this
+    scaling."""
 
 
 class NormBracketError(ArithmeticError):
@@ -69,8 +69,6 @@ class PowerFunction:
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p >= 1):
             raise ValueError("power gauge needs a finite p >= 1 for convexity")
-
-    delta2 = True
 
     @property
     def homogeneity(self) -> float:
@@ -99,7 +97,6 @@ class ZygmundFunction:
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("logarithm-weighted gauge needs a finite beta > 0")
 
-    delta2 = True
     homogeneity = None
 
     @property
@@ -114,7 +111,8 @@ class ZygmundFunction:
 
 @dataclass(frozen=True)
 class ExponentialFunction:
-    """u -> exp(u**alpha) - 1, the exponential-space gauge (not doubling)."""
+    """u -> exp(u**alpha) - 1, the exponential-space gauge (not doubling):
+    ``inf`` where exp overflows, as the other gauges are where powers do."""
 
     alpha: float
 
@@ -123,7 +121,6 @@ class ExponentialFunction:
             # Below one, exp(u**alpha) - 1 is concave near zero.
             raise ValueError("exponential gauge needs a finite alpha >= 1 for convexity")
 
-    delta2 = False
     homogeneity = None
 
     @property
@@ -132,13 +129,7 @@ class ExponentialFunction:
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
-        powered = arr**self.alpha
-        if float(np.max(powered, initial=0.0)) > _EXP_ARG_CAP:
-            raise ModularOverflowError(
-                f"exponential gauge argument exceeds {_EXP_ARG_CAP:g}; "
-                "the modular is infinite at working precision"
-            )
-        out = np.expm1(powered)
+        out = np.expm1(arr**self.alpha)
         return float(out) if arr.ndim == 0 else out
 
 
@@ -202,21 +193,12 @@ def _evaluate_rows(f, x, interval):
     return out
 
 
-def _gauge(eta, lam, size):
-    """eta(lam * size), raising :class:`ModularOverflowError` where it
-    overflows to infinity, as the exponential gauge does past its cap."""
-    with np.errstate(over="ignore"):
-        out = np.asarray(eta(lam * size), dtype=float)
-    if np.isinf(out).any():
-        raise ModularOverflowError(f"{eta.label} at lambda={lam:g} overflows")
-    return out
-
-
 def modulars(cells, f, window, tol: float = 1e-8) -> list:
     """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
     integral over the window of eta(lam |f|), or ``None`` for a cell whose
-    gauge overflows to infinity at some node (the integral is infinite at
-    working precision).
+    integral is infinite at working precision (an overflow), whether its
+    gauge reaches infinity at some node or its finite values sum past the
+    float range.
 
     One adaptive quadrature integrates every cell over its own copy of the
     window, each to ``tol`` (or to its rounding floor, 50 eps of its value,
@@ -224,10 +206,10 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     equals the one-cell call bit for bit. In each round ``f`` is evaluated
     once per distinct quadrature cell (the copies start from the same
     cells, and equal cells share one evaluation), and each gauge sees only
-    its own copy's nodes; an overflowing cell ends there and leaves the
-    others unaffected. A cell whose integral is NaN (``f`` is not a number
-    somewhere in the window) raises :class:`ArithmeticError` naming its
-    gauge and lambda. The line integral is truncated to the window by
+    its own copy's nodes; a copy whose integral is infinite ends there and
+    leaves the others unaffected. A cell whose integral is NaN (``f`` is
+    not a number somewhere in the window) raises :class:`ArithmeticError`
+    naming its gauge and lambda. The line integral is truncated to the window by
     design; mass outside it is the caller's responsibility. ``f`` is
     signal-like: ``evaluate`` plus ``breakpoints`` (a
     :func:`~durrmeyer.signals.piecewise_constant` signal declares its cell
@@ -242,20 +224,16 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     if any(lam <= 0 for _, lam in cells):
         raise ValueError("modular scaling lambda must be positive")
     lo, hi = _window_ends(window)
-    overflowed = np.zeros(len(cells), dtype=bool)
 
     def integrand(x, interval):
         size = np.abs(_evaluate_rows(f, x, interval))
         out = np.empty_like(x)
         cuts = ((interval[1:] != interval[:-1]).nonzero()[0] + 1).tolist()
-        for start, stop in zip([0] + cuts, cuts + [interval.size]):
-            j = interval[start]
-            eta, lam = cells[j]
-            try:
-                out[start:stop] = _gauge(eta, lam, size[start:stop])
-            except ModularOverflowError:
-                overflowed[j] = True
-                out[start:stop] = np.nan  # ends this cell's quadrature only
+        # An overflow gives inf, which ends this copy's quadrature only.
+        with np.errstate(over="ignore"):
+            for start, stop in zip([0] + cuts, cuts + [interval.size]):
+                eta, lam = cells[interval[start]]
+                out[start:stop] = eta(lam * size[start:stop])
         return out
 
     n = len(cells)
@@ -265,27 +243,23 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
                           breakpoints=tuple(getattr(f, "breakpoints", ())),
                           max_cells=budget, per_interval=True, cuts=cuts)
-    values = [None if over else float(value) for value, over in zip(values, overflowed)]
-    _refuse_nan(cells, values)
-    return [None if value is None else max(0.0, value) for value in values]
-
-
-def _refuse_nan(cells, values):
-    """Raise for the first cell whose modular is NaN: its integrand is not a
-    number somewhere in the window, and no value, 0 least of all, stands for
-    it. Overflowing cells (``None``) are left to the caller."""
-    for (eta, lam), value in zip(cells, values):
-        if value is not None and math.isnan(value):
+    out = []
+    for (eta, lam), value in zip(cells, values.tolist()):
+        # NaN: the integrand is not a number somewhere in the window, and no
+        # value, 0 least of all, stands for it.
+        if math.isnan(value):
             raise ArithmeticError(
                 f"the modular of {eta.label} at lambda={lam:g} is NaN: "
                 "the integrand is not a number on part of the window"
             )
+        out.append(None if math.isinf(value) else max(0.0, value))
+    return out
 
 
 def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8) -> float:
     """Integral over the window of eta(lam |f|): the one-cell call of
-    :func:`modulars`, raising :class:`ModularOverflowError` where the gauge
-    overflows."""
+    :func:`modulars`, raising :class:`ModularOverflowError` where the
+    integral is infinite."""
     [value] = modulars([(eta, lam)], f, window, tol=tol)
     if value is None:
         raise ModularOverflowError(

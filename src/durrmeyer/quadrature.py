@@ -104,11 +104,15 @@ def _gk15(f, lo, hi, interval=None):
         if y.shape != x.shape:
             raise ValueError("integrand must map an array of nodes to same-shape values")
         # Row sums, not a matrix product: BLAS would let a cell's last bit
-        # depend on which other cells share its call.
-        sums[block] = (y.reshape(-1, 1, _NODES.size) * _WEIGHTS).sum(axis=2)
-    sums *= half[:, None]
-    value = sums[:, 0]
-    return value, np.abs(value - sums[:, 1])
+        # depend on which other cells share its call. An infinite node value
+        # or a sum past the float range gives, quietly, an infinite value or
+        # estimate (NaN where inf meets inf or a zero Gauss weight).
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums[block] = (y.reshape(-1, 1, _NODES.size) * _WEIGHTS).sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums *= half[:, None]
+        value = sums[:, 0]
+        return value, np.abs(value - sums[:, 1])
 
 
 def _initial_cells(a, b, breakpoints):
@@ -235,11 +239,13 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
 
     Returns ``(value, error_estimate)`` per interval, floats for float ends,
     with ``error_estimate <= max(tol, 50 eps |value|)``, except that an
-    interval whose integrand gives NaN (or an infinite value) ends with a
-    NaN estimate and takes no further rounds, leaving the other intervals
-    unaffected. Raises :class:`QuadratureError` when an interval's
-    ``max_cells`` budget runs out, or its cells become too narrow to split,
-    before it meets that goal.
+    interval whose integrand gives NaN ends with a NaN value, and one whose
+    integrand gives an infinite value, or whose cell sums overflow, ends
+    with an infinite value; either takes no further rounds, warns of
+    nothing, and leaves the other intervals unaffected. (A cell whose Gauss
+    sum alone overflows is split.) Raises :class:`QuadratureError` when an
+    interval's ``max_cells`` budget runs out, or its cells become too
+    narrow to split, before it meets that goal.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -286,8 +292,11 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
                 f"[{a[ids[i]]:g}, {b[ids[i]]:g}]: |K-G| error estimate {total[i]:g} "
                 f"with {count[i]} cells"
             )
+        # A cell whose Gauss sum alone overflowed has an infinite estimate;
+        # the cap keeps its share of the excess a number, so it is split.
+        excess = np.minimum(total - goal, sys.float_info.max)
         picks = candidates[_bisection_picks(err[candidates], seg[candidates], count,
-                                            total - goal, max_cells)]
+                                            excess, max_cells)]
         narrow = hi[picks] - lo[picks] < min_width[ids[seg[picks]]]
         frozen[picks[narrow]] = True
         split = np.sort(picks[~narrow])

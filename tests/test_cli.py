@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,16 @@ def read_csv(path):
     with open(path, newline="") as f:
         header, *lines = list(csv.reader(f))
     return header, [dict(zip(header, line)) for line in lines]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def read_strict_json(path):
+    """The JSON report at ``path``, refusing the non-standard NaN and
+    Infinity tokens."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
 
 
 class TestConfigHandling:
@@ -291,6 +302,16 @@ class TestKernelCheck:
         assert float(phi_row["Mt1"]) == pytest.approx(0.40625, abs=1e-9)
         psi_row = next(r for r in rows if r["role"] == "psi")
         assert float(psi_row["mt1"]) == pytest.approx(0.5, abs=1e-9)
+
+    def test_a_non_finite_report_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        # The moments of this window are infinite, their errors NaN.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "window", "lo": 1.5, "hi": 2.5, "weight": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["kernel-check", "--config", str(cfg)]) == 4
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_decaying_kernel_divergence_exits_3_but_writes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -626,6 +647,26 @@ class TestOrliczCommand:
         assert lines["beside"][1].split(",")[3] == "overflow"
         assert lines["beside"][2] == lines["alone"][1]
 
+    @pytest.mark.parametrize("psi, value", [
+        # power(2) of 1.3e154 is finite at every node, but its integral over
+        # [-1, 1] is not.
+        ({"kind": "window", "lo": 0, "hi": 1, "weight": 1}, 1.3e154),
+        # The modular is finite, and the majorant, twice it, is not.
+        ({"kind": "window", "lo": 0, "hi": 0.5, "weight": 1}, 1.341e154),
+    ], ids=["integral", "majorant"])
+    def test_an_infinite_value_is_an_overflow(self, tmp_path, psi, value):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "bspline", "n": 2}, psi=psi, w_list=[5],
+                     window=[-1, 1], signal={"name": "constant", "value": value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["orlicz", "--config", str(cfg)]) == 0
+        [row] = read_strict_json(tmp_path / "out" / "orlicz.json")["rows"]
+        assert (row["lhs"], row["rhs"], row["ratio"], row["holds"]) == (
+            "overflow", "overflow", None, None)
+        _, rows = read_csv(tmp_path / "out" / "orlicz.csv")
+        assert (rows[0]["lhs"], rows[0]["rhs"]) == ("overflow", "overflow")
+
 
 GENERAL_PSI = {"kind": "general", "kernel": {"family": "bspline", "n": 2}}
 
@@ -839,6 +880,20 @@ class TestFailurePaths:
         # The unit window shifts a linear signal by 1/(2w).
         assert all(abs(float(row["reconstruction"]) - float(row["x"]) - 0.1) < 1e-9
                    for row in rows)
+
+    @pytest.mark.parametrize("phi, psi, tolerances", [
+        ({"family": "bspline", "n": 3}, {"kind": "window", "lo": 0, "hi": 1}, {}),
+        ({"family": "fejer"}, {"kind": "pointmass"}, {"series_tol": 1e-3}),
+    ], ids=["bspline3/window", "fejer/pointmass"])
+    def test_a_point_the_lattice_cannot_index_exits_4(self, tmp_path, capsys, phi, psi,
+                                                      tolerances):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi=phi, psi=psi, tolerances=tolerances)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--at", "0.5", "--w", "1e17",
+                     "--out", str(out)]) == 4
+        assert "at w = 1e+17 the lattice indexes only finite points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreachable_convolution_tolerance_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

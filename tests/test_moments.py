@@ -299,8 +299,7 @@ class TestZerothMoment:
     def test_signed_compact_kernel_integrates(self):
         root = 1.0 / math.sqrt(2.0)
         kernel = K.Kernel("signed-bump", signed_bump, K.CompactSupport(-1.0, 1.0),
-                          l1_norm=(8.0 * root - 2.0) / 3.0, symmetric=True,
-                          breakpoints=(-1.0, 1.0))
+                          l1_norm=(8.0 * root - 2.0) / 3.0, breakpoints=(-1.0, 1.0))
         for moment, magnitude in ((M.continuous_algebraic_moment, float),
                                   (M.continuous_absolute_moment, abs)):
             result = moment(kernel, 0, tol=1e-10)

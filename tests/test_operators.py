@@ -955,3 +955,39 @@ class TestSampleStoreGuard:
             evaluator.sample(64)
         assert evaluator._values.size == 64
         assert evaluator.sample(39) == one_sample(spec, f, 39)
+
+
+class TestLatticeIndexGuard:
+    """A point the lattice cannot index, one that is not finite or whose
+    |w x| is 2^52 or more, is refused before any sample: from 2^53 on,
+    neighbouring lattice indices are no longer distinct floats."""
+
+    @pytest.mark.parametrize("spec", [
+        O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 1.0),
+        O.OperatorSpec(K.fejer(), O.PointMass(), 1.0, series_tol=1e-3),
+    ], ids=["bspline3/window", "fejer/pointmass"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 2.0**52, -2.0**52])
+    def test_refused_before_any_sample(self, monkeypatch, spec, x):
+        computed = TestSeriesRowGuard.computed(monkeypatch)
+        evaluator = O.SeriesEvaluator(spec, S.builtin_signal("runge"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at w = 1 the lattice indexes only finite "
+                                                 "points with |w x| below 2^52"):
+                evaluator.evaluate(np.array([0.5, x]))
+        assert computed == [] and evaluator._values.size == 0
+
+    def test_the_limit_scales_with_w(self):
+        f = S.builtin_signal("runge")
+        spec = O.OperatorSpec(K.bspline(3), O.Window(0.0, 1.0, 1.0), 1e17)
+        with pytest.raises(ValueError, match=r"at w = 1e\+17 "):
+            O.SeriesEvaluator(spec, f).evaluate(0.5)
+        with pytest.raises(ValueError, match=r"at w = 1e\+17 "):
+            O.SeriesEvaluator(spec, f).evaluate(2.0**52 / 1e17)
+
+    @pytest.mark.parametrize("x", [2.0**52 - 2, -(2.0**52 - 2)])
+    def test_points_below_the_limit_still_evaluate(self, x):
+        # Integer shifts of a B-spline sum to one, so point samples of a
+        # constant reproduce it.
+        spec = O.OperatorSpec(K.bspline(3), O.PointMass(), 1.0)
+        assert O.SeriesEvaluator(spec, S.builtin_signal("constant", 3.0)).evaluate(x) == 3.0

@@ -76,11 +76,6 @@ class TestGaugeFunctions:
         avg = (np.asarray(eta(a)) + np.asarray(eta(b))) / 2.0
         assert np.all(mid <= avg * (1 + 1e-12) + 1e-12)
 
-    def test_doubling_flags(self):
-        assert X.PowerFunction(2).delta2
-        assert X.ZygmundFunction(1, 1).delta2
-        assert not X.ExponentialFunction(1).delta2
-
     def test_gauges_declare_their_degree(self):
         assert X.PowerFunction(2.5).homogeneity == 2.5
         assert X.ZygmundFunction(1, 1).homogeneity is None
@@ -96,11 +91,17 @@ class TestGaugeFunctions:
         ratio_at = lambda u: exp(2 * u) / exp(u)
         assert ratio_at(10.0) > 10.0 * ratio_at(1.0)
 
-    def test_exponential_overflow_guard(self):
-        with pytest.raises(X.ModularOverflowError):
-            X.ExponentialFunction(1)(800.0)
-        with pytest.raises(X.ModularOverflowError):
-            X.ExponentialFunction(2)(30.0)
+    def test_exponential_overflow_is_infinite(self):
+        # exp overflows to inf, as a power does; the cell's modular is then
+        # an overflow.
+        with np.errstate(over="ignore"):
+            assert X.ExponentialFunction(1)(800.0) == math.inf
+            assert X.ExponentialFunction(2)(30.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert X.modulars([(X.ExponentialFunction(1), 800.0),
+                               (X.ExponentialFunction(2), 30.0)],
+                              S.builtin_signal("constant", 1.0), (0, 1)) == [None, None]
 
 
 class TestModular:
@@ -233,7 +234,7 @@ class TestModulars:
         assert values == [X.modular(eta, f, lam, (-8, 8), tol=1e-9) for eta, lam in cells]
 
     def test_overflowing_cell_leaves_its_neighbours_alone(self):
-        f = S.builtin_signal("piecewise_rational")  # sup 50, and 20 * 50 > 700
+        f = S.builtin_signal("piecewise_rational")  # sup 50, and exp(20 * 50) overflows
         cells = [(X.PowerFunction(2), 0.5), (X.ExponentialFunction(1), 20.0),
                  (X.ZygmundFunction(1, 1), 0.5)]
         values = X.modulars(cells, f, (-8, 8), tol=1e-9)
@@ -264,8 +265,8 @@ class TestModulars:
         assert X.modulars([], S.builtin_signal("box"), (-1, 1)) == []
 
     def test_infinite_power_and_zygmund_values_are_overflows(self):
-        # These gauges reach infinity instead of raising as the exponential
-        # does; such a cell is an overflow too, and no numpy warning escapes.
+        # Each gauge reaches infinity where its float overflows; such a cell
+        # is an overflow, and no numpy warning escapes.
         big = S.builtin_signal("constant", 1e200)
         cells = [(X.PowerFunction(2), 1.0), (X.ZygmundFunction(1, 1), 1e200)]
         with warnings.catch_warnings():
@@ -273,6 +274,18 @@ class TestModulars:
             assert X.modulars(cells, big, (0, 1)) == [None, None]
             with pytest.raises(X.ModularOverflowError):
                 X.modular(X.PowerFunction(2), big, 1.0, (0, 1))
+
+    def test_an_exponential_below_the_float_limit_is_finite(self):
+        # exp(705) is finite, and so is its integral over (0, 1); over
+        # (0, 1000) the integral is not.
+        cells = [(X.ExponentialFunction(1), 1.0)]
+        f = S.builtin_signal("constant", 705.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [value] = X.modulars(cells, f, (0, 1))
+            assert X.modulars(cells, f, (0, 1000)) == [None]
+        assert value == pytest.approx(math.expm1(705.0), rel=1e-14)
+        assert value == pytest.approx(1.505e306, rel=1e-3)
 
     def test_infinite_cell_leaves_its_neighbours_alone(self):
         f = S.builtin_signal("runge")
@@ -482,7 +495,6 @@ class ScaledPower:
     """u -> 3 u**1.5, a user gauge declaring ``homogeneity`` or not."""
 
     label = "3u^1.5"
-    delta2 = True
 
     def __init__(self, homogeneity):
         self.homogeneity = homogeneity
@@ -584,13 +596,13 @@ class TestLuxemburgNorm:
             norm = X.luxemburg_norm(eta, box.scaled(c), (-2, 2))
             assert norm == pytest.approx(c * base, rel=1e-12)
 
-    @pytest.mark.parametrize("eta", [X.ZygmundFunction(1, 1), X.ExponentialFunction(1)],
-                             ids=lambda e: e.label)
-    def test_search_starts_at_the_probe_peak(self, eta):
+    @pytest.mark.parametrize("eta, c", [(X.ZygmundFunction(1, 1), 1e8),
+                                        (X.ExponentialFunction(1), 1e3)],
+                             ids=["zygmund(1,1)", "exponential(1)"])
+    def test_search_starts_at_the_probe_peak(self, eta, c):
         # At scale one the first modular of these amplitudes cannot meet an
         # absolute quadrature tolerance; at the peak it is of order one.
         box = S.builtin_signal("box")
-        c = 1e8 if eta.delta2 else 1e3
         norm = X.luxemburg_norm(eta, box.scaled(c), (-2, 2))
         assert norm == pytest.approx(c * X.luxemburg_norm(eta, box, (-2, 2)), rel=1e-9)
         assert X.modular(eta, box.scaled(c), 1.0 / norm, (-2, 2), tol=1e-12) == pytest.approx(

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,39 @@ class TestPerInterval:
         assert seen[0] == 1 and sum(seen) == 1 and len(seen) > 1
         for j in (0, 2):
             assert integrate(np.cos, a[j], b[j], tol=1e-13) == (values[j], errors[j])
+
+    def test_an_infinite_value_ends_only_its_interval_quietly(self):
+        def integrand(x, interval):
+            out = np.cos(x)
+            out[(interval[:, None] == 1) & (x > 5.0)] = np.inf
+            return out
+
+        a = np.array([0.0, 0.0, 1.0])
+        b = np.array([10.0, 10.0, 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = integrate(integrand, a, b, tol=1e-13, per_interval=True)
+        assert values[1] == math.inf
+        for j in (0, 2):
+            assert integrate(np.cos, a[j], b[j], tol=1e-13) == (values[j], errors[j])
+
+
+def test_a_gauss_sum_that_alone_overflows_is_split():
+    # On [0, 5.171875] this constant's Kronrod sum is the float maximum and
+    # its Gauss sum overflows; each half of the cell is finite.
+    y = 3.475902133872756e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, err = integrate(lambda x: np.full_like(x, y), 0.0, 5.171875)
+    assert value == sys.float_info.max
+    assert err <= Q.ROUNDING_FLOOR * value
+
+
+@pytest.mark.parametrize("y", [1e308, math.inf])
+def test_an_infinite_integral_is_infinite(y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integrate(lambda x: np.full_like(x, y), 0.0, 4.0)[0] == math.inf
 
 
 @pytest.mark.parametrize("n", [1, 7, 5000])
