@@ -51,6 +51,7 @@ from .orlicz import (
     NormBracketError,
     PowerFunction,
     ZygmundFunction,
+    batched_modulars,
     luxemburg_norm,
     modular,
     modular_distance,

@@ -1,5 +1,6 @@
 """Convergence-study harness: error curves, empirical orders, and
-verification of the quantitative and modular bounds.
+verification of the quantitative and modular bounds. A study takes the
+modulars of all its scales in one batched quadrature.
 
 The bounds add the moments' reported errors, but a measured sup error is
 a grid maximum, a lower estimate of the error on the window: the error
@@ -20,6 +21,7 @@ from .moments import (
     discrete_absolute_moment,
 )
 from .operators import (
+    _MAX_SPAN,
     Convolution,
     OperatorSpec,
     PointMass,
@@ -27,7 +29,7 @@ from .operators import (
     SeriesEvaluator,
     Window,
 )
-from .orlicz import Difference, ModularOverflowError, OrliczFunction, modulars
+from .orlicz import Difference, ModularOverflowError, OrliczFunction, batched_modulars, modulars
 from .quadrature import ROUNDING_FLOOR
 from .signals import UNIFORM, Signal, UniformGrid, sup_error
 
@@ -138,6 +140,25 @@ def _shared_spec(specs: Sequence[OperatorSpec]) -> OperatorSpec:
     return first
 
 
+def _evaluator_batches(specs: Sequence[OperatorSpec], f: Signal, lo: float, hi: float):
+    """The evaluators of ``specs`` on ``f``, in runs of consecutive scales
+    whose sample stores over [lo, hi] span at most ``_MAX_SPAN`` lattice
+    indices together, or of one scale whose store alone may span more. A
+    run's evaluators are held at once, so their stores stay within about
+    the bound of one."""
+    batch, span = [], 0.0
+    for spec in specs:
+        evaluator = SeriesEvaluator(spec, f)
+        need = evaluator.store_span(lo, hi)
+        if batch and span + need > _MAX_SPAN:
+            yield batch
+            batch, span = [], 0.0
+        batch.append(evaluator)
+        span += need
+    if batch:
+        yield batch
+
+
 def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_step: float,
                         groups: Sequence, modular_window=None,
                         modular_tol: float = 1e-6) -> list:
@@ -146,12 +167,16 @@ def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_s
     ``groups``. The specs must differ only in ``w``.
 
     Each scale is reconstructed once: one evaluator and one grid pass give
-    the grid sup error (uniformly continuous signals only), the modular
-    error of every gauge of every group (one batched quadrature of the
-    pointwise difference), and the quantitative bound
-    ``C * L / w`` when the signal declares a Lipschitz constant, with ``C``
-    computed once. Overflowing modular cells are recorded as the string
-    ``"overflow"``. Order estimates are taken between dyadic neighbours.
+    the grid sup error (uniformly continuous signals only), and the
+    quantitative bound is ``C * L / w`` when the signal declares a Lipschitz
+    constant, with ``C`` computed once. The modular errors of every gauge of
+    every group at every scale, modulars of the pointwise differences, are
+    one batched quadrature (:func:`~durrmeyer.orlicz.batched_modulars`). Its
+    evaluators are held at once, so the scales are taken in consecutive
+    runs whose sample stores span at most ``operators._MAX_SPAN`` lattice
+    indices together, one quadrature per run. Overflowing modular cells are
+    recorded as the string ``"overflow"``. Order estimates are taken between
+    dyadic neighbours.
     """
     first = _shared_spec(specs)
     phi, psi = first.phi, first.psi
@@ -168,18 +193,24 @@ def convergence_studies(specs: Sequence[OperatorSpec], f: Signal, window, grid_s
 
     cells = [(eta, lam) for lam, eta_list in groups for eta in eta_list]
     tables = [[] for _ in groups]
-    for spec, w in zip(specs, ws):
-        evaluator = SeriesEvaluator(spec, f)
-        recon = evaluator.on_grid(grid.points())
-        s_err = sup_error(f, recon, grid) if f.continuity == UNIFORM else None
-        bound = None if bound_factor is None else bound_factor / w
-        values = iter(modulars(cells, Difference(evaluator, f), mod_window, tol=modular_tol))
-        for (lam, eta_list), rows in zip(groups, tables):
-            errors = {}
-            for eta in eta_list:
-                value = next(values)
-                errors[eta.label] = "overflow" if value is None else value
-            rows.append(ConvergenceRow(w, s_err, errors, bound))
+    hull = (min(window[0], mod_window[0]), max(window[1], mod_window[1]))
+    for batch in _evaluator_batches(specs, f, *hull):
+        sup_errors = []
+        for evaluator in batch:
+            recon = evaluator.on_grid(grid.points())
+            sup_errors.append(sup_error(f, recon, grid) if f.continuity == UNIFORM else None)
+        jobs = [(Difference(evaluator, f), cells) for evaluator in batch]
+        modular_lists = batched_modulars(jobs, mod_window, tol=modular_tol)
+        for evaluator, s_err, values in zip(batch, sup_errors, modular_lists):
+            w = float(evaluator.spec.w)
+            bound = None if bound_factor is None else bound_factor / w
+            values = iter(values)
+            for (lam, eta_list), rows in zip(groups, tables):
+                errors = {}
+                for eta in eta_list:
+                    value = next(values)
+                    errors[eta.label] = "overflow" if value is None else value
+                rows.append(ConvergenceRow(w, s_err, errors, bound))
 
     floor = first.series_tol + first.quad_tol
     reports = []
@@ -266,9 +297,14 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     (half-open windows make it 1 on the unit window) with the L1 norms, and
     scales the signal's modular by the product of zeroth moments. The
     moments and the majorants do not depend on the scale and are computed
-    once, in one batched quadrature; one evaluator and one batched
-    quadrature per scale serve every cell, so each sample is computed once
-    and each node evaluated once per round. The result holds, per scale, one
+    once, in one batched quadrature. The majorants that overflow decide
+    which cells are live; one evaluator per scale and one batched quadrature
+    (:func:`~durrmeyer.orlicz.batched_modulars`) then give every live cell's
+    modular at every scale, so each sample is computed once and each node
+    evaluated once per round. The quadrature holds its evaluators at once,
+    so the scales are taken in runs whose sample stores span at most
+    ``operators._MAX_SPAN`` lattice indices together, one quadrature per
+    run. The result holds, per scale, one
     :class:`ModularComparison` per cell, or the string ``"overflow"`` for a
     cell whose modular or majorant is infinite; the other cells are
     unaffected. A cell holds when lhs is at most rhs plus ``tolerance_pad``,
@@ -293,18 +329,20 @@ def modular_inequality_cells(specs: Sequence[OperatorSpec], f: Signal, cells: Se
     live = [cell for cell, rhs in zip(cells, majorants) if rhs is not None]
 
     tables = []
-    for spec in specs:
-        lhs_values = iter(modulars(live, SeriesEvaluator(spec, f), window, tol=modular_tol))
-        results = []
-        for rhs in majorants:
-            lhs = None if rhs is None else next(lhs_values)
-            if lhs is None:
-                results.append("overflow")
-            else:
-                # Both sides are quadratures, each known only to its rounding floor.
-                margin = rhs + max(tolerance_pad, ROUNDING_FLOOR * abs(rhs)) - lhs
-                results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
-        tables.append(results)
+    for batch in _evaluator_batches(specs, f, window[0], window[1]):
+        for lhs_list in batched_modulars([(evaluator, live) for evaluator in batch], window,
+                                         tol=modular_tol):
+            lhs_values = iter(lhs_list)
+            results = []
+            for rhs in majorants:
+                lhs = None if rhs is None else next(lhs_values)
+                if lhs is None:
+                    results.append("overflow")
+                else:
+                    # Both sides are quadratures, each known only to its rounding floor.
+                    margin = rhs + max(tolerance_pad, ROUNDING_FLOOR * abs(rhs)) - lhs
+                    results.append(ModularComparison(lhs, rhs, ratio, margin, margin >= 0.0))
+            tables.append(results)
     return tables
 
 

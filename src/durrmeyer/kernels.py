@@ -470,7 +470,9 @@ def lattice_sum(kernel: Kernel, u, nu, radius: int, signed_power: bool = False):
             vals = np.abs(vals)
         if nu:
             diffs = chunk[:, None] - shifts
-            vals = vals * ((-diffs) ** nu if signed_power else np.abs(diffs) ** nu)
+            # A moment past the float range reads inf, for its caller to report.
+            with np.errstate(over="ignore"):
+                vals = vals * ((-diffs) ** nu if signed_power else np.abs(diffs) ** nu)
         out[start:start + block] = vals.sum(axis=1)
     return out
 

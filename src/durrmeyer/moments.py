@@ -129,10 +129,14 @@ def discrete_algebraic_moment(kernel, nu, u, tol=1e-12):
 
 
 def _moment_integrand(kernel, nu, signed):
-    # t**0 is exactly 1, so order 0 takes the same product.
-    if signed:
-        return lambda t: np.asarray(kernel.evaluate(t), dtype=float) * t**nu
-    return lambda t: np.abs(kernel.evaluate(t)) * np.abs(t) ** nu
+    # t**0 is exactly 1, so order 0 takes the same product. A product past
+    # the float range reads inf, which the quadrature reports as infinite.
+    def integrand(t):
+        values = np.asarray(kernel.evaluate(t), dtype=float)
+        with np.errstate(over="ignore"):
+            return values * t**nu if signed else np.abs(values) * np.abs(t) ** nu
+
+    return integrand
 
 
 def _continuous_moment(kernel, nu, tol, signed):

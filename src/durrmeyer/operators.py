@@ -268,6 +268,17 @@ class SeriesEvaluator:
             return 0
         return self.knots.size * (math.floor(self.spec.w * (hi - lo)) + 1)
 
+    def store_span(self, lo: float, hi: float) -> float:
+        """A bound on the lattice indices the sample store spans once it
+        serves points in [lo, hi]: w (hi - lo) + 1 plus the width of the
+        widest stencil. Samples integrate over psi's reach, but the store
+        holds one value per index, so that reach takes no room."""
+        if isinstance(self._support, _k.CompactSupport):
+            width = self._width
+        else:
+            width = 2 * (self._rungs[-1][0] if self._radius is None else self._radius) + 1
+        return self.spec.w * (hi - lo) + 1 + width
+
     def cuts(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """Where a modular quadrature splits the cells [lo, hi]: at every
         lattice knot (k + b)/w strictly inside a cell and, between

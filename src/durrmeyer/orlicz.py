@@ -14,8 +14,11 @@ at one scaling brackets it.
 The modulars that one computation needs of one function, whatever their
 gauges and scalings, are one batched adaptive quadrature
 (:func:`modulars`), which evaluates the function once per distinct node
-in each round. A modular overflows exactly when its integral is infinite
-at working precision; it then reads ``None``, whatever the gauge.
+in each round; those of several functions, as a convergence study needs
+at each of its scales, are one quadrature too (:func:`batched_modulars`),
+each value bit for bit its function's own. A modular overflows exactly
+when its integral is infinite at working precision; it then reads
+``None``, whatever the gauge.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "GAUGES",
     "Difference",
     "modulars",
+    "batched_modulars",
     "modular",
     "luxemburg_norm",
     "modular_distance",
@@ -193,6 +197,124 @@ def _evaluate_rows(f, x, interval):
     return out
 
 
+def _runs(keys):
+    """(start, stop) of each run of equal neighbours in the nonempty,
+    ascending 1-d ``keys``."""
+    if keys[0] == keys[-1]:
+        return [(0, keys.size)]
+    edges = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return zip([0] + edges, edges + [keys.size])
+
+
+def _job_cuts(finders, job_of):
+    """The ``cuts`` callback of a batch, given each job's ``f.cuts`` or None:
+    each picked cell goes to its job's, once per distinct cell of that job
+    (its copies of the window pick the same cells), and the cuts spread
+    back to every copy."""
+
+    def cuts(lo, hi, interval):
+        job = job_of[interval]
+        cells, points = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        # Cells come by interval, so each job's cells are one run.
+        for start, stop in _runs(job):
+            finder = finders[job[start]]
+            if finder is None:
+                continue
+            # Each cell's index among the job's distinct cells, in order of
+            # appearance; copies of one cell are equal bit for bit.
+            distinct = {}
+            group = np.array([distinct.setdefault(edges, len(distinct)) for edges in
+                              zip(lo[start:stop].tolist(), hi[start:stop].tolist())])
+            a, b = np.array(list(distinct)).T
+            cell, at = finder(a, b)
+            cell, at = np.asarray(cell, dtype=np.intp), np.asarray(at, dtype=float)
+            if len(distinct) < group.size:
+                # Each copy takes the run of cuts of its distinct cell.
+                sizes = np.bincount(cell, minlength=len(distinct))
+                taken = sizes[group]
+                skip = (np.cumsum(sizes) - sizes)[group] - (np.cumsum(taken) - taken)
+                cell = np.repeat(np.arange(group.size), taken)
+                at = at[np.repeat(skip, taken) + np.arange(cell.size)]
+            cells.append(start + cell)
+            points.append(at)
+        return np.concatenate(cells), np.concatenate(points)
+
+    return cuts
+
+
+def batched_modulars(jobs, window, tol: float = 1e-8) -> list:
+    """For each job ``(f, cells)``, the list ``modulars(cells, f, window,
+    tol)`` returns, bit for bit, from one adaptive quadrature of every
+    job's copies of the window.
+
+    The copies are ordered job by job. In each round each job's ``f`` is
+    evaluated once per distinct node row of its own copies; rows of
+    different jobs never merge. Each copy starts from its job's breakpoints
+    and has its job's cell budget, and a job whose ``f`` declares ``cuts``
+    is asked for them once per distinct picked cell. A NaN modular raises
+    :class:`ArithmeticError` naming its gauge and lambda, the first in job
+    order.
+    """
+    check_tolerance(tol)
+    jobs = [(f, list(cells)) for f, cells in jobs]
+    flat = [cell for _, cells in jobs for cell in cells]
+    if any(lam <= 0 for _, lam in flat):
+        raise ValueError("modular scaling lambda must be positive")
+    lo, hi = _window_ends(window)
+    sizes = [len(cells) for _, cells in jobs]
+    firsts = (np.cumsum(sizes, dtype=np.intp) - sizes).tolist()
+    job_of = np.repeat(np.arange(len(jobs)), sizes)
+
+    owner = job_of.tolist()
+
+    def integrand(x, interval):
+        runs = list(_runs(interval))
+        heads = interval[[start for start, _ in runs]].tolist()
+        owners = [owner[head] for head in heads]
+        size = np.empty_like(x)
+        first = 0
+        for k, (_, stop) in enumerate(runs):
+            # Each job's rows are one stretch of runs, evaluated at once.
+            if k + 1 == len(runs) or owners[k + 1] != owners[k]:
+                f = jobs[owners[k]][0]
+                size[first:stop] = np.abs(_evaluate_rows(f, x[first:stop], interval[first:stop]))
+                first = stop
+        out = np.empty_like(x)
+        # An overflow gives inf, which ends this copy's quadrature only.
+        with np.errstate(over="ignore"):
+            for head, (start, stop) in zip(heads, runs):
+                eta, lam = flat[head]
+                out[start:stop] = eta(lam * size[start:stop])
+        return out
+
+    # Each copy's breakpoint row is its job's, padded with the window's
+    # start: a cut clipped onto an end makes an empty cell, which is dropped.
+    rows = [tuple(getattr(f, "breakpoints", ())) for f, _ in jobs]
+    width = max(map(len, rows), default=0)
+    breakpoints = np.full((len(flat), width), lo)
+    for row, first, size in zip(rows, firsts, sizes):
+        breakpoints[first:first + size, :len(row)] = row
+    finders = [getattr(f, "cuts", None) for f, _ in jobs]
+    # A copy cut at every knot keeps its 20,000 cells for refinement.
+    budgets = [_MAX_CELLS + (0 if finder is None else f.knot_count(lo, hi))
+               for finder, (f, _) in zip(finders, jobs)]
+    cuts = None if all(finder is None for finder in finders) else _job_cuts(finders, job_of)
+    values, _ = integrate(integrand, np.full(len(flat), lo), np.full(len(flat), hi), tol=tol,
+                          breakpoints=breakpoints, max_cells=np.repeat(budgets, sizes),
+                          per_interval=True, cuts=cuts)
+    out = []
+    for (eta, lam), value in zip(flat, values.tolist()):
+        # NaN: the integrand is not a number somewhere in the window, and no
+        # value, 0 least of all, stands for it.
+        if math.isnan(value):
+            raise ArithmeticError(
+                f"the modular of {eta.label} at lambda={lam:g} is NaN: "
+                "the integrand is not a number on part of the window"
+            )
+        out.append(None if math.isinf(value) else max(0.0, value))
+    return [out[first:first + size] for first, size in zip(firsts, sizes)]
+
+
 def modulars(cells, f, window, tol: float = 1e-8) -> list:
     """The modular of ``f`` for each ``(eta, lam)`` of ``cells``: the
     integral over the window of eta(lam |f|), or ``None`` for a cell whose
@@ -216,44 +338,12 @@ def modulars(cells, f, window, tol: float = 1e-8) -> list:
     edges, so each constant cell integrates to rounding), and optionally
     ``cuts`` with ``knot_count``, as a :class:`SeriesEvaluator` declares them:
     :func:`integrate` then cuts each picked cell at its knots and zero
-    crossings, and each copy's budget grows by its bound on the window's
-    knots.
+    crossings, asking ``f.cuts`` once per distinct cell, and each copy's
+    budget grows by its bound on the window's knots. This is the one-job
+    call of :func:`batched_modulars`.
     """
-    check_tolerance(tol)
-    cells = list(cells)
-    if any(lam <= 0 for _, lam in cells):
-        raise ValueError("modular scaling lambda must be positive")
-    lo, hi = _window_ends(window)
-
-    def integrand(x, interval):
-        size = np.abs(_evaluate_rows(f, x, interval))
-        out = np.empty_like(x)
-        cuts = ((interval[1:] != interval[:-1]).nonzero()[0] + 1).tolist()
-        # An overflow gives inf, which ends this copy's quadrature only.
-        with np.errstate(over="ignore"):
-            for start, stop in zip([0] + cuts, cuts + [interval.size]):
-                eta, lam = cells[interval[start]]
-                out[start:stop] = eta(lam * size[start:stop])
-        return out
-
-    n = len(cells)
-    cuts = getattr(f, "cuts", None)
-    # A cell cut at every knot keeps its 20,000 cells for refinement.
-    budget = _MAX_CELLS + (0 if cuts is None else f.knot_count(lo, hi))
-    values, _ = integrate(integrand, np.full(n, lo), np.full(n, hi), tol=tol,
-                          breakpoints=tuple(getattr(f, "breakpoints", ())),
-                          max_cells=budget, per_interval=True, cuts=cuts)
-    out = []
-    for (eta, lam), value in zip(cells, values.tolist()):
-        # NaN: the integrand is not a number somewhere in the window, and no
-        # value, 0 least of all, stands for it.
-        if math.isnan(value):
-            raise ArithmeticError(
-                f"the modular of {eta.label} at lambda={lam:g} is NaN: "
-                "the integrand is not a number on part of the window"
-            )
-        out.append(None if math.isinf(value) else max(0.0, value))
-    return out
+    [values] = batched_modulars([(f, cells)], window, tol=tol)
+    return values
 
 
 def modular(eta: OrliczFunction, f, lam: float, window, tol: float = 1e-8) -> float:

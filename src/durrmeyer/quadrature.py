@@ -107,11 +107,18 @@ def _gk15(f, lo, hi, interval=None):
         # depend on which other cells share its call. An infinite node value
         # or a sum past the float range gives, quietly, an infinite value or
         # estimate (NaN where inf meets inf or a zero Gauss weight).
+        rows = y.reshape(-1, 1, _NODES.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums[block] = (y.reshape(-1, 1, _NODES.size) * _WEIGHTS).sum(axis=2)
+            sums[block] = (rows * _WEIGHTS).sum(axis=2) * half[block, None]
+            # A cell narrower than 2 can overflow before it is scaled while
+            # its integral is finite: its sums are taken again with weights
+            # scaled first. Every finite sum keeps its bits.
+            again = ~np.isfinite(sums[block]).all(axis=1) & (half[block] < 1.0)
+            if again.any():
+                scaled = _WEIGHTS * half[block][again, None, None]
+                sums[start + np.flatnonzero(again)] = (rows[again] * scaled).sum(axis=2)
+    value = sums[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        sums *= half[:, None]
-        value = sums[:, 0]
         return value, np.abs(value - sums[:, 1])
 
 
@@ -140,14 +147,15 @@ def _initial_cells(a, b, breakpoints):
     return ids, np.nonzero(cell)[0], lo[cell], hi[cell]
 
 
-def _split_points(lo, hi, cuts):
+def _split_points(lo, hi, cuts, interval=None):
     """Where to split each cell [lo, hi]: at every point ``cuts(lo, hi)``
-    returns for it, or at its midpoint when it returns none or ``cuts`` is
-    None. Returns the cells' indices and the points, by cell and then by
-    point, every point strictly inside its cell."""
+    (``cuts(lo, hi, interval)`` given the cells' intervals) returns for it,
+    or at its midpoint when it returns none or ``cuts`` is None. Returns the
+    cells' indices and the points, by cell and then by point, every point
+    strictly inside its cell."""
     if cuts is None:
         return np.arange(lo.size), 0.5 * (lo + hi)
-    cell, at = cuts(lo, hi)
+    cell, at = cuts(lo, hi) if interval is None else cuts(lo, hi, interval)
     cell, at = np.asarray(cell, dtype=np.intp), np.asarray(at, dtype=float)
     ordered = (np.diff(cell) > 0) | ((np.diff(cell) == 0) & (np.diff(at) > 0))
     if not (ordered.all() and ((lo[cell] < at) & (at < hi[cell])).all()):
@@ -177,10 +185,10 @@ def _by_interval_and_error(err, seg):
     return by_err[np.sort(seg[by_err] * n + np.arange(n)) % n]
 
 
-def _bisection_picks(err, seg, count, excess, max_cells):
+def _bisection_picks(err, seg, count, excess, cap):
     """Cells to bisect, given the cells' intervals: in each interval, its
     largest-error cells whose errors together cover the interval's excess,
-    and no more than ``max_cells - count`` of them."""
+    and no more than its ``cap - count`` of them."""
     order = _by_interval_and_error(err, seg)
     n = order.size
     s = seg[order]
@@ -191,7 +199,7 @@ def _bisection_picks(err, seg, count, excess, max_cells):
     sizes = np.bincount(s, minlength=excess.size)
     start = (np.cumsum(sizes) - sizes)[s]  # first position of each cell's interval
     rank = np.arange(n) - start
-    return order[(run - run[start] < _EXCESS_UNIT) & (rank < max_cells - count[s])]
+    return order[(run - run[start] < _EXCESS_UNIT) & (rank < (cap - count)[s])]
 
 
 def check_tolerance(tol):
@@ -230,22 +238,28 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     ``cuts(lo, hi)`` locates the integrand's kinks inside the cells picked
     for splitting, given as arrays of their edges: it returns a pair of
     arrays, each cut's cell index into ``lo`` and its point, ordered by cell
-    and then by point, every point strictly inside its cell. A picked cell
-    is split at all of its cuts, and bisected at its midpoint when it has
-    none; without ``cuts`` every picked cell is bisected. A cell's cuts must
-    depend on the cell alone, so that an interval's result still does not
-    depend on the other intervals of its call. Cuts can make an interval
-    exceed ``max_cells`` by the cuts of one round.
+    and then by point, every point strictly inside its cell. With
+    ``per_interval=True`` it is called as ``cuts(lo, hi, interval)``, with
+    each picked cell's index into the flattened ends, so that each interval
+    may cut at the kinks of its own function. A picked cell is split at all
+    of its cuts, and bisected at its midpoint when it has none; without
+    ``cuts`` every picked cell is bisected. A cell's cuts must depend on the
+    cell and its interval alone, so that an interval's result still does
+    not depend on the other intervals of its call. Cuts can make an
+    interval exceed its ``max_cells`` by the cuts of one round.
+
+    ``max_cells`` is the cell budget of every interval, or an array with
+    one budget per interval, of the shape of the ends.
 
     Returns ``(value, error_estimate)`` per interval, floats for float ends,
     with ``error_estimate <= max(tol, 50 eps |value|)``, except that an
     interval whose integrand gives NaN ends with a NaN value, and one whose
-    integrand gives an infinite value, or whose cell sums overflow, ends
+    integrand gives an infinite value, or whose integral overflows, ends
     with an infinite value; either takes no further rounds, warns of
     nothing, and leaves the other intervals unaffected. (A cell whose Gauss
     sum alone overflows is split.) Raises :class:`QuadratureError` when an
-    interval's ``max_cells`` budget runs out, or its cells become too
-    narrow to split, before it meets that goal.
+    interval's cell budget runs out, or its cells become too narrow to
+    split, before it meets that goal.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -257,6 +271,9 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
     if not (a <= b).all():
         raise ValueError("integration interval is reversed or NaN")
     check_tolerance(tol)
+    budget = np.asarray(max_cells, dtype=np.intp)
+    if budget.ndim:
+        budget = np.broadcast_to(budget, shape).ravel()
     values = np.zeros(a.size)
     errors = np.zeros(a.size)
     min_width = _MIN_REL_WIDTH * (np.abs(a) + np.abs(b) + (b - a))
@@ -283,8 +300,9 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
             ids, total, goal = ids[~done], total[~done], goal[~done]
             lo, hi, value, err, frozen = lo[keep], hi[keep], value[keep], err[keep], frozen[keep]
         count = np.bincount(seg)
+        cap = budget[ids] if budget.ndim else budget
         candidates = np.flatnonzero(~frozen)
-        stuck = (count >= max_cells) | (np.bincount(seg[candidates], minlength=ids.size) == 0)
+        stuck = (count >= cap) | (np.bincount(seg[candidates], minlength=ids.size) == 0)
         if stuck.any():
             i = int(np.flatnonzero(stuck)[0])
             raise QuadratureError(
@@ -296,13 +314,14 @@ def integrate(f, a, b, tol=1e-10, breakpoints=(), max_cells=4096, per_interval=F
         # the cap keeps its share of the excess a number, so it is split.
         excess = np.minimum(total - goal, sys.float_info.max)
         picks = candidates[_bisection_picks(err[candidates], seg[candidates], count,
-                                            excess, max_cells)]
+                                            excess, cap)]
         narrow = hi[picks] - lo[picks] < min_width[ids[seg[picks]]]
         frozen[picks[narrow]] = True
         split = np.sort(picks[~narrow])
         if not split.size:
             continue
-        cell, cut = _split_points(lo[split], hi[split], cuts)
+        cell, cut = _split_points(lo[split], hi[split], cuts,
+                                  ids[seg[split]] if per_interval else None)
         # A cell with m cuts becomes m + 1 cells. Each cut ends a new cell,
         # which every earlier cut has shifted by one.
         ends = split[cell] + np.arange(cell.size)

@@ -9,6 +9,7 @@ from durrmeyer import operators as O
 from durrmeyer import orlicz as X
 from durrmeyer import signals as S
 from durrmeyer.moments import DivergentMomentError
+from durrmeyer.quadrature import integrate
 
 
 def brute_first_absolute_moment(kernel, samples=20000, radius=8):
@@ -164,6 +165,25 @@ class TestConvergenceStudies:
             assert (check.w, check.sup_error, check.bound) == (
                 row.w, row.sup_error, row.quantitative_bound)
 
+    def test_a_dyadic_study_is_one_modular_quadrature(self, monkeypatch):
+        sizes = []
+
+        def recording(f, a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return integrate(f, a, *args, **kwargs)
+
+        monkeypatch.setattr(X, "integrate", recording)
+        phi, psi, f = K.bspline(3), O.Window(0.0, 1.0, 1.0), S.builtin_signal("runge")
+        scales = specs(phi, psi, [5.0 * 2**i for i in range(6)])
+        groups = [(1.0, [X.PowerFunction(2)]), (0.5, [X.ZygmundFunction(1, 1)])]
+        together = A.convergence_studies(scales, f, (-3, 3), 0.05, groups)
+        assert sizes == [12]
+        # The stores span 6 w + 5 indices: 35, 65, 125, 245, 485 and 965.
+        sizes.clear()
+        monkeypatch.setattr(A, "_MAX_SPAN", 300)
+        assert A.convergence_studies(scales, f, (-3, 3), 0.05, groups) == together
+        assert sizes == [6, 2, 2, 2]
+
     def test_no_bound_checks_without_a_lipschitz_constant(self):
         report = A.convergence_study(
             K.bspline(2), O.PointMass(), S.builtin_signal("box"), [5.0], (-2, 2), 0.1,
@@ -288,6 +308,24 @@ class TestModularInequalityCells:
         for w, table in zip([5.0, 10.0], tables):
             assert table == A.modular_inequality_cells(specs(phi, psi, [w]), f, self.CELLS,
                                                        (-8, 8))[0]
+
+    def test_every_scale_is_one_quadrature_after_the_majorants(self, monkeypatch):
+        sizes = []
+
+        def recording(f, a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return integrate(f, a, *args, **kwargs)
+
+        monkeypatch.setattr(X, "integrate", recording)
+        f = S.builtin_signal("box")
+        scales = specs(K.bspline(2), O.Window(0.0, 1.0, 1.0), [5.0, 10.0, 20.0])
+        tables = A.modular_inequality_cells(scales, f, self.CELLS, (-8, 8))
+        assert sizes == [3, 9]
+        # The stores span 16 w + 4 indices: 84, 164 and 324.
+        sizes.clear()
+        monkeypatch.setattr(A, "_MAX_SPAN", 250)
+        assert A.modular_inequality_cells(scales, f, self.CELLS, (-8, 8)) == tables
+        assert sizes == [3, 6, 3]
 
     def test_fine_scale_piecewise_rational_converges(self):
         # Bisecting through the knots k/w ran out of its 20,000 cells here.

@@ -313,6 +313,17 @@ class TestKernelCheck:
         assert "not JSON compliant" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_an_overflowing_moment_warns_of_nothing(self, tmp_path, capsys):
+        # The lattice sums and moment integrands of this window pass the
+        # float range: they read inf quietly, and the report is refused.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, phi={"family": "window", "lo": 1.5, "hi": 2.5, "weight": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernel-check", "--config", str(cfg)]) == 4
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_decaying_kernel_divergence_exits_3_but_writes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, phi={"family": "fejer"})
@@ -533,9 +544,39 @@ class TestOrliczCommand:
         write_config(cfg, signal="piecewise_rational", phi={"family": "bspline", "n": 2},
                      w_list=[5, 10], tolerances={"modular_tol": 1e-7})
         assert main(["orlicz", "--config", str(cfg)]) == 0
-        assert tols == [1e-7] * 3
+        # One quadrature of the majorants, and one of every scale's modulars.
+        assert tols == [1e-7] * 2
         payload = json.loads((tmp_path / "out" / "orlicz.json").read_text())
         assert payload["config_echo"]["tolerances"]["modular_tol"] == 1e-7
+
+    def test_cuts_see_each_distinct_cell_once_per_scale(self, tmp_path, monkeypatch):
+        # The gauge copies of one scale pick the same cells, and the series
+        # gives the cuts of each distinct one once. On the two orlicz
+        # configs and the two Luxemburg norms of the orlicz_matrix benchmark
+        # that is 20 cells; one quadrature per copy handed it 70.
+        given = []
+        cuts = O.SeriesEvaluator.cuts
+
+        def recording(self, lo, hi):
+            given.append(list(zip(lo.tolist(), hi.tolist())))
+            return cuts(self, lo, hi)
+
+        monkeypatch.setattr(O.SeriesEvaluator, "cuts", recording)
+        gauges = [{"variant": "power", "p": 1}, {"variant": "power", "p": 2},
+                  {"variant": "zygmund", "alpha": 1, "beta": 1}]
+        for signal, lambdas in (("box", (0.25, 0.5, 1.0)), ("piecewise_rational", (0.5,))):
+            cfg = tmp_path / f"{signal}.json"
+            write_config(cfg, signal=signal, phi={"family": "bspline", "n": 2},
+                         w_list=[5, 10], window=[-8, 8],
+                         orlicz=[dict(gauge, **{"lambda": lam})
+                                 for gauge in gauges for lam in lambdas])
+            assert main(["orlicz", "--config", str(cfg), "--out", str(tmp_path / signal)]) == 0
+        for w in (5.0, 10.0):
+            spec = O.OperatorSpec(K.bspline(2), O.Window(0.0, 1.0, 1.0), w)
+            X.luxemburg_norm(X.PowerFunction(2), O.SeriesEvaluator(spec, S.builtin_signal("box")),
+                             (-8, 8))
+        assert all(len(set(cells)) == len(cells) for cells in given)
+        assert sum(map(len, given)) == 20
 
     def test_large_constant_is_computed(self, tmp_path):
         # Its modular 2e10 rounds at about 4e-6, above modular_tol 1e-6, so

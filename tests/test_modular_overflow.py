@@ -83,3 +83,32 @@ def test_a_modular_overflows_exactly_when_its_integral_is_infinite():
 
     judged()
     assert outcomes == {"overflow", "finite"}
+
+
+def test_a_narrow_window_reads_its_integral_up_to_the_float_maximum():
+    # Over a window narrower than 2 a GK15 cell's weighted sum, whose
+    # weights add up to 2, can pass the float maximum while the integral
+    # c L does not: the cell must still read c L.
+    outcomes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1e-3, 2.0, exclude_max=True), st.floats(-1.0, 0.0),
+           st.floats(-1e3, 1e3), st.sampled_from([1.0, -1.0]))
+    def judged(length, decades, start, sign):
+        # |c| within a decade below the float maximum: c L overflows only
+        # for L above 1.
+        c = sign * float(FLOAT_MAX * mpmath.mpf(10) ** decades)
+        window = (start, start + length)
+        integral = abs(c) * (mpmath.mpf(window[1]) - mpmath.mpf(window[0]))
+        f = S.builtin_signal("constant", c)
+        [value] = X.modulars([(X.PowerFunction(1), 1.0)], f, window)
+        if integral > FLOAT_MAX * (1 + BAND):
+            assert value is None
+            outcomes.add("overflow")
+        elif integral < FLOAT_MAX * (1 - BAND):
+            assert value is not None
+            assert abs(value - integral) <= BAND * integral
+            outcomes.add("finite")
+
+    judged()
+    assert outcomes == {"overflow", "finite"}

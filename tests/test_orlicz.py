@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from durrmeyer import cli as C
@@ -489,6 +491,52 @@ class TestNotANumber:
                             NanHole(), (0.6, 1))
         assert values[0] == pytest.approx(0.4, rel=1e-12)
         assert values[1] is None
+
+
+class TestBatchedModulars:
+    CELLS = [(eta, lam) for eta in (X.PowerFunction(1), X.PowerFunction(2),
+                                    X.ZygmundFunction(1, 1), X.ExponentialFunction(1))
+             for lam in (0.5, 1.0)]
+
+    def test_each_job_equals_its_solo_call_bitwise(self):
+        # Series that cut at their knots, at two scales with different
+        # breakpoints, beside functions without cuts or breakpoints, one
+        # whose power(2) modulars overflow and one that is NaN on the window.
+        box = S.builtin_signal("box")
+        pool = [reconstruction("box"), reconstruction("box", 10.0),
+                reconstruction("piecewise_rational"), S.builtin_signal("runge"),
+                X.Difference(reconstruction("box"), box), box,
+                S.builtin_signal("constant", 1e200), NanHole()]
+        window = (-2, 2)
+        outcomes = set()
+
+        @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @given(st.lists(st.tuples(st.sampled_from(range(len(pool))),
+                                  st.lists(st.sampled_from(self.CELLS), max_size=3)),
+                        min_size=1, max_size=4))
+        def judged(draws):
+            jobs = [(pool[i], cells) for i, cells in draws]
+            solo, raised = [], None
+            for f, cells in jobs:
+                try:
+                    solo.append(X.modulars(cells, f, window, tol=1e-8))
+                except ArithmeticError as error:
+                    raised = raised or str(error)
+            if raised is None:
+                assert X.batched_modulars(jobs, window, tol=1e-8) == solo
+                outcomes.add("overflow" if None in sum(solo, []) else "finite")
+            else:
+                with pytest.raises(ArithmeticError) as error:
+                    X.batched_modulars(jobs, window, tol=1e-8)
+                assert str(error.value) == raised
+                outcomes.add("nan")
+
+        judged()
+        assert outcomes == {"finite", "overflow", "nan"}
+
+    def test_no_jobs(self):
+        assert X.batched_modulars([], (-1, 1)) == []
+        assert X.batched_modulars([(S.builtin_signal("box"), [])], (-1, 1)) == [[]]
 
 
 class ScaledPower:

@@ -325,12 +325,47 @@ class TestCuts:
         assert [x.tolist() for x in Q._split_points(lo, hi, None)] == [
             [0, 1, 2], (0.5 * (lo + hi)).tolist()]
 
+    def test_cuts_given_intervals_cut_each_interval_at_its_own_kinks(self):
+        # Interval 1 cuts at the lattice kinks and the others are bisected,
+        # each as in its solo call.
+        A, B = TestIntervalArrays.A, TestIntervalArrays.B
+        seen = []
+
+        def cuts(lo, hi, interval):
+            seen.append(interval.copy())
+            mine = np.flatnonzero(interval == 1)
+            if not mine.size:
+                return np.zeros(0, dtype=np.intp), np.zeros(0)
+            cell, at = self.CUTS(lo[mine], hi[mine])
+            return mine[cell], at
+
+        values, errors = integrate(lambda x, interval: self.f(x), A, B, tol=1e-12,
+                                   per_interval=True, cuts=cuts)
+        assert seen and all(np.all(np.diff(interval) >= 0) for interval in seen)
+        for j, (a, b) in enumerate(zip(A, B)):
+            assert integrate(self.f, float(a), float(b), tol=1e-12,
+                             cuts=self.CUTS if j == 1 else None) == (values[j], errors[j])
+
     @pytest.mark.parametrize("cell, at", [([0], [0.0]), ([0], [1.0]), ([0, 0], [0.6, 0.3]),
                                           ([1, 0], [0.5, 0.5])])
     def test_a_cut_on_an_edge_or_out_of_order_raises(self, cell, at):
         with pytest.raises(ValueError, match="strictly inside"):
             integrate(lambda x: np.abs(x - 0.3), np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                       tol=1e-12, cuts=lambda lo, hi: (np.array(cell), np.array(at)))
+
+
+class TestCellBudgets:
+    A, B = np.array([0.0, 0.0, -1.0]), np.array([10.0, 100.0, 2.0])
+
+    def test_each_interval_keeps_its_own_budget(self):
+        budgets = [40, 4096, 4096]
+        values, errors = integrate(np.cos, self.A, self.B, tol=1e-13, max_cells=budgets)
+        for a, b, budget, value, err in zip(self.A, self.B, budgets, values, errors):
+            assert integrate(np.cos, a, b, tol=1e-13, max_cells=budget) == (value, err)
+
+    def test_a_budget_too_small_raises_for_its_interval(self):
+        with pytest.raises(QuadratureError, match=r"\[0, 100\]: .* with 2 cells"):
+            integrate(np.cos, self.A, self.B, tol=1e-13, max_cells=[4096, 2, 4096])
 
 
 class TestRoundingFloor:
