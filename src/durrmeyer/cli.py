@@ -84,18 +84,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _float_lines(block, slots=0) -> str:
+    """The CSV lines of a 2-d float array, one ``%.17g`` cell per column,
+    with ``slots`` more ``%.17g`` conversions left open at the end of each
+    line for a later ``%`` to fill. Floats need no quoting, so these are the
+    bytes the csv writer and :func:`_fmt` would give; a formatted float holds
+    no ``%``, so the open slots are the only conversions left."""
+    line = ",".join(["%.17g"] * block.shape[1] + ["%%.17g"] * slots) + "\n"
+    return line * len(block) % tuple(block.ravel().tolist())
+
+
 def _write_csv(path: Path, header, rows):
-    """Write ``header`` and ``rows``: a list of rows of any cells, or a 2-d
-    float array with one column per header cell."""
+    """Write ``header`` and ``rows``: a list of rows of any cells, a 2-d
+    float array with one column per header cell, or lines already formatted
+    by :func:`_float_lines`."""
     # Minimal quoting: a gauge label such as zygmund(1,1) holds a comma.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     if isinstance(rows, np.ndarray):
-        # Floats need no quoting, so one format over the whole block writes
-        # the bytes the writer and _fmt would give.
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        buffer.write(line * len(rows) % tuple(rows.ravel().tolist()))
+        rows = _float_lines(rows)
+    if isinstance(rows, str):
+        buffer.write(rows)
     else:
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
     path.write_text(buffer.getvalue(), encoding="ascii", newline="\n")
@@ -364,6 +374,9 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
 
     points = exp.grid.points()
     exact = np.asarray(exp.signal.evaluate(points), dtype=float)
+    # The x and signal columns are the same in every file: formatted once,
+    # with one open slot per line for each scale's reconstruction.
+    shared = _float_lines(np.column_stack((points, exact)), slots=1)
     files = []
     for w in exp.w_list:
         # Every scale's spec refuses what the first one refuses, before any output.
@@ -371,7 +384,7 @@ def cmd_reconstruct(exp: Experiment, at: float | None) -> int:
         exp.out_dir.mkdir(parents=True, exist_ok=True)
         name = f"reconstruct_w{w:g}.csv"
         _write_csv(exp.out_dir / name, ["x", "signal", "reconstruction"],
-                   np.column_stack((points, exact, recon)))
+                   shared % tuple(recon.tolist()))
         files.append(name)
     _write_json(exp.out_dir / "reconstruct.json", {
         "config_echo": exp.echo(),

@@ -93,6 +93,12 @@ class Kernel:
     kernels that leave it unset against its ``pou_threshold``, and the
     order-0 lattice moments of a declared kernel are taken as exact.
 
+    ``piece_degree`` d, where the family declares it, says the kernel is one
+    polynomial of degree at most d between consecutive ``breakpoints`` and
+    takes, at each breakpoint, the value of the piece to its right. A kernel
+    of degree 0 is a step function that may jump at its breakpoints; one of
+    degree 1 or more is continuous (the B-splines of order 2 and up).
+
     ``rows``, where given, computes :meth:`shifted` for the kernel in place
     of ``evaluate`` on the differences.
 
@@ -108,6 +114,7 @@ class Kernel:
     nonnegative: bool = False
     partition_of_unity: bool = False
     breakpoints: tuple = ()
+    piece_degree: Optional[int] = None
     fourier: Optional[Callable] = field(default=None, compare=False)
     rows: Optional[Callable] = field(default=None, compare=False)
 
@@ -222,6 +229,7 @@ def bspline(n: int) -> Kernel:
         nonnegative=True,
         partition_of_unity=True,
         breakpoints=tuple(-half + j for j in range(n + 1)),
+        piece_degree=n - 1,
         fourier=fourier,
     )
 
@@ -315,6 +323,7 @@ def window(lo: float, hi: float, weight: float = 1.0) -> Kernel:
         nonnegative=True,
         partition_of_unity=bool(integer_width and mass == 1.0),
         breakpoints=(lo, hi),
+        piece_degree=0,
     )
 
 

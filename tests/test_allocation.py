@@ -49,7 +49,8 @@ def test_fejer_grid_pass_peaks_below_one_mib():
 
 def test_window_first_moment_peaks_below_one_mib():
     result = []
-    peak = traced_peak(lambda: result.append(M.discrete_absolute_moment(K.window(0, 1, 1), 1)))
+    peak = traced_peak(lambda: result.append(
+        M.discrete_absolute_moment(K.window(0, 1, 1), 1, method="grid")))
     # sup over u in [0, 1) of u, on the finest probe grid.
     assert result[-1].value == 1.0 - 2.0**-15
     assert peak < _MIB

@@ -859,6 +859,15 @@ class TestCsvBytes:
         cli._write_csv(path, self.HEADER, np.empty((0, 3)))
         assert path.read_bytes() == csv_writer_bytes(self.HEADER, [])
 
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_lines_with_an_open_slot_match_the_whole_block(self, tmp_path, rows):
+        cells = [-0.0, 5e-324, 1e308, 3.0, math.inf, -math.inf, math.nan, 0.1, -1 / 3]
+        block = np.array([cells[i:] + cells[:i] for i in range(len(cells))])[:rows, :3]
+        shared = cli._float_lines(block[:, :2], slots=1)
+        path = tmp_path / "slots.csv"
+        cli._write_csv(path, self.HEADER, shared % tuple(block[:, 2].tolist()))
+        assert path.read_bytes() == csv_writer_bytes(self.HEADER, block.tolist())
+
     def test_mixed_rows_match_the_csv_writer(self, tmp_path):
         rows = [("zygmund(1,1)", True, None), (3, -0.0, math.nan), (False, math.inf, "a\"b"),
                 (np.float64(0.1), 1.0, 2.0), (0.5, 0.25), (0.5, 0.25, 0.125, 1.0),

@@ -1,6 +1,11 @@
-"""Every module-level import of a package module is referenced by it."""
+"""Every module-level import of a package module is referenced by it, and
+the package loads nothing that ``import numpy`` has not already loaded."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +50,26 @@ def test_an_unreferenced_import_is_flagged():
               "class A:\n"
               "    a: int\n")
     assert unused_imports(source) == [(2, "os"), (3, "field")]
+
+
+def test_kernel_check_loads_no_module_beyond_numpy(tmp_path):
+    # Set-up is timed in whole interpreters, so a module that ``import numpy``
+    # does not load costs every command: numpy.polynomial alone adds about
+    # 5 ms, a quarter of a set-up step.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "phi": {"family": "bspline", "n": 3},
+        "psi": {"kind": "window", "lo": 0, "hi": 1, "weight": 1},
+        "signal": "runge", "w_list": [5], "window": [-1, 1], "grid_step": 0.1}))
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "from durrmeyer.cli import main\n"
+            f"assert main(['kernel-check', '--config', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(name for name in set(sys.modules) - before\n"
+            "             if name.startswith(('numpy.', 'scipy.')) or name == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "kernel_check.csv").read_text().count("\n") == 3

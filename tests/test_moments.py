@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from durrmeyer import kernels as K
@@ -152,11 +156,132 @@ class TestProbeRefinement:
             return window.evaluate(t)
 
         kernel = dataclasses.replace(window, evaluate=counting)
-        result = M.discrete_absolute_moment(kernel, 1)
-        assert result.value == M.discrete_absolute_moment(window, 1).value
+        result = M.discrete_absolute_moment(kernel, 1, method="grid")
+        assert result.value == M.discrete_absolute_moment(window, 1, method="grid").value
         # 2,048 probes and then the odd ones of each doubling up to 32,768:
         # 32,768 probes in all, each on the 3 of 7 shifts that reach it.
         assert counted[0] == 32768 * 3
+
+
+def mp_bspline(n, x):
+    """The central B-spline of order n at the mpf x, by its truncated powers."""
+    half = mpmath.mpf(n) / 2
+    if not -half <= x < half:
+        return mpmath.mpf(0)
+    terms = ((-1) ** j * math.comb(n, j) * (half + x - j) ** (n - 1)
+             for j in range(n + 1) if half + x - j > 0)
+    return mpmath.fsum(terms) / math.factorial(n - 1)
+
+
+def mp_window(lo, hi, weight):
+    lo, hi, weight = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(weight)
+    return lambda x: weight if lo <= x < hi else mpmath.mpf(0)
+
+
+def mp_piecewise_supremum(kernel, exact, nu):
+    """sup over u in [0, 1) of sum_k |phi(u - k)| |u - k|**nu at 40 digits.
+
+    On each cell between 0 and the breakpoints' phases the sum is one
+    polynomial, of degree at most 7 in these cases: fitted exactly through
+    10 interior points, it takes its supremum over the closed cell at an
+    edge or at a real root of its derivative (``mpmath.polyroots``)."""
+    reach = range(-8, 9)
+    total = lambda u: mpmath.fsum(abs(exact(u - k)) * abs(u - k) ** nu for k in reach)
+    phases = {mpmath.mpf(b) % 1 for b in kernel.breakpoints}
+    edges = sorted({mpmath.mpf(0), mpmath.mpf(1)} | phases)
+    count = 10
+    best = mpmath.mpf("-inf")
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs = [a + (b - a) * mpmath.mpf(i + 1) / (count + 1) for i in range(count)]
+        coeffs = mpmath.lu_solve(mpmath.matrix([[x**j for j in range(count)] for x in xs]),
+                                 mpmath.matrix([total(x) for x in xs]))
+        poly = [coeffs[j] for j in reversed(range(count))]  # highest degree first
+        slope = [c * j for c, j in zip(poly, range(count - 1, 0, -1))]
+        while slope and abs(slope[0]) < mpmath.mpf(10) ** -30:
+            slope.pop(0)
+        candidates = [a, b]
+        if len(slope) > 1:
+            candidates += [mpmath.re(r) for r in mpmath.polyroots(slope, maxsteps=500,
+                                                                 extraprec=200)
+                           if abs(mpmath.im(r)) < mpmath.mpf(10) ** -20 and a < mpmath.re(r) < b]
+        best = max(best, *(mpmath.polyval(poly, x) for x in candidates))
+    return best
+
+
+# The supremum is a shift sum evaluated in floats. A window sums exact
+# weights. B_6 is the worst case: its truncated-power sum cancels terms up
+# to 2^6 3^5 / 5! (about 130) to a value below 1, a rounding of about
+# 3e-14 per value, which order 2 weighs by |u - k|^2 <= 16 over 7 shifts:
+# 3e-12 at the very worst. The largest error seen is 7.6e-14 (B_6, order
+# 2), and 2^-40 (about 9.1e-13) is twelve times that.
+ROUNDING_BUDGET = 2.0**-40
+
+PIECEWISE_CASES = (
+    [(K.bspline(n), functools.partial(mp_bspline, n), nu) for n in range(1, 7) for nu in (1, 2)]
+    + [(K.window(lo, hi, weight), mp_window(lo, hi, weight), nu)
+       for lo, hi, weight, orders in ((0, 1, 1, (1, 2)), (-0.25, 0.5, 2, (0, 1, 2)),
+                                      (0, 0.5, 1, (0, 1, 2)))
+       for nu in orders])
+
+
+class TestPiecewiseSupremum:
+    @pytest.mark.parametrize("kernel, exact, nu", PIECEWISE_CASES,
+                             ids=[f"{k.name}-nu{nu}" for k, _, nu in PIECEWISE_CASES])
+    def test_the_supremum_of_the_pieces_matches_mpmath(self, kernel, exact, nu):
+        result = M.discrete_absolute_moment(kernel, nu)
+        assert result.method == "piecewise_supremum"
+        assert result.certified_error == 0.0
+        with mpmath.workdps(40):
+            supremum = mp_piecewise_supremum(kernel, exact, nu)
+            assert abs(result.value - supremum) <= ROUNDING_BUDGET
+        grid = M.discrete_absolute_moment(kernel, nu, method="grid")
+        assert result.value >= grid.value - ROUNDING_BUDGET
+
+    def test_the_quadratic_spline_first_moment_is_one_half_bitwise(self):
+        result = M.discrete_absolute_moment(K.bspline(3), 1)
+        assert (result.value, result.method) == (0.5, "piecewise_supremum")
+
+    def test_the_unit_window_first_moment_evaluates_few_points(self):
+        window = K.window(0, 1, 1)
+        counted = [0]
+
+        def counting(t):
+            counted[0] += np.asarray(t).size
+            return window.evaluate(t)
+
+        result = M.discrete_absolute_moment(dataclasses.replace(window, evaluate=counting), 1)
+        # The probe grid took 32,768 probes on 3 shifts each and read 1 - 2^-15.
+        assert abs(result.value - 1.0) <= 2 * np.spacing(1.0)
+        assert counted[0] < 100
+
+    @pytest.mark.parametrize("kernel, nu", [
+        (K.bspline(3), 0.5),
+        (K.window(0, 0.5, 1), 1.5),
+        (dataclasses.replace(K.bspline(3), piece_degree=None), 1),
+    ], ids=["fractional-order", "fractional-window", "undeclared-degree"])
+    def test_other_kernels_and_orders_keep_the_probe_grid(self, kernel, nu):
+        result = M.discrete_absolute_moment(kernel, nu)
+        assert result.method == "grid_supremum"
+        assert (result.value, result.certified_error) == full_regrid_moment(kernel, nu)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8, unique=True),
+           st.floats(0.01, 100.0), st.floats(-10.0, 10.0))
+    def test_every_zero_of_the_derivative_is_found(self, roots, scale, constant):
+        roots = sorted(roots)
+        assume(all(b - a >= 1e-3 for a, b in zip(roots, roots[1:])))
+        # p' = scale * prod (t - r), integrated with p(0) = constant.
+        slope = (scale * np.poly(roots))[::-1]
+        coeffs = [constant, *(c / (i + 1) for i, c in enumerate(slope))]
+        found = M._derivative_zeros(coeffs)
+        assert all(-1.0 < t < 1.0 for t in found)
+        assert all(min(abs(t - r) for t in found) <= 1e-8 for r in roots)
+
+    def test_a_sum_past_the_float_range_is_infinite_without_warnings(self):
+        kernel = K.window(1.5, 2.5, 1e308)
+        with np.errstate(all="raise"):
+            assert [M.discrete_absolute_moment(kernel, nu).value for nu in (1, 2)] == [
+                math.inf, math.inf]
 
 
 class TestDiscreteAlgebraic:
